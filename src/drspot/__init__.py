@@ -39,7 +39,9 @@ from .pipeline import (
     ModelRejectedError,
     ScenarioConfig,
     ScenarioResult,
+    ZeroBaselineError,
     customer_bill,
+    fit_price_model,
     impact_summary,
     run_scenario,
     split_train_holdout,

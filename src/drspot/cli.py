@@ -21,7 +21,7 @@ from . import pipeline
 from .config import ConfigError, Settings, load_settings, resolve_config_path
 from .market_data import MarketDataError, RecordSeries, parse_hourly_csv
 from .pipeline import EmptyWindowError, ModelRejectedError, RESULT_COLUMNS
-from .regression import RegressionError, design_matrix, ferms, forward_select, predict, price_vector
+from .regression import RegressionError, design_matrix, ferms, predict, price_vector
 
 
 class CommandError(Exception):
@@ -79,21 +79,11 @@ def _split_window(series: RecordSeries, args) -> tuple[RecordSeries, RecordSerie
         return history, study
 
 
-def _fit(settings: Settings, history: RecordSeries):
-    with _stage("fit"):
-        scenario = settings.scenario
-        train, holdout = pipeline.split_train_holdout(history, scenario.holdout_days)
-        spec, model = forward_select(
-            scenario.feature_candidates, train, holdout, scenario.base_features
-        )
-        holdout_ferms = ferms(predict(model, design_matrix(holdout, spec)), price_vector(holdout))
-        return spec, model, holdout_ferms
-
-
 def cmd_fit(args) -> int:
     settings = _load_settings(args)
     series = _load_series(args, settings)
-    spec, model, holdout_ferms = _fit(settings, series)
+    with _stage("fit"):
+        _spec, model, holdout_ferms = pipeline.fit_price_model(series, settings.scenario)
     thresholds = settings.scenario.significance_thresholds
     doc = model.to_json_dict(thresholds)
     doc["holdout_ferms"] = holdout_ferms
@@ -112,7 +102,8 @@ def cmd_forecast(args) -> int:
     settings = _load_settings(args)
     series = _load_series(args, settings)
     history, study = _split_window(series, args)
-    spec, model, holdout_ferms = _fit(settings, history)
+    with _stage("fit"):
+        spec, model, holdout_ferms = pipeline.fit_price_model(history, settings.scenario)
     with _stage("forecast"):
         forecast = predict(model, design_matrix(study, spec))
         window_ferms = ferms(forecast, price_vector(study))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -220,9 +221,12 @@ def _parse_timestamp(raw: str, row: int, column: str) -> datetime:
 
 def _parse_float(raw: str, row: int, column: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ParseError(row, column, raw, "non-numeric value") from None
+    if not math.isfinite(value):
+        raise ParseError(row, column, raw, "non-finite value")
+    return value
 
 
 def _fill_gap(prev: HourlyRecord, nxt: HourlyRecord) -> list[HourlyRecord]:

@@ -64,6 +64,11 @@ class EmptyWindowError(Exception):
     pass
 
 
+class ZeroBaselineError(ValueError):
+    """The study window's baseline energy or cost is zero, so the relative
+    deltas of :func:`impact_summary` are undefined."""
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a simulation run depends on besides the data itself."""
@@ -189,6 +194,18 @@ def _require_valid(series: RecordSeries, label: str) -> None:
         raise ValueError(f"{label} series is invalid: " + "; ".join(violations[:5]))
 
 
+def fit_price_model(
+    history: RecordSeries, cfg: ScenarioConfig = ScenarioConfig()
+) -> tuple[tuple[str, ...], RegressionModel, float]:
+    """Select and fit the price model on the history with the last
+    ``holdout_days`` held out; returns the spec, the model and its holdout
+    ferms. The ferms gate is left to the caller."""
+    train, holdout = split_train_holdout(history, cfg.holdout_days)
+    spec, model = forward_select(cfg.feature_candidates, train, holdout, cfg.base_features)
+    holdout_ferms = ferms(predict(model, design_matrix(holdout, spec)), price_vector(holdout))
+    return spec, model, holdout_ferms
+
+
 def run_scenario(
     history: RecordSeries, study_window: RecordSeries, cfg: ScenarioConfig = ScenarioConfig()
 ) -> ScenarioResult:
@@ -208,11 +225,7 @@ def run_scenario(
     if set(history.timestamps) & set(study_window.timestamps):
         raise ValueError("history and study window overlap")
 
-    train, holdout = split_train_holdout(history, cfg.holdout_days)
-    spec, model = forward_select(cfg.feature_candidates, train, holdout, cfg.base_features)
-
-    holdout_forecast = predict(model, design_matrix(holdout, spec))
-    holdout_ferms = ferms(holdout_forecast, price_vector(holdout))
+    spec, model, holdout_ferms = fit_price_model(history, cfg)
     if holdout_ferms > cfg.ferms_gate:
         raise ModelRejectedError(holdout_ferms, cfg.ferms_gate)
 
@@ -250,7 +263,8 @@ def impact_summary(result: ScenarioResult) -> ImpactSummary:
 
     Baseline cost is baseline demand at the pre-response spot price,
     after-response cost is the responded demand at the re-predicted price;
-    a null response leaves all deltas at exactly zero.
+    a null response leaves all deltas at exactly zero. Raises
+    ZeroBaselineError when the baseline energy or cost is zero.
     """
     if len(result) == 0:
         raise EmptyWindowError("scenario result covers no hours")
@@ -258,6 +272,11 @@ def impact_summary(result: ScenarioResult) -> ImpactSummary:
     dr_energy = float(result.dr_demand.sum())
     delta_energy = dr_energy - baseline_energy
     baseline_cost = customer_bill(result.baseline_demand, result.baseline_spot_price)
+    if baseline_energy == 0.0 or baseline_cost == 0.0:
+        raise ZeroBaselineError(
+            f"baseline energy ({baseline_energy!r} MWh) and cost ({baseline_cost!r} $) must be "
+            "non-zero to express the deltas in percent"
+        )
     dr_cost = customer_bill(result.dr_demand, result.updated_spot_price)
     delta_cost = dr_cost - baseline_cost
     return ImpactSummary(

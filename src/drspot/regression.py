@@ -106,32 +106,50 @@ def validate_feature_spec(spec: Sequence[str]) -> tuple[str, ...]:
     return spec
 
 
-def _feature_value(name: str, record: HourlyRecord, cal: CalendarFeatures, demand: float) -> float:
-    if name == "intercept":
-        return 1.0
-    if name.startswith("hour"):
-        return 1.0 if cal.hour_of_day == int(name[4:]) else 0.0
-    if name == "demand":
-        return demand
-    if name == "temperature":
-        return record.dry_bulb_temp
-    if name == "dew_point":
-        return record.dew_point
-    if name == "month":
-        return float(cal.month)
-    if name == "holiday":
-        return 1.0 if cal.is_holiday else 0.0
-    if name == "saturday":
-        return 1.0 if cal.is_saturday else 0.0
-    if name == "sunday":
-        return 1.0 if cal.is_sunday else 0.0
-    raise ValueError(f"unknown feature {name!r}")
+def _feature_columns(
+    spec: tuple[str, ...],
+    calendar: Sequence[CalendarFeatures],
+    demand: np.ndarray,
+    temperature: np.ndarray,
+    dew_point: np.ndarray,
+) -> np.ndarray:
+    """Design rows built a column at a time: the one definition of every
+    feature. Hour dummies compare hour_of_day against k, so hour 24 gets
+    all-zero dummies (the reference level)."""
+    hour, month, holiday, saturday, sunday = np.array(
+        [(c.hour_of_day, c.month, c.is_holiday, c.is_saturday, c.is_sunday) for c in calendar],
+        dtype=np.int64,
+    ).reshape(-1, 5).T
+    named = {
+        "demand": demand,
+        "temperature": temperature,
+        "dew_point": dew_point,
+        "month": month,
+        "holiday": holiday,
+        "saturday": saturday,
+        "sunday": sunday,
+    }
+    rows = np.empty((len(calendar), len(spec)), dtype=float)
+    for j, name in enumerate(spec):
+        if name == "intercept":
+            rows[:, j] = 1.0
+        elif name.startswith("hour"):
+            rows[:, j] = hour == int(name[4:])
+        else:
+            rows[:, j] = named[name]
+    return rows
 
 
 def build_design_row(record: HourlyRecord, cal: CalendarFeatures, spec: Sequence[str]) -> np.ndarray:
     """One design row for one hour; hour 24 maps to all-zero hour dummies."""
     spec = validate_feature_spec(spec)
-    return np.array([_feature_value(name, record, cal, record.demand) for name in spec], dtype=float)
+    return _feature_columns(
+        spec,
+        [cal],
+        np.array([record.demand]),
+        np.array([record.dry_bulb_temp]),
+        np.array([record.dew_point]),
+    )[0]
 
 
 def design_matrix(
@@ -145,11 +163,9 @@ def design_matrix(
         raise LengthMismatchError(
             f"demand override has {len(demand_col)} values for {len(series)} records"
         )
-    rows = np.empty((len(series), len(spec)), dtype=float)
-    for i, (record, cal) in enumerate(series):
-        for j, name in enumerate(spec):
-            rows[i, j] = _feature_value(name, record, cal, demand_col[i])
-    return rows
+    return _feature_columns(
+        spec, series.calendar, demand_col, series.dry_bulb_temp, series.dew_point
+    )
 
 
 def price_vector(series: RecordSeries) -> np.ndarray:
@@ -290,6 +306,35 @@ def ferms(forecast: np.ndarray, actual: np.ndarray) -> float:
     return float(100.0 * np.sqrt(np.mean((forecast - actual) ** 2)) / mean_actual)
 
 
+def _append_trial(
+    q: np.ndarray, r: np.ndarray, qty: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
+    """Least-squares fit of ``y`` on the columns of ``q @ r`` plus ``x``,
+    without refactoring them.
+
+    ``q`` (n, k) has orthonormal columns, ``r`` (k, k) is upper triangular
+    and ``qty == q.T @ y``. ``x`` is orthogonalized against ``q`` by
+    classical Gram-Schmidt with one reorthogonalization (CGS2), which adds
+    the column ``r_xx * q_x + q @ c`` to the factorization at O(n k) cost.
+    Returns ``None`` when the extended R diagonal fails the
+    ``RANK_TOLERANCE`` rule of :func:`fit_ols`; otherwise the k + 1
+    coefficients and the new factor column ``(q_x, c, r_xx)``.
+    """
+    c = q.T @ x
+    v = x - q @ c
+    c2 = q.T @ v
+    v -= q @ c2
+    c += c2
+    r_xx = float(np.linalg.norm(v))
+    diag = np.append(np.abs(np.diag(r)), r_xx)
+    if diag.min() <= RANK_TOLERANCE * diag.max():
+        return None
+    q_x = v / r_xx
+    beta_x = float(q_x @ y) / r_xx
+    beta = np.append(np.linalg.solve(r, qty - c * beta_x), beta_x)
+    return beta, q_x, c, r_xx
+
+
 def forward_select(
     candidates: Sequence[str],
     train: RecordSeries,
@@ -304,6 +349,10 @@ def forward_select(
     A candidate whose trial fit is rank deficient is disqualified for the
     rest of the search. Ties go to the earlier candidate in list order.
 
+    The train block of the selected features is factored once (thin QR)
+    and each trial appends one column to that factorization; only the base
+    spec and the returned model go through :func:`fit_ols`.
+
     Returns the selected spec and the model fitted on ``train`` with it.
     """
     candidates = validate_feature_spec(candidates)
@@ -317,34 +366,47 @@ def forward_select(
     y_holdout = price_vector(holdout)
     column = {name: idx for idx, name in enumerate(candidates)}
 
-    def trial(spec: list[str]) -> tuple[RegressionModel, float]:
-        idx = [column[name] for name in spec]
-        model = fit_ols(train_full[:, idx], y_train, spec=spec)
-        score = ferms(predict(model, holdout_full[:, idx]), y_holdout)
-        return model, score
-
     selected = list(base)
-    model, best_score = trial(selected)
+    idx = [column[name] for name in selected]
+    model = fit_ols(train_full[:, idx], y_train, spec=base)
+    best_score = ferms(predict(model, holdout_full[:, idx]), y_holdout)
+
+    # Thin QR of the selected train columns, grown in place one column per step.
+    n, k = len(y_train), len(base)
+    q = np.empty((n, len(candidates)), order="F")
+    r = np.zeros((len(candidates), len(candidates)))
+    q[:, :k], r[:k, :k] = np.linalg.qr(train_full[:, idx])
     pool = [name for name in candidates if name not in set(base)]
 
     while pool:
-        best_candidate = None
-        best_trial: tuple[RegressionModel, float] | None = None
+        if n <= k + 1:
+            raise InsufficientDataError(n, k + 1)
+        q_sel, r_sel = q[:, :k], r[:k, :k]
+        qty = q_sel.T @ y_train
+        holdout_sel = holdout_full[:, idx]
+        best = None
         disqualified = []
         for name in pool:
-            try:
-                trial_model, score = trial(selected + [name])
-            except RankDeficientError:
+            trial = _append_trial(q_sel, r_sel, qty, train_full[:, column[name]], y_train)
+            if trial is None:
                 disqualified.append(name)
                 continue
-            if best_score - score > tol and (best_trial is None or score < best_trial[1]):
-                best_candidate = name
-                best_trial = (trial_model, score)
+            beta = trial[0]
+            score = ferms(
+                holdout_sel @ beta[:k] + holdout_full[:, column[name]] * beta[k], y_holdout
+            )
+            if best_score - score > tol and (best is None or score < best[0]):
+                best = (score, name, *trial[1:])
         for name in disqualified:
             pool.remove(name)
-        if best_candidate is None:
+        if best is None:
             break
-        selected.append(best_candidate)
-        pool.remove(best_candidate)
-        model, best_score = best_trial
+        best_score, name, q[:, k], r[:k, k], r[k, k] = best
+        selected.append(name)
+        idx.append(column[name])
+        pool.remove(name)
+        k += 1
+
+    if len(selected) > len(base):
+        model = fit_ols(train_full[:, idx], y_train, spec=selected)
     return tuple(selected), model

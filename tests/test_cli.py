@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import DATA_DIR, synthetic_market
 from drspot.cli import main
-from drspot.market_data import write_hourly_csv
+from drspot.market_data import RecordSeries, write_hourly_csv
 
 BUNDLED_DATA = DATA_DIR / "synthetic_market.csv"
 BUNDLED_CONFIG = DATA_DIR / "scenario.json"
@@ -221,6 +222,34 @@ class TestGapHandling:
         assert main(args) == 1
         assert "missing hour" in capsys.readouterr().err
         assert main(args + ["--permissive"]) == 0
+
+
+class TestBadValues:
+    def test_nan_demand_exits_1(self, compact_config, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        write_hourly_csv(synthetic_market(28, seed=82), path)
+        lines = path.read_text().splitlines()
+        fields = lines[40].split(",")
+        fields[1] = "nan"
+        lines[40] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["fit", "--data", str(path), "--config", str(compact_config), "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "non-finite value" in err and "row 41" in err and "demand_mwh" in err
+
+    def test_zero_baseline_window_exits_1(self, compact_config, tmp_path, capsys):
+        market = synthetic_market(28, seed=80)
+        window_start = 21 * 24
+        records = [
+            dataclasses.replace(record, demand=0.0) if i >= window_start else record
+            for i, record in enumerate(market.records)
+        ]
+        path = tmp_path / "zero_window.csv"
+        write_hourly_csv(RecordSeries(records), path)
+        rc = run_simulate(path, compact_config, tmp_path / "out")
+        assert rc == 1
+        assert "baseline energy" in capsys.readouterr().err
 
 
 class TestConfigEnvVar:

@@ -71,6 +71,16 @@ def test_parse_bad_demand_cites_row_and_column():
     assert excinfo.value.column == "demand_mwh"
 
 
+@pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-Infinity"])
+def test_parse_non_finite_value_rejected(raw):
+    bad = CSV_3ROWS.replace("24.0", raw)
+    with pytest.raises(ParseError) as excinfo:
+        parse_hourly_csv(io.StringIO(bad))
+    assert excinfo.value.row == 3
+    assert excinfo.value.column == "spot_price"
+    assert "non-finite value" in str(excinfo.value)
+
+
 def test_parse_missing_column():
     bad = CSV_3ROWS.replace("spot_price", "price_usd")
     with pytest.raises(MissingColumnError) as excinfo:

@@ -14,6 +14,7 @@ from drspot.pipeline import (
     RESULT_COLUMNS,
     ScenarioConfig,
     ScenarioResult,
+    ZeroBaselineError,
     customer_bill,
     impact_summary,
     run_scenario,
@@ -103,6 +104,15 @@ class TestImpactSummary:
     def test_empty_window(self):
         with pytest.raises(EmptyWindowError):
             impact_summary(make_result([], [], [], [], []))
+
+    @pytest.mark.parametrize(
+        "demand, price",
+        [([0.0, 0.0], [50.0, 20.0]), ([100.0, 200.0], [0.0, 0.0]), ([100.0, 50.0], [10.0, -20.0])],
+        ids=["zero_energy", "zero_prices", "costs_cancel"],
+    )
+    def test_zero_baseline_raises(self, demand, price):
+        with pytest.raises(ZeroBaselineError, match="non-zero"):
+            impact_summary(make_result(demand, price, [1.0, 1.0], price, price))
 
     def test_accounting_identity_and_pct_consistency(self):
         rng = np.random.default_rng(40)

@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+from datetime import date, datetime
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SYNTHETIC_CANDIDATES, build_series, synthetic_market
+from conftest import DATA_DIR, SYNTHETIC_CANDIDATES, build_series, synthetic_market
+from drspot.config import load_settings
+from drspot.market_data import RecordSeries, parse_hourly_csv
+from drspot.pipeline import split_train_holdout
 from drspot.regression import (
+    DEFAULT_BASE_FEATURES,
     FULL_FEATURES,
     DimensionMismatchError,
     InsufficientDataError,
@@ -23,6 +31,7 @@ from drspot.regression import (
     significance_level,
     validate_feature_spec,
 )
+from drspot.regression import _append_trial
 
 
 class TestFeatureSpec:
@@ -341,3 +350,192 @@ class TestModelSerialization:
     def test_table_text_lists_features(self):
         text = self._model().table_text()
         assert "intercept" in text and "t-value" in text
+
+
+def reference_design_row(record, cal, spec, demand):
+    """Cell-by-cell design row, written independently of drspot.regression."""
+    values = {
+        "intercept": 1.0,
+        **{f"hour{k}": 1.0 if cal.hour_of_day == k else 0.0 for k in range(1, 24)},
+        "demand": demand,
+        "temperature": record.dry_bulb_temp,
+        "dew_point": record.dew_point,
+        "month": float(cal.month),
+        "holiday": 1.0 if cal.is_holiday else 0.0,
+        "saturday": 1.0 if cal.is_saturday else 0.0,
+        "sunday": 1.0 if cal.is_sunday else 0.0,
+    }
+    return [values[name] for name in spec]
+
+
+class TestDesignMatrixColumns:
+    def _series(self):
+        # Friday 2021-05-28 .. Tuesday 2021-06-08: month change, weekends, a
+        # holiday (Memorial Day, 2021-05-31) and twelve hour-24 rows.
+        market = synthetic_market(12, seed=2, start=datetime(2021, 5, 28))
+        return RecordSeries(market.records, holidays={date(2021, 5, 31)})
+
+    @pytest.mark.parametrize("override", [False, True])
+    def test_every_feature_matches_row_reference(self, override):
+        series = self._series()
+        demand = np.random.default_rng(3).uniform(0, 5000, len(series)) if override else series.demand
+        matrix = design_matrix(series, FULL_FEATURES, demand=demand if override else None)
+        expected = np.array(
+            [
+                reference_design_row(record, cal, FULL_FEATURES, demand[i])
+                for i, (record, cal) in enumerate(series)
+            ]
+        )
+        assert matrix.dtype == np.float64
+        assert np.array_equal(matrix, expected)
+        assert np.all(matrix[23::24, 1:24] == 0.0)  # hour 24 rows
+        for name in ("holiday", "saturday", "sunday"):
+            assert matrix[:, FULL_FEATURES.index(name)].any(), name
+
+    def test_row_builder_matches_row_reference(self):
+        for record, cal in self._series():
+            np.testing.assert_array_equal(
+                build_design_row(record, cal, FULL_FEATURES),
+                reference_design_row(record, cal, FULL_FEATURES, record.demand),
+            )
+
+    def test_feature_order_follows_spec(self):
+        series = self._series()
+        spec = ("intercept", "sunday", "hour3", "demand", "month")
+        full = design_matrix(series, FULL_FEATURES)
+        assert np.array_equal(
+            design_matrix(series, spec), full[:, [FULL_FEATURES.index(n) for n in spec]]
+        )
+
+    def test_empty_series(self):
+        assert design_matrix(RecordSeries([]), FULL_FEATURES).shape == (0, len(FULL_FEATURES))
+
+
+def refit_forward_select(candidates, train, holdout, base, tol=0.0):
+    """Forward selection that refits every trial from scratch with fit_ols:
+    the reference the incremental-QR search must reproduce. Also returns
+    the disqualified candidates."""
+    train_full = design_matrix(train, candidates)
+    holdout_full = design_matrix(holdout, candidates)
+    y_train, y_holdout = price_vector(train), price_vector(holdout)
+
+    def trial(spec):
+        idx = [candidates.index(name) for name in spec]
+        model = fit_ols(train_full[:, idx], y_train, spec=spec)
+        return model, ferms(predict(model, holdout_full[:, idx]), y_holdout)
+
+    selected = list(base)
+    model, best_score = trial(selected)
+    pool = [name for name in candidates if name not in base]
+    disqualified = []
+    while pool:
+        best = None
+        for name in list(pool):
+            try:
+                trial_model, score = trial(selected + [name])
+            except RankDeficientError:
+                disqualified.append(name)
+                pool.remove(name)
+                continue
+            if best_score - score > tol and (best is None or score < best[2]):
+                best = (name, trial_model, score)
+        if best is None:
+            break
+        name, model, best_score = best
+        selected.append(name)
+        pool.remove(name)
+    return tuple(selected), model, disqualified
+
+
+def assert_same_model(a: RegressionModel, b: RegressionModel):
+    assert a.spec == b.spec
+    assert a.n_obs == b.n_obs
+    assert a.residual_variance == b.residual_variance
+    for field in ("coefficients", "std_errors", "t_values"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+class TestSelectionMatchesRefit:
+    def _check(self, candidates, train, holdout, base):
+        spec, model = forward_select(candidates, train, holdout, base=base)
+        ref_spec, ref_model, disqualified = refit_forward_select(candidates, train, holdout, base)
+        assert spec == ref_spec
+        assert_same_model(model, ref_model)
+        return spec, disqualified
+
+    def test_bundled_data(self):
+        cfg = load_settings(DATA_DIR / "scenario.json")
+        series = parse_hourly_csv(DATA_DIR / "synthetic_market.csv", holidays=cfg.holidays)
+        history = series.between(series.records[0].timestamp, datetime(2021, 8, 9))
+        train, holdout = split_train_holdout(history, cfg.scenario.holdout_days)
+        spec, _ = self._check(FULL_FEATURES, train, holdout, DEFAULT_BASE_FEATURES)
+        assert len(spec) > 20
+
+    def test_collinear_candidates_disqualified(self):
+        # Three weeks of June: month is constant (collinear with the
+        # intercept) and there are no holidays (an all-zero column).
+        series = synthetic_market(21, seed=3)
+        train, holdout = series[: 14 * 24], series[14 * 24 :]
+        spec, disqualified = self._check(FULL_FEATURES, train, holdout, DEFAULT_BASE_FEATURES)
+        assert {"month", "holiday"} <= set(disqualified)
+        assert "month" not in spec and "holiday" not in spec
+
+    def test_market_across_month_and_holiday(self):
+        market = synthetic_market(35, seed=5, start=datetime(2021, 5, 10))
+        series = RecordSeries(market.records, holidays={date(2021, 5, 31), date(2021, 6, 7)})
+        train, holdout = series[: 28 * 24], series[28 * 24 :]
+        _, disqualified = self._check(FULL_FEATURES, train, holdout, ("intercept",))
+        assert disqualified == []
+
+    def test_insufficient_data_raised_like_refit(self):
+        train = build_series([1000.0, 1200.0, 900.0], [30.0, 35.0, 28.0], temp=[70.0, 75.0, 71.0])
+        holdout = build_series([1100.0, 950.0], [32.0, 29.0], temp=[72.0, 69.0])
+        candidates = ("intercept", "demand", "temperature")
+        with pytest.raises(InsufficientDataError):
+            refit_forward_select(candidates, train, holdout, ("intercept", "demand"))
+        with pytest.raises(InsufficientDataError):
+            forward_select(candidates, train, holdout, base=("intercept", "demand"))
+
+
+@pytest.mark.parametrize(
+    "make_x, deficient",
+    [
+        (lambda X, rng: X @ np.array([2.0, -3.0]), True),  # inside the span of X
+        (lambda X, rng: rng.normal(size=len(X)), False),
+        # so large that an existing R diagonal entry falls below the tolerance
+        (lambda X, rng: 1e12 * rng.normal(size=len(X)), True),
+    ],
+    ids=["in_span", "independent", "dwarfs_existing"],
+)
+def test_appended_trial_rank_rule_matches_fit_ols(make_x, deficient):
+    rng = np.random.default_rng(14)
+    X = np.column_stack([np.ones(50), rng.normal(size=50)])
+    y = rng.normal(size=50)
+    x = make_x(X, rng)
+    q, r = np.linalg.qr(X)
+    assert (_append_trial(q, r, q.T @ y, x, y) is None) == deficient
+    if deficient:
+        with pytest.raises(RankDeficientError):
+            fit_ols(np.column_stack([X, x]), y)
+    else:
+        fit_ols(np.column_stack([X, x]), y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 8),
+    extra_rows=st.integers(2, 150),
+)
+def test_appended_trial_matches_fit_ols(seed, k, extra_rows):
+    rng = np.random.default_rng(seed)
+    n = k + extra_rows
+    scales = rng.uniform(1.0, 100.0, k + 1)
+    X = rng.normal(size=(n, k + 1)) * scales
+    X[:, 0] = 1.0
+    beta_true = rng.uniform(0.5, 5.0, k + 1) * rng.choice([-1.0, 1.0], k + 1) / scales
+    y = X @ beta_true + rng.normal(0.0, 1e-3, n)
+    q, r = np.linalg.qr(X[:, :k])
+    trial = _append_trial(q, r, q.T @ y, X[:, k], y)
+    assert trial is not None
+    np.testing.assert_allclose(trial[0], fit_ols(X, y).coefficients, rtol=1e-9)
