@@ -19,7 +19,14 @@ from pathlib import Path
 
 from . import pipeline
 from .config import ConfigError, Settings, load_settings, resolve_config_path
-from .market_data import MarketDataError, RecordSeries, parse_hourly_csv
+from .market_data import (
+    MarketDataError,
+    RecordSeries,
+    float_strings,
+    parse_hourly_csv,
+    stamp_strings,
+    write_csv_columns,
+)
 from .pipeline import EmptyWindowError, ModelRejectedError, RESULT_COLUMNS
 from .regression import RegressionError, design_matrix, ferms, predict, price_vector
 
@@ -73,9 +80,9 @@ def _split_window(series: RecordSeries, args) -> tuple[RecordSeries, RecordSerie
                 f"window {args.window_start} +{args.days}d is not fully inside the data "
                 f"({len(study)} of {args.days * 24} hours found)"
             )
-        if not series.records or series.records[0].timestamp >= start:
+        history = series.between(datetime.min, start)
+        if not len(history):
             raise ValueError(f"no history before window start {args.window_start}")
-        history = series.between(series.records[0].timestamp, start)
         return history, study
 
 
@@ -108,24 +115,13 @@ def cmd_forecast(args) -> int:
         forecast = predict(model, design_matrix(study, spec))
         window_ferms = ferms(forecast, price_vector(study))
     with _stage("write"):
-        lines = ["timestamp,spot_price,forecast_price"]
-        for (record, _cal), value in zip(study, forecast):
-            lines.append(
-                f"{record.timestamp.isoformat(timespec='minutes')},"
-                f"{record.spot_price!r},{float(value)!r}"
-            )
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        columns = [stamp_strings(study.times), float_strings(study.spot_price), float_strings(forecast)]
+        with Path(args.out).open("w") as handle:
+            write_csv_columns(handle, ("timestamp", "spot_price", "forecast_price"), columns)
     print(f"holdout ferms: {holdout_ferms:.2f}%")
     print(f"window ferms: {window_ferms:.2f}%")
     print(f"forecast written to {args.out}")
     return 0
-
-
-def _write_plot_csv(path: Path, header: tuple[str, str, str], timestamps, first, second) -> None:
-    lines = [",".join(header)]
-    for ts, a, b in zip(timestamps, first, second):
-        lines.append(f"{ts.isoformat(timespec='minutes')},{float(a)!r},{float(b)!r}")
-    path.write_text("\n".join(lines) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -144,22 +140,29 @@ def cmd_simulate(args) -> int:
         doc["clamp_count"] = result.clamp_count
         doc["hours"] = len(result)
         doc["selected_features"] = list(result.model.spec)
+        doc["filled_hours"] = stamp_strings(sorted(series.filled))
         (out_dir / "summary.json").write_text(_json_text(doc))
-        _write_plot_csv(
-            out_dir / "plot_price_forecast.csv",
-            ("timestamp", "actual_price", "forecast_price"),
-            result.timestamps, study.spot_price, result.forecast_price,
-        )
-        _write_plot_csv(
-            out_dir / "plot_demand.csv",
-            ("timestamp", "demand_before", "demand_after"),
-            result.timestamps, result.baseline_demand, result.dr_demand,
-        )
-        _write_plot_csv(
-            out_dir / "plot_spot_price.csv",
-            ("timestamp", "price_before", "price_after"),
-            result.timestamps, result.baseline_spot_price, result.updated_spot_price,
-        )
+        cells = result.csv_columns
+        plots = {
+            "plot_price_forecast.csv": {
+                "timestamp": cells["timestamp"],
+                "actual_price": float_strings(study.spot_price),
+                "forecast_price": cells["forecast_price"],
+            },
+            "plot_demand.csv": {
+                "timestamp": cells["timestamp"],
+                "demand_before": cells["baseline_demand"],
+                "demand_after": cells["dr_demand"],
+            },
+            "plot_spot_price.csv": {
+                "timestamp": cells["timestamp"],
+                "price_before": cells["baseline_spot_price"],
+                "price_after": cells["updated_spot_price"],
+            },
+        }
+        for name, columns in plots.items():
+            with (out_dir / name).open("w") as handle:
+                write_csv_columns(handle, list(columns), list(columns.values()))
     print(f"simulated {len(result)} hours, outputs in {out_dir}")
     print(
         f"energy delta: {summary.delta_energy_mwh:.1f} MWh ({summary.delta_energy_pct:+.2f}%), "

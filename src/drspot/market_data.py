@@ -1,14 +1,15 @@
 """Hourly market data ingestion, validation, and serialization.
 
 CSV contract: a header row with columns ``timestamp`` (ISO-8601 local time
-at hour resolution), ``demand_mwh``, ``spot_price``, ``dry_bulb_f``,
-``dew_point_f``, and optionally ``da_price``.  Files with different column
-names can be mapped onto this contract with the ``schema`` argument of
-:func:`parse_hourly_csv`.  Units are passed through unconverted (MWh,
-$/MWh, degrees F).
+at hour resolution, without a UTC offset), ``demand_mwh``, ``spot_price``,
+``dry_bulb_f``, ``dew_point_f``, and optionally ``da_price``.  Files with
+different column names can be mapped onto this contract with the ``schema``
+argument of :func:`parse_hourly_csv`.  Units are passed through unconverted
+(MWh, $/MWh, degrees F).
 
 Timestamps are hour-beginning: the record stamped 00:00 covers the
-00:00-01:00 interval and is hour 1 of the day.
+00:00-01:00 interval and is hour 1 of the day.  The series types live in
+:mod:`drspot.series` and are importable from here.
 """
 
 from __future__ import annotations
@@ -16,17 +17,29 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
+from itertools import islice
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+# The series types are re-exported: they are part of this module's interface.
+from .series import (  # noqa: F401
+    HOUR,
+    HOUR64,
+    CalendarFeatures,
+    HourlyRecord,
+    RecordSeries,
+    datetime64_column,
+    derive_calendar,
+    iso_minutes,
+    validate_series,
+)
+
 REQUIRED_COLUMNS = ("timestamp", "demand_mwh", "spot_price", "dry_bulb_f", "dew_point_f")
 OPTIONAL_COLUMNS = ("da_price",)
-
-HOUR = timedelta(hours=1)
 
 
 class MarketDataError(Exception):
@@ -49,203 +62,123 @@ class ParseError(MarketDataError):
 
 
 class GapError(MarketDataError):
-    def __init__(self, missing: datetime, found: datetime | None = None):
+    """A hole or a step back in the hourly sequence.
+
+    ``missing`` is the hour expected next. ``found`` and its file ``row`` are
+    set when the file repeats an hour or goes back in time instead.
+    """
+
+    def __init__(self, missing: datetime, found: datetime | None = None, row: int | None = None):
+        previous = missing - HOUR
         if found is None:
-            msg = f"missing hour {missing.isoformat(timespec='minutes')}"
+            msg = f"missing hour {iso_minutes(missing)}"
+        elif found == previous:
+            msg = f"row {row}: duplicate hour {iso_minutes(found)}"
         else:
-            msg = (
-                f"expected hour {missing.isoformat(timespec='minutes')}, "
-                f"found {found.isoformat(timespec='minutes')}"
-            )
+            msg = f"row {row}: hour {iso_minutes(found)} not after {iso_minutes(previous)}"
         super().__init__(msg)
         self.missing = missing
         self.found = found
+        self.row = row
 
 
-@dataclass(frozen=True)
-class HourlyRecord:
-    """One hour of market data.
-
-    Demand in MWh, prices in $/MWh (real-time spot price plus an optional
-    day-ahead price), temperatures in degrees F.
-    """
-
-    timestamp: datetime
-    demand: float
-    spot_price: float
-    dry_bulb_temp: float
-    dew_point: float
-    day_ahead_price: float | None = None
-
-
-@dataclass(frozen=True)
-class CalendarFeatures:
-    """Calendar attributes of one hour.
-
-    ``hour_of_day`` runs 1..24 with hour 1 covering the 00:00 interval.
-    At most one of the weekend flags is set; both are false on weekdays.
-    """
-
-    hour_of_day: int
-    month: int
-    is_holiday: bool
-    is_saturday: bool
-    is_sunday: bool
-
-
-def derive_calendar(timestamp: datetime, holidays: Iterable[date] = frozenset()) -> CalendarFeatures:
-    """Derive calendar features for an hour-beginning timestamp.
-
-    Pure function of (timestamp, holidays); the holiday calendar is
-    caller-supplied configuration and defaults to empty.
-    """
-    day = timestamp.date()
-    weekday = day.weekday()
-    return CalendarFeatures(
-        hour_of_day=timestamp.hour + 1,
-        month=timestamp.month,
-        is_holiday=day in holidays,
-        is_saturday=weekday == 5,
-        is_sunday=weekday == 6,
-    )
-
-
-class RecordSeries:
-    """An ordered series of hourly records with derived calendar features.
-
-    Iterating yields ``(HourlyRecord, CalendarFeatures)`` pairs.  A series
-    intended for model fitting or simulation must be contiguous (strictly
-    increasing timestamps, exact one-hour spacing); use
-    :func:`validate_series` to check.  ``filled`` records the timestamps
-    that were synthesized by permissive gap-filling.
-    """
-
-    def __init__(
-        self,
-        records: Iterable[HourlyRecord],
-        holidays: Iterable[date] = frozenset(),
-        filled: Iterable[datetime] = frozenset(),
-    ):
-        self.records: tuple[HourlyRecord, ...] = tuple(records)
-        self.holidays: frozenset[date] = frozenset(holidays)
-        self.filled: frozenset[datetime] = frozenset(filled)
-        self.calendar: tuple[CalendarFeatures, ...] = tuple(
-            derive_calendar(r.timestamp, self.holidays) for r in self.records
-        )
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[tuple[HourlyRecord, CalendarFeatures]]:
-        return iter(zip(self.records, self.calendar))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return RecordSeries(self.records[index], self.holidays, self.filled)
-        return self.records[index], self.calendar[index]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RecordSeries):
-            return NotImplemented
-        return self.records == other.records and self.calendar == other.calendar
-
-    def __repr__(self) -> str:
-        if not self.records:
-            return "RecordSeries(empty)"
-        first = self.records[0].timestamp.isoformat(timespec="minutes")
-        last = self.records[-1].timestamp.isoformat(timespec="minutes")
-        return f"RecordSeries({len(self.records)} hours, {first} .. {last})"
-
-    @property
-    def timestamps(self) -> tuple[datetime, ...]:
-        return tuple(r.timestamp for r in self.records)
-
-    @property
-    def demand(self) -> np.ndarray:
-        return np.array([r.demand for r in self.records], dtype=float)
-
-    @property
-    def spot_price(self) -> np.ndarray:
-        return np.array([r.spot_price for r in self.records], dtype=float)
-
-    @property
-    def dry_bulb_temp(self) -> np.ndarray:
-        return np.array([r.dry_bulb_temp for r in self.records], dtype=float)
-
-    @property
-    def dew_point(self) -> np.ndarray:
-        return np.array([r.dew_point for r in self.records], dtype=float)
-
-    def between(self, start: datetime, end: datetime) -> "RecordSeries":
-        """Sub-series with start <= timestamp < end."""
-        kept = [r for r in self.records if start <= r.timestamp < end]
-        return RecordSeries(kept, self.holidays, self.filled)
-
-
-def validate_series(series: RecordSeries) -> list[str]:
-    """Check series invariants; returns one message per violation.
-
-    Violations are data, not errors: an empty list means the series is
-    contiguous, hour-aligned, duplicate-free, and has non-negative demand.
-    """
-    violations: list[str] = []
-    prev: datetime | None = None
-    for idx, (rec, _cal) in enumerate(series):
-        ts = rec.timestamp
-        stamp = ts.isoformat(timespec="minutes")
-        if ts.minute or ts.second or ts.microsecond:
-            violations.append(f"row {idx} ({ts.isoformat()}): timestamp not on an hour boundary")
-        if rec.demand < 0:
-            violations.append(f"row {idx} ({stamp}): negative demand {rec.demand}")
-        if prev is not None:
-            if ts == prev:
-                violations.append(f"row {idx} ({stamp}): duplicate timestamp")
-            elif ts < prev:
-                violations.append(f"row {idx} ({stamp}): timestamps not increasing")
-            elif ts - prev != HOUR:
-                missing = (prev + HOUR).isoformat(timespec="minutes")
-                violations.append(f"row {idx} ({stamp}): gap, missing hour {missing}")
-        prev = ts
-    return violations
-
-
-def _parse_timestamp(raw: str, row: int, column: str) -> datetime:
+def _convert(raws: Sequence[str], convert: Callable[[str], object]) -> tuple[list, int]:
+    """``convert`` applied to the raw cells up to the first one it rejects
+    with ValueError, and that cell's index (``len(raws)`` when none is)."""
     try:
-        ts = datetime.fromisoformat(raw.strip())
+        return list(map(convert, raws)), len(raws)
     except ValueError:
-        raise ParseError(row, column, raw, "bad timestamp") from None
-    if ts.minute or ts.second or ts.microsecond:
-        raise ParseError(row, column, raw, "timestamp not on an hour boundary")
-    return ts
+        values = []
+        for raw in raws:
+            try:
+                values.append(convert(raw))
+            except ValueError:
+                break
+        return values, len(values)
 
 
-def _parse_float(raw: str, row: int, column: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ParseError(row, column, raw, "non-numeric value") from None
-    if not math.isfinite(value):
-        raise ParseError(row, column, raw, "non-finite value")
-    return value
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true entry, or ``len(mask)``."""
+    return int(mask.argmax()) if mask.any() else len(mask)
 
 
-def _fill_gap(prev: HourlyRecord, nxt: HourlyRecord) -> list[HourlyRecord]:
-    # Linear interpolation for demand and weather, forward-fill for prices.
-    steps = int((nxt.timestamp - prev.timestamp) / HOUR)
-    out = []
-    for j in range(1, steps):
-        frac = j / steps
-        out.append(
-            HourlyRecord(
-                timestamp=prev.timestamp + j * HOUR,
-                demand=prev.demand + frac * (nxt.demand - prev.demand),
-                spot_price=prev.spot_price,
-                dry_bulb_temp=prev.dry_bulb_temp + frac * (nxt.dry_bulb_temp - prev.dry_bulb_temp),
-                dew_point=prev.dew_point + frac * (nxt.dew_point - prev.dew_point),
-                day_ahead_price=prev.day_ahead_price,
-            )
-        )
-    return out
+def _optional_float(raw: str) -> float:
+    return float(raw) if raw else math.nan
+
+
+def _fill_gaps(
+    times: np.ndarray, values: dict[str, np.ndarray]
+) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
+    """Fill the holes of an increasing, hour-aligned series: demand and
+    weather linearly interpolated, prices forward-filled. Returns the full
+    times, the full columns and the mask of the synthesized rows."""
+    offset = (times - times[0]) // HOUR64
+    full = np.arange(offset[-1] + 1)
+    before = np.searchsorted(offset, full, side="right") - 1
+    synthesized = offset[before] != full
+    prev = before[synthesized]
+    nxt = prev + 1
+    frac = (full[synthesized] - offset[prev]) / (offset[nxt] - offset[prev])
+    filled = {}
+    for name, column in values.items():
+        filled[name] = column[before]
+        if name in ("demand", "dry_bulb_temp", "dew_point"):
+            filled[name][synthesized] = column[prev] + frac * (column[nxt] - column[prev])
+    return times[0] + full * HOUR64, filled, synthesized
+
+
+# Rows parsed or written at a time: bounds the cell strings held at once.
+_CHUNK_ROWS = 256
+
+
+def _convert_rows(
+    rows: Sequence[list[str]], row_nums: Sequence[int], first: int, order: list[str], col_index: dict[str, int]
+) -> tuple[np.ndarray, dict[str, np.ndarray], list[tuple[int, int, MarketDataError]]]:
+    """Columns of a chunk of non-blank data rows, the first of which is data
+    row ``first``. Returns the timestamps up to the first bad one, the value
+    columns, and the (data row, check rank within the row, error) of each
+    check's first failure. A short row is the chunk's last row."""
+    failures: list[tuple[int, int, MarketDataError]] = []
+    width = max(col_index.values()) + 1
+    if min(map(len, rows)) < width:
+        short = next(i for i, row in enumerate(rows) if len(row) < width)
+        row = rows[short]
+        rank = min(k for k, c in enumerate(order) if col_index[c] >= len(row))
+        failures.append((first + short, rank, ParseError(row_nums[short], order[rank], "", "row too short")))
+        rows = [*rows[:short], row + [""] * (width - len(row))]
+    n = len(rows)
+    cells = dict(zip(order, zip(*map(itemgetter(*(col_index[c] for c in order)), rows))))
+
+    raw_stamps = list(map(str.strip, cells["timestamp"]))
+    stamps, bad = _convert(raw_stamps, datetime.fromisoformat)
+    reason = "bad timestamp"
+    if any(map(attrgetter("tzinfo"), stamps)):
+        bad = next(i for i, ts in enumerate(stamps) if ts.tzinfo is not None)
+        reason = "timestamp has a UTC offset; local time expected"
+    times = datetime64_column(stamps[:bad])
+    off_hour = _first(times != times.astype("datetime64[h]"))
+    if off_hour < bad:
+        bad, reason = off_hour, "timestamp not on an hour boundary"
+    if bad < n:
+        failures.append((first + bad, 0, ParseError(row_nums[bad], "timestamp", raw_stamps[bad], reason)))
+        times = times[:bad]
+
+    values: dict[str, np.ndarray] = {}
+    for rank, column in enumerate(order[1:], start=1):
+        raw = cells[column]
+        optional = column in OPTIONAL_COLUMNS
+        if optional:  # an empty cell is an absent value
+            raw = list(map(str.strip, raw))
+        parsed, bad = _convert(raw, _optional_float if optional else float)
+        values[column] = np.array(parsed, dtype=float)
+        present = np.array(list(map(bool, raw[:bad])), dtype=bool) if optional else True
+        non_finite = _first(~np.isfinite(values[column]) & present)
+        reason = "non-numeric value"
+        if non_finite < bad:
+            bad, reason = non_finite, "non-finite value"
+        if bad < n:
+            failures.append((first + bad, rank, ParseError(row_nums[bad], column, raw[bad].strip(), reason)))
+    return times, values, failures
 
 
 def parse_hourly_csv(
@@ -259,12 +192,14 @@ def parse_hourly_csv(
 
     ``schema`` maps canonical column names to the file's actual header
     names (identity by default).  Row numbers in errors are 1-based file
-    lines, counting the header as row 1.
+    lines, counting the header as row 1.  The first bad cell in file order
+    is reported; timestamps with a UTC offset are rejected.
 
     In strict mode (default) any hole in the hourly sequence raises
     GapError.  In permissive mode interior gaps are filled (demand and
     weather linearly interpolated, prices forward-filled) and the filled
-    timestamps are flagged on the returned series.
+    timestamps are flagged on the returned series.  A repeated or earlier
+    hour raises GapError in both modes.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as handle:
@@ -289,50 +224,74 @@ def parse_hourly_csv(
         if actual in header:
             col_index[canonical] = header.index(actual)
 
-    records: list[HourlyRecord] = []
+    # Cells in the order a row is checked; the first bad cell in file order is reported.
+    order = ["timestamp", *(c for c in OPTIONAL_COLUMNS if c in col_index), *REQUIRED_COLUMNS[1:]]
+    numbered = enumerate(reader, start=2)
+    row_nums: list[int] = []
+    chunks: list[tuple[np.ndarray, dict[str, np.ndarray]]] = []
+    failures: list[tuple[int, int, MarketDataError]] = []
+    while not failures:
+        batch = list(islice(numbered, _CHUNK_ROWS))
+        if not batch:
+            break
+        kept = [(num, row) for num, row in batch if any(map(str.strip, row))]
+        if kept:
+            nums, rows = zip(*kept)
+            times, values, failures = _convert_rows(rows, nums, len(row_nums), order, col_index)
+            row_nums.extend(nums)
+            chunks.append((times, values))
+    if not chunks:
+        return RecordSeries.from_columns([], [], [], [], [], [], holidays=holidays)
+
+    times = np.concatenate([chunk_times for chunk_times, _ in chunks])
+    step = np.diff(times)
+    bad = _first((step <= np.timedelta64(0)) | ((step > HOUR64) if strict else False)) + 1
+    if bad < len(times):
+        expected, found = times[bad - 1].item() + HOUR, times[bad].item()
+        error = GapError(expected) if found > expected else GapError(expected, found, row_nums[bad])
+        failures.append((bad, len(order), error))
+    if failures:
+        raise min(failures, key=itemgetter(0, 1))[2]
+
+    def column(name: str) -> np.ndarray:
+        if name not in col_index:
+            return np.full(len(times), math.nan)
+        return np.concatenate([chunk_values[name] for _, chunk_values in chunks])
+
+    columns = {
+        "demand": column("demand_mwh"),
+        "spot_price": column("spot_price"),
+        "dry_bulb_temp": column("dry_bulb_f"),
+        "dew_point": column("dew_point_f"),
+        "day_ahead_price": column("da_price"),
+    }
     filled: list[datetime] = []
-    for row_num, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-
-        def cell(canonical: str) -> str:
-            idx = col_index[canonical]
-            if idx >= len(row):
-                raise ParseError(row_num, canonical, "", "row too short")
-            return row[idx].strip()
-
-        ts = _parse_timestamp(cell("timestamp"), row_num, "timestamp")
-        da: float | None = None
-        if "da_price" in col_index:
-            raw_da = cell("da_price")
-            da = _parse_float(raw_da, row_num, "da_price") if raw_da else None
-        record = HourlyRecord(
-            timestamp=ts,
-            demand=_parse_float(cell("demand_mwh"), row_num, "demand_mwh"),
-            spot_price=_parse_float(cell("spot_price"), row_num, "spot_price"),
-            dry_bulb_temp=_parse_float(cell("dry_bulb_f"), row_num, "dry_bulb_f"),
-            dew_point=_parse_float(cell("dew_point_f"), row_num, "dew_point_f"),
-            day_ahead_price=da,
-        )
-
-        if records:
-            expected = records[-1].timestamp + HOUR
-            if ts <= records[-1].timestamp:
-                raise GapError(expected, ts)
-            if ts > expected:
-                if strict:
-                    raise GapError(expected)
-                gap_records = _fill_gap(records[-1], record)
-                records.extend(gap_records)
-                filled.extend(r.timestamp for r in gap_records)
-        records.append(record)
-
-    return RecordSeries(records, holidays=holidays, filled=filled)
+    if (step > HOUR64).any():
+        times, columns, synthesized = _fill_gaps(times, columns)
+        filled = times[synthesized].tolist()
+    return RecordSeries.from_columns(times, **columns, holidays=holidays, filled=filled)
 
 
-def _format_value(value: float) -> str:
+def stamp_strings(times: Sequence[datetime] | np.ndarray) -> list[str]:
+    """``YYYY-MM-DDTHH:MM`` text of each timestamp (datetimes or datetime64)."""
+    if not isinstance(times, np.ndarray):
+        times = datetime64_column(times)
+    return times.astype("datetime64[m]").astype("U16").tolist()
+
+
+def float_strings(values: Sequence[float] | np.ndarray) -> list[str]:
     # repr round-trips floats exactly, keeping CSV serialization lossless.
-    return repr(float(value))
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def write_csv_columns(dest: IO[str], header: Sequence[str], columns: Sequence[Sequence[str]]) -> None:
+    """Write formatted cells that need no quoting as CSV, one line per row:
+    the bytes ``csv.writer`` makes with ``lineterminator="\\n"``. Lines are
+    joined and written a chunk at a time."""
+    dest.write(",".join(header) + "\n")
+    lines = map(",".join, zip(*columns))
+    while chunk := list(islice(lines, _CHUNK_ROWS)):
+        dest.write("\n".join(chunk) + "\n")
 
 
 def write_hourly_csv(series: RecordSeries, dest: str | Path | IO[str]) -> None:
@@ -346,21 +305,16 @@ def write_hourly_csv(series: RecordSeries, dest: str | Path | IO[str]) -> None:
             write_hourly_csv(series, handle)
         return
 
-    has_da = any(r.day_ahead_price is not None for r in series.records)
-    columns = list(REQUIRED_COLUMNS) + (["da_price"] if has_da else [])
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(columns)
-    for rec in series.records:
-        row = [
-            rec.timestamp.isoformat(timespec="minutes"),
-            _format_value(rec.demand),
-            _format_value(rec.spot_price),
-            _format_value(rec.dry_bulb_temp),
-            _format_value(rec.dew_point),
-        ]
-        if has_da:
-            row.append("" if rec.day_ahead_price is None else _format_value(rec.day_ahead_price))
-        writer.writerow(row)
+    header = list(REQUIRED_COLUMNS)
+    columns = [
+        stamp_strings(series.times),
+        *map(float_strings, (series.demand, series.spot_price, series.dry_bulb_temp, series.dew_point)),
+    ]
+    absent = np.isnan(series.day_ahead_price)
+    if not absent.all():
+        header.append("da_price")
+        columns.append(np.where(absent, "", float_strings(series.day_ahead_price)).tolist())
+    write_csv_columns(dest, header, columns)
 
 
 def series_to_csv(series: RecordSeries) -> str:

@@ -6,9 +6,9 @@ fixed-point iteration).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -21,7 +21,7 @@ from .elasticity import (
     build_elasticity_matrix,
     multi_hour_response,
 )
-from .market_data import RecordSeries, validate_series
+from .market_data import RecordSeries, float_strings, stamp_strings, validate_series, write_csv_columns
 from .regression import (
     DEFAULT_BASE_FEATURES,
     DEFAULT_THRESHOLDS,
@@ -138,6 +138,21 @@ class ScenarioResult:
     def clamp_count(self) -> int:
         return int(np.count_nonzero(self.clamp_flags))
 
+    @cached_property
+    def csv_columns(self) -> dict[str, list[str]]:
+        """The RESULT_COLUMNS as CSV cells, formatted once for every writer:
+        ``YYYY-MM-DDTHH:MM`` stamps, floats by repr (lossless), clamp flags
+        as 0/1."""
+        return {
+            "timestamp": stamp_strings(self.timestamps),
+            "baseline_demand": float_strings(self.baseline_demand),
+            "forecast_price": float_strings(self.forecast_price),
+            "dr_demand": float_strings(self.dr_demand),
+            "baseline_spot_price": float_strings(self.baseline_spot_price),
+            "updated_spot_price": float_strings(self.updated_spot_price),
+            "clamped": np.where(self.clamp_flags, "1", "0").tolist(),
+        }
+
 
 @dataclass(frozen=True)
 class ImpactSummary:
@@ -222,7 +237,10 @@ def run_scenario(
     n = len(study_window)
     if n == 0 or n % HOURS_PER_DAY:
         raise ValueError(f"study window must cover whole days, got {n} hours")
-    if set(history.timestamps) & set(study_window.timestamps):
+    # Both are runs of consecutive hours (validated above): they share an hour
+    # exactly when their ranges overlap.
+    first, last = study_window.times[[0, -1]]
+    if len(history) and history.times[0] <= last and first <= history.times[-1]:
         raise ValueError("history and study window overlap")
 
     spec, model, holdout_ferms = fit_price_model(history, cfg)
@@ -292,23 +310,10 @@ def impact_summary(result: ScenarioResult) -> ImpactSummary:
 
 
 def write_result_csv(result: ScenarioResult, dest: str | Path | IO[str]) -> None:
-    """One row per hour in RESULT_COLUMNS order; floats use repr so output
-    is byte-deterministic and lossless."""
+    """One row per hour in RESULT_COLUMNS order, from ``result.csv_columns``; floats
+    use repr so output is byte-deterministic and lossless."""
     if isinstance(dest, (str, Path)):
         with open(dest, "w", newline="") as handle:
             write_result_csv(result, handle)
         return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(RESULT_COLUMNS)
-    for i, ts in enumerate(result.timestamps):
-        writer.writerow(
-            [
-                ts.isoformat(timespec="minutes"),
-                repr(float(result.baseline_demand[i])),
-                repr(float(result.forecast_price[i])),
-                repr(float(result.dr_demand[i])),
-                repr(float(result.baseline_spot_price[i])),
-                repr(float(result.updated_spot_price[i])),
-                "1" if result.clamp_flags[i] else "0",
-            ]
-        )
+    write_csv_columns(dest, RESULT_COLUMNS, [result.csv_columns[name] for name in RESULT_COLUMNS])

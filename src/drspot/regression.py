@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -106,57 +106,45 @@ def validate_feature_spec(spec: Sequence[str]) -> tuple[str, ...]:
     return spec
 
 
-def _feature_columns(
-    spec: tuple[str, ...],
-    calendar: Sequence[CalendarFeatures],
-    demand: np.ndarray,
-    temperature: np.ndarray,
-    dew_point: np.ndarray,
-) -> np.ndarray:
+def _feature_columns(spec: tuple[str, ...], columns: Mapping[str, np.ndarray]) -> np.ndarray:
     """Design rows built a column at a time: the one definition of every
-    feature. Hour dummies compare hour_of_day against k, so hour 24 gets
-    all-zero dummies (the reference level)."""
-    hour, month, holiday, saturday, sunday = np.array(
-        [(c.hour_of_day, c.month, c.is_holiday, c.is_saturday, c.is_sunday) for c in calendar],
-        dtype=np.int64,
-    ).reshape(-1, 5).T
-    named = {
-        "demand": demand,
-        "temperature": temperature,
-        "dew_point": dew_point,
-        "month": month,
-        "holiday": holiday,
-        "saturday": saturday,
-        "sunday": sunday,
-    }
-    rows = np.empty((len(calendar), len(spec)), dtype=float)
+    feature. ``columns`` holds ``hour_of_day`` and the named regressors.
+    Hour dummies compare hour_of_day against k, so hour 24 gets all-zero
+    dummies (the reference level)."""
+    hour = columns["hour_of_day"]
+    rows = np.empty((len(hour), len(spec)), dtype=float)
     for j, name in enumerate(spec):
         if name == "intercept":
             rows[:, j] = 1.0
         elif name.startswith("hour"):
             rows[:, j] = hour == int(name[4:])
         else:
-            rows[:, j] = named[name]
+            rows[:, j] = columns[name]
     return rows
 
 
 def build_design_row(record: HourlyRecord, cal: CalendarFeatures, spec: Sequence[str]) -> np.ndarray:
     """One design row for one hour; hour 24 maps to all-zero hour dummies."""
     spec = validate_feature_spec(spec)
-    return _feature_columns(
-        spec,
-        [cal],
-        np.array([record.demand]),
-        np.array([record.dry_bulb_temp]),
-        np.array([record.dew_point]),
-    )[0]
+    values = {
+        "hour_of_day": cal.hour_of_day,
+        "demand": record.demand,
+        "temperature": record.dry_bulb_temp,
+        "dew_point": record.dew_point,
+        "month": cal.month,
+        "holiday": cal.is_holiday,
+        "saturday": cal.is_saturday,
+        "sunday": cal.is_sunday,
+    }
+    return _feature_columns(spec, {name: np.array([value]) for name, value in values.items()})[0]
 
 
 def design_matrix(
     series: RecordSeries, spec: Sequence[str], demand: np.ndarray | None = None
 ) -> np.ndarray:
-    """Design rows for a whole series, optionally overriding the demand
-    column (all other regressors stay at their observed values)."""
+    """Design rows for a whole series, read from its columns, optionally
+    overriding the demand column (all other regressors stay at their
+    observed values)."""
     spec = validate_feature_spec(spec)
     demand_col = series.demand if demand is None else np.asarray(demand, dtype=float)
     if len(demand_col) != len(series):
@@ -164,7 +152,17 @@ def design_matrix(
             f"demand override has {len(demand_col)} values for {len(series)} records"
         )
     return _feature_columns(
-        spec, series.calendar, demand_col, series.dry_bulb_temp, series.dew_point
+        spec,
+        {
+            "hour_of_day": series.hour_of_day,
+            "demand": demand_col,
+            "temperature": series.dry_bulb_temp,
+            "dew_point": series.dew_point,
+            "month": series.month,
+            "holiday": series.is_holiday,
+            "saturday": series.weekday == 5,
+            "sunday": series.weekday == 6,
+        },
     )
 
 

@@ -1,0 +1,278 @@
+"""Columnar hourly series: the record and calendar types, the calendar
+rules, and :class:`RecordSeries`, which stores a series as numpy columns.
+
+Timestamps are naive local time and hour-beginning: the record stamped
+00:00 covers the 00:00-01:00 interval and is hour 1 of the day.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from datetime import date, datetime, timedelta
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
+
+HOUR = timedelta(hours=1)
+HOUR64 = np.timedelta64(1, "h")
+# Microseconds hold every naive datetime exactly, and .tolist() gives datetimes back.
+TIME_DTYPE = "datetime64[us]"
+_EPOCH = datetime(1970, 1, 1)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def iso_minutes(ts: datetime) -> str:
+    return ts.isoformat(timespec="minutes")
+
+
+def datetime64_column(stamps: Iterable[datetime]) -> np.ndarray:
+    """Naive datetimes as a datetime64[us] column, exactly, by integer
+    microseconds since the epoch: several times faster than numpy's own
+    conversion of datetime objects."""
+    micros = map(_MICROSECOND.__rfloordiv__, map(_EPOCH.__rsub__, stamps))
+    return np.fromiter(micros, dtype=np.int64).view(TIME_DTYPE)
+
+
+@dataclass(frozen=True)
+class HourlyRecord:
+    """One hour of market data.
+
+    Demand in MWh, prices in $/MWh (real-time spot price plus an optional
+    day-ahead price), temperatures in degrees F.
+    """
+
+    timestamp: datetime
+    demand: float
+    spot_price: float
+    dry_bulb_temp: float
+    dew_point: float
+    day_ahead_price: float | None = None
+
+
+@dataclass(frozen=True)
+class CalendarFeatures:
+    """Calendar attributes of one hour.
+
+    ``hour_of_day`` runs 1..24 with hour 1 covering the 00:00 interval.
+    At most one of the weekend flags is set; both are false on weekdays.
+    """
+
+    hour_of_day: int
+    month: int
+    is_holiday: bool
+    is_saturday: bool
+    is_sunday: bool
+
+
+def derive_calendar(timestamp: datetime, holidays: Iterable[date] = frozenset()) -> CalendarFeatures:
+    """Derive calendar features for an hour-beginning timestamp.
+
+    Pure function of (timestamp, holidays); the holiday calendar is
+    caller-supplied configuration and defaults to empty.
+    """
+    day = timestamp.date()
+    weekday = day.weekday()
+    return CalendarFeatures(
+        hour_of_day=timestamp.hour + 1,
+        month=timestamp.month,
+        is_holiday=day in holidays,
+        is_saturday=weekday == 5,
+        is_sunday=weekday == 6,
+    )
+
+
+def _calendar_columns(times: np.ndarray, holidays: frozenset[date]) -> dict[str, np.ndarray]:
+    """The rules of :func:`derive_calendar`, applied to a datetime64 column."""
+    days = times.astype("datetime64[D]")
+    holiday_days = np.array(sorted(holidays), dtype="datetime64[D]")
+    is_holiday = np.zeros(len(days), dtype=bool)
+    if len(holiday_days):
+        # Binary search rather than np.isin, whose first call imports numpy.ma (about 1 MiB).
+        nearest = np.searchsorted(holiday_days, days).clip(max=len(holiday_days) - 1)
+        is_holiday = holiday_days[nearest] == days
+    return {
+        "hour_of_day": (times.astype("datetime64[h]") - days).astype(np.int64) + 1,
+        "month": times.astype("datetime64[M]").astype(np.int64) % 12 + 1,
+        # Day 0 of datetime64, 1970-01-01, was a Thursday (weekday 3).
+        "weekday": (days.astype(np.int64) + 3) % 7,
+        "is_holiday": is_holiday,
+    }
+
+
+_VALUE_COLUMNS = ("demand", "spot_price", "dry_bulb_temp", "dew_point", "day_ahead_price")
+_COLUMNS = ("times", *_VALUE_COLUMNS, "hour_of_day", "month", "weekday", "is_holiday")
+
+
+class RecordSeries:
+    """An ordered series of hourly records, stored as read-only numpy columns.
+
+    ``times`` holds the naive local timestamps (``datetime64[us]``);
+    ``demand``, ``spot_price``, ``dry_bulb_temp`` and ``dew_point`` the
+    values; ``day_ahead_price`` is NaN where a record has none. The calendar
+    columns ``hour_of_day`` (1..24), ``month``, ``weekday`` (Monday is 0)
+    and ``is_holiday`` are derived once, when the series is built; slices
+    and :meth:`between` share the columns of the series they come from.
+
+    ``records``, ``calendar`` and iteration, which yields
+    ``(HourlyRecord, CalendarFeatures)`` pairs, are built on first use. A
+    series intended for model fitting or simulation must be contiguous
+    (strictly increasing timestamps, exact one-hour spacing); use
+    :func:`validate_series` to check.  ``filled`` records the timestamps
+    that were synthesized by permissive gap-filling.
+    """
+
+    def __init__(
+        self,
+        records: Iterable[HourlyRecord] = (),
+        holidays: Iterable[date] = frozenset(),
+        filled: Iterable[datetime] = frozenset(),
+    ):
+        records = tuple(records)
+        if any(r.timestamp.tzinfo is not None for r in records):
+            raise ValueError("record timestamps must be naive local time")
+        self._set_columns(
+            datetime64_column(r.timestamp for r in records),
+            [r.demand for r in records],
+            [r.spot_price for r in records],
+            [r.dry_bulb_temp for r in records],
+            [r.dew_point for r in records],
+            [math.nan if r.day_ahead_price is None else r.day_ahead_price for r in records],
+            holidays=holidays,
+            filled=filled,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        times: Sequence,
+        demand: Sequence[float],
+        spot_price: Sequence[float],
+        dry_bulb_temp: Sequence[float],
+        dew_point: Sequence[float],
+        day_ahead_price: Sequence[float],
+        *,
+        holidays: Iterable[date] = frozenset(),
+        filled: Iterable[datetime] = frozenset(),
+    ) -> "RecordSeries":
+        """Series over equal-length columns (copied); ``times`` are naive
+        local stamps and ``day_ahead_price`` is NaN where absent."""
+        series = cls.__new__(cls)
+        series._set_columns(
+            times, demand, spot_price, dry_bulb_temp, dew_point, day_ahead_price, holidays=holidays, filled=filled
+        )
+        return series
+
+    def _set_columns(self, times, *values, holidays, filled):
+        self.holidays: frozenset[date] = frozenset(holidays)
+        self.filled: frozenset[datetime] = frozenset(filled)
+        columns = {"times": np.array(times, dtype=TIME_DTYPE).reshape(-1)}
+        for name, column in zip(_VALUE_COLUMNS, values):
+            columns[name] = np.array(column, dtype=float).reshape(-1)
+            if len(columns[name]) != len(columns["times"]):
+                raise ValueError(f"{len(columns[name])} {name} values for {len(columns['times'])} times")
+        columns.update(_calendar_columns(columns["times"], self.holidays))
+        for name, column in columns.items():
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    def _view(self, index) -> "RecordSeries":
+        """Sub-series sharing this series' columns (a copy for index arrays)."""
+        view = object.__new__(type(self))
+        view.holidays, view.filled = self.holidays, self.filled
+        for name in _COLUMNS:
+            setattr(view, name, getattr(self, name)[index])
+        return view
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __iter__(self) -> Iterator[tuple[HourlyRecord, CalendarFeatures]]:
+        return iter(zip(self.records, self.calendar))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._view(index)
+        return self.records[index], self.calendar[index]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RecordSeries):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name), equal_nan=name in _VALUE_COLUMNS)
+            for name in _COLUMNS
+        )
+
+    def __repr__(self) -> str:
+        if not len(self):
+            return "RecordSeries(empty)"
+        first, last = self.times[[0, -1]].tolist()
+        return f"RecordSeries({len(self)} hours, {iso_minutes(first)} .. {iso_minutes(last)})"
+
+    @cached_property
+    def records(self) -> tuple[HourlyRecord, ...]:
+        day_ahead = [None if math.isnan(v) else v for v in self.day_ahead_price.tolist()]
+        return tuple(
+            map(
+                HourlyRecord,
+                self.times.tolist(),
+                self.demand.tolist(),
+                self.spot_price.tolist(),
+                self.dry_bulb_temp.tolist(),
+                self.dew_point.tolist(),
+                day_ahead,
+            )
+        )
+
+    @cached_property
+    def calendar(self) -> tuple[CalendarFeatures, ...]:
+        return tuple(
+            CalendarFeatures(hour, month, holiday, weekday == 5, weekday == 6)
+            for hour, month, holiday, weekday in zip(
+                self.hour_of_day.tolist(),
+                self.month.tolist(),
+                self.is_holiday.tolist(),
+                self.weekday.tolist(),
+            )
+        )
+
+    @property
+    def timestamps(self) -> tuple[datetime, ...]:
+        return tuple(self.times.tolist())
+
+    def between(self, start: datetime, end: datetime) -> "RecordSeries":
+        """Sub-series with start <= timestamp < end."""
+        start, end = np.datetime64(start, "us"), np.datetime64(end, "us")
+        keep = np.flatnonzero((self.times >= start) & (self.times < end))
+        if len(keep) and keep[-1] - keep[0] + 1 == len(keep):
+            return self._view(slice(keep[0], keep[-1] + 1))
+        return self._view(keep)
+
+
+def validate_series(series: RecordSeries) -> list[str]:
+    """Check series invariants; returns one message per violation.
+
+    Violations are data, not errors: an empty list means the series is
+    contiguous, hour-aligned, duplicate-free, and has non-negative demand.
+    Only the offending rows are formatted, in row order.
+    """
+    times = series.times
+    found: list[tuple[int, int, str]] = []
+    for idx in np.flatnonzero(times != times.astype("datetime64[h]")).tolist():
+        ts = times[idx].item()
+        found.append((idx, 0, f"row {idx} ({ts.isoformat()}): timestamp not on an hour boundary"))
+    for idx in np.flatnonzero(series.demand < 0).tolist():
+        stamp = iso_minutes(times[idx].item())
+        found.append((idx, 1, f"row {idx} ({stamp}): negative demand {float(series.demand[idx])}"))
+    step = np.diff(times)
+    for idx in (np.flatnonzero(step != HOUR64) + 1).tolist():
+        prev, ts = times[idx - 1].item(), times[idx].item()
+        if ts == prev:
+            problem = "duplicate timestamp"
+        elif ts < prev:
+            problem = "timestamps not increasing"
+        else:
+            problem = f"gap, missing hour {iso_minutes(prev + HOUR)}"
+        found.append((idx, 2, f"row {idx} ({iso_minutes(ts)}): {problem}"))
+    return [message for _idx, _order, message in sorted(found)]

@@ -4,12 +4,17 @@ import dataclasses
 import json
 import subprocess
 import sys
+from datetime import datetime
 
+import numpy as np
 import pytest
 
 from conftest import DATA_DIR, synthetic_market
+from drspot import pipeline
 from drspot.cli import main
-from drspot.market_data import RecordSeries, write_hourly_csv
+from drspot.config import load_settings
+from drspot.market_data import RecordSeries, parse_hourly_csv, write_hourly_csv
+from drspot.regression import design_matrix, predict
 
 BUNDLED_DATA = DATA_DIR / "synthetic_market.csv"
 BUNDLED_CONFIG = DATA_DIR / "scenario.json"
@@ -37,7 +42,7 @@ def compact_config(tmp_path):
     return path
 
 
-def run_simulate(data, config, out, start="2021-06-28", days=7):
+def run_simulate(data, config, out, start="2021-06-28", days=7, *extra):
     return main(
         [
             "simulate",
@@ -46,8 +51,24 @@ def run_simulate(data, config, out, start="2021-06-28", days=7):
             "--window-start", start,
             "--days", str(days),
             "--out", str(out),
+            *extra,
         ]
     )
+
+
+def reference_csv(header, timestamps, *columns) -> str:
+    """The per-row formatting the writers used before they formatted whole
+    columns: isoformat stamps, repr(float(x)) values, 0/1 flags."""
+
+    def cell(value):
+        if isinstance(value, (bool, np.bool_)):
+            return "1" if value else "0"
+        return repr(float(value))
+
+    lines = [",".join(header)]
+    for i, ts in enumerate(timestamps):
+        lines.append(",".join([ts.isoformat(timespec="minutes"), *(cell(col[i]) for col in columns)]))
+    return "\n".join(lines) + "\n"
 
 
 class TestFit:
@@ -184,6 +205,79 @@ class TestSimulate:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+class TestOutputBytes:
+    """Every CSV the CLI writes equals the per-row reference formatting."""
+
+    START, END = datetime(2021, 6, 28), datetime(2021, 7, 5)
+
+    def _split(self, market_csv, config):
+        settings = load_settings(config)
+        series = parse_hourly_csv(market_csv, schema=settings.columns, holidays=settings.holidays)
+        return settings, series.between(datetime.min, self.START), series.between(self.START, self.END)
+
+    def test_simulate_csvs_match_reference(self, market_csv, compact_config, tmp_path):
+        out = tmp_path / "out"
+        assert run_simulate(market_csv, compact_config, out) == 0
+        settings, history, study = self._split(market_csv, compact_config)
+        r = pipeline.run_scenario(history, study, settings.scenario)
+        ts = r.timestamps
+        expected = {
+            "result.csv": reference_csv(
+                pipeline.RESULT_COLUMNS, ts, r.baseline_demand, r.forecast_price, r.dr_demand,
+                r.baseline_spot_price, r.updated_spot_price, r.clamp_flags,
+            ),
+            "plot_price_forecast.csv": reference_csv(
+                ("timestamp", "actual_price", "forecast_price"), ts, study.spot_price, r.forecast_price
+            ),
+            "plot_demand.csv": reference_csv(
+                ("timestamp", "demand_before", "demand_after"), ts, r.baseline_demand, r.dr_demand
+            ),
+            "plot_spot_price.csv": reference_csv(
+                ("timestamp", "price_before", "price_after"), ts, r.baseline_spot_price, r.updated_spot_price
+            ),
+        }
+        for name, text in expected.items():
+            assert (out / name).read_bytes() == text.encode(), name
+
+    def test_forecast_csv_matches_reference(self, market_csv, compact_config, tmp_path):
+        out = tmp_path / "forecast.csv"
+        argv = ["forecast", "--data", str(market_csv), "--config", str(compact_config)]
+        assert main(argv + ["--window-start", "2021-06-28", "--days", "7", "--out", str(out)]) == 0
+        settings, history, study = self._split(market_csv, compact_config)
+        spec, model, _ = pipeline.fit_price_model(history, settings.scenario)
+        forecast = predict(model, design_matrix(study, spec))
+        header = ("timestamp", "spot_price", "forecast_price")
+        assert out.read_bytes() == reference_csv(header, study.timestamps, study.spot_price, forecast).encode()
+
+
+class TestTimestampErrors:
+    def test_utc_offset_exits_1(self, market_csv, compact_config, tmp_path, capsys):
+        lines = market_csv.read_text().splitlines()
+        lines[1:] = [line.replace(",", "+00:00,", 1) for line in lines[1:]]
+        market_csv.write_text("\n".join(lines) + "\n")
+        assert run_simulate(market_csv, compact_config, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert "row 2, column 'timestamp': timestamp has a UTC offset; local time expected" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["--strict", "--permissive"])
+    def test_duplicate_hour_exits_1(self, market_csv, compact_config, tmp_path, capsys, mode):
+        lines = market_csv.read_text().splitlines()
+        lines.insert(11, lines[10])  # file row 11 repeated as row 12
+        market_csv.write_text("\n".join(lines) + "\n")
+        stamp = lines[11].split(",")[0]
+        assert run_simulate(market_csv, compact_config, tmp_path / "out", "2021-06-28", 7, mode) == 1
+        assert f"load: row 12: duplicate hour {stamp}" in capsys.readouterr().err
+
+    def test_earlier_hour_exits_1(self, market_csv, compact_config, tmp_path, capsys):
+        lines = market_csv.read_text().splitlines()
+        lines.insert(11, lines[3])
+        market_csv.write_text("\n".join(lines) + "\n")
+        assert run_simulate(market_csv, compact_config, tmp_path / "out") == 1
+        expected = f"row 12: hour {lines[11].split(',')[0]} not after {lines[10].split(',')[0]}"
+        assert expected in capsys.readouterr().err
+
+
 class TestReport:
     def test_report_after_simulate_never_fails(self, market_csv, compact_config, tmp_path, capsys):
         out = tmp_path / "out"
@@ -222,6 +316,21 @@ class TestGapHandling:
         assert main(args) == 1
         assert "missing hour" in capsys.readouterr().err
         assert main(args + ["--permissive"]) == 0
+
+    def test_summary_lists_filled_hours(self, market_csv, compact_config, tmp_path, capsys):
+        clean = tmp_path / "clean"
+        assert run_simulate(market_csv, compact_config, clean) == 0
+        assert json.loads((clean / "summary.json").read_text())["filled_hours"] == []
+
+        lines = market_csv.read_text().splitlines()
+        holes = [lines[100].split(",")[0], lines[101].split(",")[0], lines[400].split(",")[0]]
+        del lines[400], lines[101], lines[100]
+        market_csv.write_text("\n".join(lines) + "\n")
+        assert run_simulate(market_csv, compact_config, tmp_path / "strict") == 1
+        assert f"missing hour {holes[0]}" in capsys.readouterr().err
+        out = tmp_path / "filled"
+        assert run_simulate(market_csv, compact_config, out, "2021-06-28", 7, "--permissive") == 0
+        assert json.loads((out / "summary.json").read_text())["filled_hours"] == holes
 
 
 class TestBadValues:

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import io
-from datetime import date, datetime
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drspot import market_data
 from drspot.market_data import (
     GapError,
     HourlyRecord,
@@ -13,9 +16,11 @@ from drspot.market_data import (
     ParseError,
     RecordSeries,
     derive_calendar,
+    float_strings,
     parse_hourly_csv,
     read_holidays,
     series_to_csv,
+    stamp_strings,
     validate_series,
     write_hourly_csv,
 )
@@ -128,6 +133,77 @@ def test_parse_duplicate_timestamp_rejected():
         parse_hourly_csv(io.StringIO(bad))
 
 
+def test_parse_repeated_hour_names_row_and_hour():
+    bad = CSV_3ROWS.replace("2014-08-18T02:00", "2014-08-18T01:00")
+    for strict in (True, False):
+        with pytest.raises(GapError) as excinfo:
+            parse_hourly_csv(io.StringIO(bad), strict=strict)
+        assert str(excinfo.value) == "row 4: duplicate hour 2014-08-18T01:00"
+        assert excinfo.value.row == 4
+        assert excinfo.value.found == datetime(2014, 8, 18, 1)
+
+
+def test_parse_earlier_hour_names_row_and_previous_hour():
+    bad = CSV_3ROWS.replace("2014-08-18T02:00", "2014-08-17T23:00")
+    with pytest.raises(GapError) as excinfo:
+        parse_hourly_csv(io.StringIO(bad), strict=False)
+    assert str(excinfo.value) == "row 4: hour 2014-08-17T23:00 not after 2014-08-18T01:00"
+
+
+@pytest.mark.parametrize("stamp", ["2014-08-18T01:00+00:00", "2014-08-18T01:00-05:00"])
+def test_parse_utc_offset_rejected(stamp):
+    bad = CSV_3ROWS.replace("2014-08-18T01:00", stamp)
+    with pytest.raises(ParseError) as excinfo:
+        parse_hourly_csv(io.StringIO(bad))
+    assert (excinfo.value.row, excinfo.value.column, excinfo.value.value) == (3, "timestamp", stamp)
+    assert "timestamp has a UTC offset; local time expected" in str(excinfo.value)
+
+
+def test_parse_reports_first_bad_cell_in_file_order():
+    content = (
+        "timestamp,demand_mwh,spot_price,dry_bulb_f,dew_point_f\n"
+        "2014-08-18T00:00,1000.0,25.5,70.0,58.0\n"
+        "2014-08-18T01:00,950.0,oops,69.0\n"  # bad price before the missing cell
+        "2014-08-18T09:00,x,x,x,x\n"
+    )
+    with pytest.raises(ParseError) as excinfo:
+        parse_hourly_csv(io.StringIO(content))
+    assert (excinfo.value.row, excinfo.value.column) == (3, "spot_price")
+    with pytest.raises(ParseError) as excinfo:
+        parse_hourly_csv(io.StringIO(content.replace("oops", "24.0")))
+    assert (excinfo.value.row, excinfo.value.column) == (3, "dew_point_f")
+    assert "row too short" in str(excinfo.value)
+
+
+def test_parse_keeps_rows_and_gaps_across_chunks():
+    edge = market_data._CHUNK_ROWS  # data rows are converted this many at a time
+    start = datetime(2020, 12, 31, 0)
+    records = [_record(start + timedelta(hours=h), demand=float(h)) for h in range(2 * edge + 100)]
+    series = RecordSeries(records)
+    lines = series_to_csv(series).splitlines()  # lines[k] is file row k + 1
+    assert parse_hourly_csv(io.StringIO("\n".join(lines))) == series
+
+    holed = lines[:edge] + lines[edge + 2 :]  # data rows edge - 1 and edge, across the chunk edge
+    with pytest.raises(GapError) as excinfo:
+        parse_hourly_csv(io.StringIO("\n".join(holed)))
+    assert excinfo.value.missing == records[edge - 1].timestamp
+    filled = parse_hourly_csv(io.StringIO("\n".join(holed)), strict=False)
+    assert filled == series
+    assert filled.filled == {records[edge - 1].timestamp, records[edge].timestamp}
+
+    repeated = lines[: edge + 1] + [lines[edge]] + lines[edge + 1 :]
+    with pytest.raises(GapError, match=f"row {edge + 2}: duplicate hour "):
+        parse_hourly_csv(io.StringIO("\n".join(repeated)))
+
+    bad = lines[:10] + [""] + lines[10:]  # a blank line shifts later file rows by one
+    fields = bad[2 * edge + 5].split(",")
+    fields[1] = "abc"
+    bad[2 * edge + 5] = ",".join(fields)
+    with pytest.raises(ParseError) as excinfo:
+        parse_hourly_csv(io.StringIO("\n".join(bad)))
+    assert (excinfo.value.row, excinfo.value.column) == (2 * edge + 6, "demand_mwh")
+
+
 def test_derive_calendar_weekday():
     cal = derive_calendar(datetime(2014, 8, 18, 13))  # a Monday
     assert cal.hour_of_day == 14
@@ -235,6 +311,82 @@ def test_series_slicing_and_between():
     assert isinstance(front, RecordSeries) and len(front) == 6
     window = series.between(datetime(2014, 8, 18, 6), datetime(2014, 8, 18, 9))
     assert [r.timestamp.hour for r in window.records] == [6, 7, 8]
+
+
+def test_slices_share_columns_and_are_read_only():
+    series = _series([_record(datetime(2014, 8, 18, h)) for h in range(24)])
+    window = series.between(datetime(2014, 8, 18, 6), datetime(2014, 8, 18, 9))
+    for part in (series[2:10], window):
+        assert np.shares_memory(part.demand, series.demand)
+        assert np.shares_memory(part.hour_of_day, series.hour_of_day)
+    with pytest.raises(ValueError):
+        series.demand[0] = 1.0
+
+
+def test_record_constructor_rejects_aware_timestamps():
+    with pytest.raises(ValueError, match="naive"):
+        _series([_record(datetime(2014, 8, 18, tzinfo=timezone.utc))])
+
+
+# Starts next to leap days, year ends and a non-leap century year, plus any hour.
+_SPECIAL_STARTS = [
+    datetime(1999, 12, 30, 22),
+    datetime(2000, 2, 28, 5),
+    datetime(2023, 12, 31, 20),
+    datetime(2024, 2, 27, 23),
+    datetime(2100, 2, 27, 12),
+    datetime(1969, 12, 31, 3),
+]
+_any_hour = st.datetimes(min_value=datetime(1960, 1, 1), max_value=datetime(2099, 12, 31)).map(
+    lambda ts: ts.replace(minute=0, second=0, microsecond=0)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    start=st.one_of(st.sampled_from(_SPECIAL_STARTS), _any_hour),
+    hours=st.integers(min_value=0, max_value=24 * 9),
+    holiday_days=st.sets(st.integers(min_value=-1, max_value=10), max_size=5),
+    cut=st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
+    window=st.tuples(st.integers(-30, 24 * 10), st.integers(-30, 24 * 10), st.integers(0, 59)),
+)
+def test_columnar_calendar_slices_and_between_match_per_record_reference(
+    start, hours, holiday_days, cut, window
+):
+    holidays = {start.date() + timedelta(days=d) for d in holiday_days}
+    records = [_record(start + timedelta(hours=h), demand=float(h)) for h in range(hours)]
+    series = RecordSeries(records, holidays=holidays)
+
+    expected = [derive_calendar(r.timestamp, holidays) for r in records]
+    assert list(series.calendar) == expected
+    assert series.hour_of_day.tolist() == [c.hour_of_day for c in expected]
+    assert series.month.tolist() == [c.month for c in expected]
+    assert series.is_holiday.tolist() == [c.is_holiday for c in expected]
+    assert series.weekday.tolist() == [r.timestamp.weekday() for r in records]
+    assert list(series.records) == records
+
+    a, b = cut
+    part = series[a:b]
+    assert list(part.records) == records[a:b]
+    assert list(part.calendar) == expected[a:b]
+
+    lo = start + timedelta(hours=window[0], minutes=window[2])
+    hi = start + timedelta(hours=window[1])
+    kept = [i for i, r in enumerate(records) if lo <= r.timestamp < hi]
+    between = series.between(lo, hi)
+    assert list(between.records) == [records[i] for i in kept]
+    assert list(between.calendar) == [expected[i] for i in kept]
+
+    assert parse_hourly_csv(io.StringIO(series_to_csv(series)), holidays=holidays) == series
+
+
+def test_column_formatters_match_per_value_reference():
+    values = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 123456789.125]
+    assert float_strings(np.array(values)) == [repr(float(v)) for v in values]
+    stamps = [datetime(1900, 3, 1, 5), datetime(1969, 12, 31, 23), datetime(2024, 2, 29, 0)]
+    expected = [ts.isoformat(timespec="minutes") for ts in stamps]
+    assert stamp_strings(stamps) == expected
+    assert stamp_strings(np.array(stamps, dtype="datetime64[us]")) == expected
 
 
 def test_read_holidays(tmp_path):

@@ -240,6 +240,21 @@ class TestSplitTrainHoldout:
 
 
 class TestResultCsv:
+    def test_bytes_match_per_row_reference(self):
+        rng = np.random.default_rng(71)
+        n = 48
+        columns = [rng.normal(0.0, 1e3, n) for _ in range(5)]
+        columns[0][:4] = [0.0, -0.0, 5e-324, 1e300]
+        result = make_result(*columns, clamps=rng.random(n) < 0.3)
+        lines = [",".join(RESULT_COLUMNS)]
+        for i, ts in enumerate(result.timestamps):
+            cells = [repr(float(col[i])) for col in columns]
+            flag = "1" if result.clamp_flags[i] else "0"
+            lines.append(",".join([ts.isoformat(timespec="minutes"), *cells, flag]))
+        buf = io.StringIO()
+        write_result_csv(result, buf)
+        assert buf.getvalue() == "\n".join(lines) + "\n"
+
     def test_header_and_values_round_trip(self):
         history, study = split_market(21, 7, seed=70)
         result = run_scenario(history, study, fast_config())
