@@ -21,13 +21,10 @@ from .elasticity import (
     single_hour_response,
 )
 from .market_data import (
-    CalendarFeatures,
     GapError,
-    HourlyRecord,
     MissingColumnError,
     ParseError,
     RecordSeries,
-    derive_calendar,
     parse_hourly_csv,
     read_holidays,
     validate_series,
@@ -49,7 +46,6 @@ from .pipeline import (
 from .regression import (
     RegressionModel,
     SignificanceLevel,
-    build_design_row,
     ferms,
     fit_ols,
     forward_select,
@@ -57,4 +53,4 @@ from .regression import (
     significance_level,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

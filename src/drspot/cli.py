@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from contextlib import contextmanager
 from datetime import date, datetime, time, timedelta
@@ -28,7 +29,7 @@ from .market_data import (
     write_csv_columns,
 )
 from .pipeline import EmptyWindowError, ModelRejectedError, RESULT_COLUMNS
-from .regression import RegressionError, design_matrix, ferms, predict, price_vector
+from .regression import RegressionError, design_matrix, ferms, predict
 
 
 class CommandError(Exception):
@@ -113,7 +114,7 @@ def cmd_forecast(args) -> int:
         spec, model, holdout_ferms = pipeline.fit_price_model(history, settings.scenario)
     with _stage("forecast"):
         forecast = predict(model, design_matrix(study, spec))
-        window_ferms = ferms(forecast, price_vector(study))
+        window_ferms = ferms(forecast, study.spot_price)
     with _stage("write"):
         columns = [stamp_strings(study.times), float_strings(study.spot_price), float_strings(forecast)]
         with Path(args.out).open("w") as handle:
@@ -140,7 +141,7 @@ def cmd_simulate(args) -> int:
         doc["clamp_count"] = result.clamp_count
         doc["hours"] = len(result)
         doc["selected_features"] = list(result.model.spec)
-        doc["filled_hours"] = stamp_strings(sorted(series.filled))
+        doc["filled_hours"] = stamp_strings(series.filled)
         (out_dir / "summary.json").write_text(_json_text(doc))
         cells = result.csv_columns
         plots = {
@@ -257,9 +258,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """Ranges argparse does not check; a bad value is an input error (exit 1)."""
+    gate = getattr(args, "gate", None)
+    if gate is not None and not 0 < gate < math.inf:  # NaN fails too
+        raise CommandError(f"--gate must be a finite number > 0, got {gate}")
+    for flag, name in (("--days", "days"), ("--holdout-days", "holdout_days")):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise CommandError(f"{flag} must be >= 1, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except ModelRejectedError as exc:
         print(f"error: {exc}", file=sys.stderr)

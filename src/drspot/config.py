@@ -72,6 +72,26 @@ def resolve_config_path(explicit: str | None) -> str | None:
     return explicit or os.environ.get(CONFIG_ENV_VAR) or None
 
 
+def _expect(path: Path, key: str, value, kind: type | tuple[type, ...], what: str):
+    """``value`` if it has the JSON type ``kind``, else ConfigError. JSON
+    true/false are never numbers here, and a float is never an integer."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{path}: {key} must be {what}, got {value!r}")
+    return value
+
+
+def _number(path: Path, key: str, value) -> float:
+    try:
+        return float(_expect(path, key, value, (int, float), "a number"))
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{path}: {key} is out of range: {value!r}") from None
+
+
+def _items(path: Path, key: str, value, kind: type, what: str) -> list:
+    """A JSON list whose items all have the JSON type ``kind``."""
+    return [_expect(path, key, item, kind, what) for item in _expect(path, key, value, list, "a list")]
+
+
 def load_settings(path: str | Path | None) -> Settings:
     """Load a config file, or return defaults when no path is given."""
     if path is None:
@@ -91,40 +111,42 @@ def load_settings(path: str | Path | None) -> Settings:
     scenario_kwargs: dict = {}
     for key in ("flat_rate", "ferms_gate"):
         if key in data:
-            scenario_kwargs[key] = float(data[key])
+            scenario_kwargs[key] = _number(path, key, data[key])
     if "holdout_days" in data:
-        scenario_kwargs["holdout_days"] = int(data["holdout_days"])
+        scenario_kwargs["holdout_days"] = _expect(path, "holdout_days", data["holdout_days"], int, "an integer")
     if "significance_thresholds" in data:
-        thresholds = data["significance_thresholds"]
+        thresholds = _expect(path, "significance_thresholds", data["significance_thresholds"], list, "a list")
         if len(thresholds) != 3:
             raise ConfigError(f"{path}: significance_thresholds must be [t10, t5, t1]")
-        scenario_kwargs["significance_thresholds"] = tuple(float(t) for t in thresholds)
+        scenario_kwargs["significance_thresholds"] = tuple(
+            _number(path, "significance_thresholds", t) for t in thresholds
+        )
     if "elasticity" in data:
-        table = data["elasticity"]
+        table = _expect(path, "elasticity", data["elasticity"], dict, "an object")
         if set(table) != _ELASTICITY_KEYS:
             raise ConfigError(
                 f"{path}: elasticity must define exactly the keys {sorted(_ELASTICITY_KEYS)}"
             )
+        values = {k: _number(path, f"elasticity.{k}", v) for k, v in table.items()}
         try:
-            scenario_kwargs["elasticity_table"] = ElasticityTable(**{k: float(v) for k, v in table.items()})
+            scenario_kwargs["elasticity_table"] = ElasticityTable(**values)
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
     if "periods" in data:
-        periods = data["periods"]
+        periods = _expect(path, "periods", data["periods"], dict, "an object")
         if set(periods) != {"peak", "offpeak", "low"}:
             raise ConfigError(f"{path}: periods must define peak, offpeak, and low hour lists")
+        hours = {
+            f"{name}_hours": frozenset(_items(path, f"periods.{name}", listed, int, "integer hours"))
+            for name, listed in periods.items()
+        }
         try:
-            scenario_kwargs["period_config"] = PeriodConfig(
-                peak_hours=frozenset(int(h) for h in periods["peak"]),
-                offpeak_hours=frozenset(int(h) for h in periods["offpeak"]),
-                low_hours=frozenset(int(h) for h in periods["low"]),
-            )
+            scenario_kwargs["period_config"] = PeriodConfig(**hours)
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-    if "feature_candidates" in data:
-        scenario_kwargs["feature_candidates"] = tuple(data["feature_candidates"])
-    if "base_features" in data:
-        scenario_kwargs["base_features"] = tuple(data["base_features"])
+    for key in ("feature_candidates", "base_features"):
+        if key in data:
+            scenario_kwargs[key] = tuple(_items(path, key, data[key], str, "feature names"))
 
     try:
         scenario = ScenarioConfig(**scenario_kwargs)
@@ -132,13 +154,16 @@ def load_settings(path: str | Path | None) -> Settings:
         raise ConfigError(f"{path}: {exc}") from None
 
     holidays: set[date] = set()
-    for raw in data.get("holidays", []):
+    for raw in _items(path, "holidays", data.get("holidays", []), str, "ISO dates"):
         try:
             holidays.add(date.fromisoformat(raw))
         except ValueError:
             raise ConfigError(f"{path}: bad holiday date {raw!r}") from None
     if "holidays_file" in data:
-        holidays |= read_holidays(path.parent / data["holidays_file"])
+        holidays_file = _expect(path, "holidays_file", data["holidays_file"], str, "a path")
+        holidays |= read_holidays(path.parent / holidays_file)
 
-    columns = {str(k): str(v) for k, v in data.get("columns", {}).items()}
-    return Settings(scenario=scenario, columns=columns, holidays=frozenset(holidays))
+    columns = _expect(path, "columns", data.get("columns", {}), dict, "an object")
+    for name in columns.values():
+        _expect(path, "columns", name, str, "CSV column names")
+    return Settings(scenario=scenario, columns=dict(columns), holidays=frozenset(holidays))

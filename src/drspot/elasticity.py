@@ -15,6 +15,7 @@ off-peak, low) and a configurable hour-to-class mapping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -105,12 +106,15 @@ class ElasticityTable:
     low_low: float
 
     def __post_init__(self):
+        # Written so that NaN fails: every comparison with NaN is false.
         for name in ("peak_peak", "offpeak_offpeak", "low_low"):
-            if getattr(self, name) > 0:
-                raise ValueError(f"self-elasticity {name} must be <= 0")
+            value = getattr(self, name)
+            if not -math.inf < value <= 0:
+                raise ValueError(f"self-elasticity {name} must be finite and <= 0, got {value}")
         for name in ("peak_offpeak", "peak_low", "offpeak_peak", "offpeak_low", "low_peak", "low_offpeak"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"cross-elasticity {name} must be >= 0")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"cross-elasticity {name} must be finite and >= 0, got {value}")
 
     @classmethod
     def default(cls) -> "ElasticityTable":
@@ -159,7 +163,8 @@ def build_elasticity_matrix(table: ElasticityTable, cfg: PeriodConfig) -> np.nda
 @dataclass(frozen=True)
 class DayVectors:
     """Inputs to the day-level response: baseline demand d0, baseline price
-    p0, and offered (real-time) price p, all per hour."""
+    p0, and offered (real-time) price p, all per hour. Each is one day's
+    vector, or an array of shape (days, hours) with one day per row."""
 
     d0: np.ndarray
     p0: np.ndarray
@@ -169,8 +174,8 @@ class DayVectors:
         d0 = np.asarray(self.d0, dtype=float)
         p0 = np.asarray(self.p0, dtype=float)
         p = np.asarray(self.p, dtype=float)
-        if not (d0.ndim == p0.ndim == p.ndim == 1) or not (d0.shape == p0.shape == p.shape):
-            raise ValueError("d0, p0, p must be 1-d vectors of equal length")
+        if d0.ndim not in (1, 2) or not (d0.shape == p0.shape == p.shape):
+            raise ValueError("d0, p0, p must be equal-shape vectors or (days, hours) arrays")
         if np.any(p0 <= 0):
             raise NonPositiveBaselinePriceError("all baseline prices p0 must be > 0")
         if np.any(d0 < 0):
@@ -178,9 +183,6 @@ class DayVectors:
         object.__setattr__(self, "d0", d0)
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "p", p)
-
-    def __len__(self) -> int:
-        return len(self.d0)
 
 
 class DayResponse(NamedTuple):
@@ -196,17 +198,22 @@ def single_hour_response(d0: float, p0: float, p: float, e: float) -> float:
 
 
 def multi_hour_response(day: DayVectors, matrix: np.ndarray) -> DayResponse:
-    """Demand for every hour of a day under self- and cross-elasticity.
+    """Demand for every hour of a day, or of every day (row) of a
+    (days, hours) batch, under self- and cross-elasticity; the result has
+    the shape of ``day.d0``.
 
     Hours where the linear model dips below zero are clamped to zero and
     flagged; physical demand cannot be negative.
     """
     e = np.asarray(matrix, dtype=float)
-    n = len(day)
+    n = day.d0.shape[-1]
     if e.shape != (n, n):
         raise ValueError(f"elasticity matrix must be {n}x{n}, got {e.shape}")
     relative_deviation = (day.p - day.p0) / day.p0
-    raw = day.d0 * (1.0 + e @ relative_deviation)
+    # One matrix-vector product per day, as a stack: the rounding of a
+    # day does not depend on the batch it is in (a single matrix-matrix
+    # product, rel @ e.T, rounds differently).
+    raw = day.d0 * (1.0 + (e @ relative_deviation[..., None])[..., 0])
     clamped = raw < 0
     return DayResponse(demand=np.where(clamped, 0.0, raw), clamped=clamped)
 

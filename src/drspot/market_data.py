@@ -21,7 +21,7 @@ from datetime import date, datetime
 from itertools import islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,11 +29,8 @@ import numpy as np
 from .series import (  # noqa: F401
     HOUR,
     HOUR64,
-    CalendarFeatures,
-    HourlyRecord,
     RecordSeries,
     datetime64_column,
-    derive_calendar,
     iso_minutes,
     validate_series,
 )
@@ -54,8 +51,13 @@ class MissingColumnError(MarketDataError):
 
 
 class ParseError(MarketDataError):
-    def __init__(self, row: int, column: str, value: str, reason: str = "invalid value"):
-        super().__init__(f"row {row}, column {column!r}: {reason}: {value!r}")
+    """A bad cell, or with ``column`` None a row the CSV reader rejects."""
+
+    def __init__(self, row: int, column: str | None, value: str, reason: str = "invalid value"):
+        if column is None:
+            super().__init__(f"row {row}: {reason}")
+        else:
+            super().__init__(f"row {row}, column {column!r}: {reason}: {value!r}")
         self.row = row
         self.column = column
         self.value = value
@@ -127,6 +129,15 @@ def _fill_gaps(
     return times[0] + full * HOUR64, filled, synthesized
 
 
+def _records(reader, malformed: list[ParseError]) -> Iterator[list[str]]:
+    """The reader's records up to the first one it rejects, whose error
+    (by file line) is appended to ``malformed``."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        malformed.append(ParseError(reader.line_num, None, "", f"malformed CSV: {exc}"))
+
+
 # Rows parsed or written at a time: bounds the cell strings held at once.
 _CHUNK_ROWS = 256
 
@@ -193,7 +204,10 @@ def parse_hourly_csv(
     ``schema`` maps canonical column names to the file's actual header
     names (identity by default).  Row numbers in errors are 1-based file
     lines, counting the header as row 1.  The first bad cell in file order
-    is reported; timestamps with a UTC offset are rejected.
+    is reported; timestamps with a UTC offset are rejected, and so is a row
+    the CSV reader cannot split (a cell over ``csv.field_size_limit()``
+    characters, say). A path is read as UTF-8, skipping a leading byte
+    order mark.
 
     In strict mode (default) any hole in the hourly sequence raises
     GapError.  In permissive mode interior gaps are filled (demand and
@@ -202,15 +216,15 @@ def parse_hourly_csv(
     hour raises GapError in both modes.
     """
     if isinstance(source, (str, Path)):
-        with open(source, newline="") as handle:
+        with open(source, newline="", encoding="utf-8-sig") as handle:
             return parse_hourly_csv(handle, schema, holidays=holidays, strict=strict)
 
     schema = dict(schema or {})
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(1, "timestamp", "", "empty input, header row required") from None
+    malformed: list[ParseError] = []
+    records = _records(csv.reader(source), malformed)
+    header = next(records, None)
+    if header is None:
+        raise malformed[0] if malformed else ParseError(1, "timestamp", "", "empty input, header row required")
     header = [h.strip() for h in header]
 
     col_index: dict[str, int] = {}
@@ -226,7 +240,7 @@ def parse_hourly_csv(
 
     # Cells in the order a row is checked; the first bad cell in file order is reported.
     order = ["timestamp", *(c for c in OPTIONAL_COLUMNS if c in col_index), *REQUIRED_COLUMNS[1:]]
-    numbered = enumerate(reader, start=2)
+    numbered = enumerate(records, start=2)
     row_nums: list[int] = []
     chunks: list[tuple[np.ndarray, dict[str, np.ndarray]]] = []
     failures: list[tuple[int, int, MarketDataError]] = []
@@ -241,7 +255,9 @@ def parse_hourly_csv(
             row_nums.extend(nums)
             chunks.append((times, values))
     if not chunks:
-        return RecordSeries.from_columns([], [], [], [], [], [], holidays=holidays)
+        if malformed:
+            raise malformed[0]
+        return RecordSeries([], [], [], [], [], [], holidays=holidays)
 
     times = np.concatenate([chunk_times for chunk_times, _ in chunks])
     step = np.diff(times)
@@ -250,6 +266,8 @@ def parse_hourly_csv(
         expected, found = times[bad - 1].item() + HOUR, times[bad].item()
         error = GapError(expected) if found > expected else GapError(expected, found, row_nums[bad])
         failures.append((bad, len(order), error))
+    if malformed:  # it follows every row read
+        failures.append((len(row_nums), 0, malformed[0]))
     if failures:
         raise min(failures, key=itemgetter(0, 1))[2]
 
@@ -265,17 +283,15 @@ def parse_hourly_csv(
         "dew_point": column("dew_point_f"),
         "day_ahead_price": column("da_price"),
     }
-    filled: list[datetime] = []
+    filled = times[:0]
     if (step > HOUR64).any():
         times, columns, synthesized = _fill_gaps(times, columns)
-        filled = times[synthesized].tolist()
-    return RecordSeries.from_columns(times, **columns, holidays=holidays, filled=filled)
+        filled = times[synthesized]
+    return RecordSeries(times, **columns, holidays=holidays, filled=filled)
 
 
-def stamp_strings(times: Sequence[datetime] | np.ndarray) -> list[str]:
-    """``YYYY-MM-DDTHH:MM`` text of each timestamp (datetimes or datetime64)."""
-    if not isinstance(times, np.ndarray):
-        times = datetime64_column(times)
+def stamp_strings(times: np.ndarray) -> list[str]:
+    """``YYYY-MM-DDTHH:MM`` text of each stamp of a datetime64 column."""
     return times.astype("datetime64[m]").astype("U16").tolist()
 
 

@@ -6,8 +6,8 @@ fixed-point iteration).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from datetime import datetime
 from functools import cached_property
 from pathlib import Path
 from typing import IO, Sequence
@@ -32,7 +32,6 @@ from .regression import (
     ferms,
     forward_select,
     predict,
-    price_vector,
     validate_feature_spec,
 )
 
@@ -83,10 +82,11 @@ class ScenarioConfig:
     significance_thresholds: tuple[float, float, float] = DEFAULT_THRESHOLDS
 
     def __post_init__(self):
-        if self.flat_rate <= 0:
-            raise ValueError(f"flat_rate must be > 0, got {self.flat_rate}")
-        if self.ferms_gate <= 0:
-            raise ValueError(f"ferms_gate must be > 0, got {self.ferms_gate}")
+        # Written so that NaN fails: every comparison with NaN is false.
+        if not 0 < self.flat_rate < math.inf:
+            raise ValueError(f"flat_rate must be finite and > 0, got {self.flat_rate}")
+        if not 0 < self.ferms_gate < math.inf:
+            raise ValueError(f"ferms_gate must be finite and > 0, got {self.ferms_gate}")
         if self.holdout_days < 1:
             raise ValueError(f"holdout_days must be >= 1, got {self.holdout_days}")
         t10, t5, t1 = self.significance_thresholds
@@ -102,29 +102,28 @@ class ScenarioConfig:
 class ScenarioResult:
     """Per-hour series over the study window plus the fitted model.
 
-    Prices before and after the response are both produced by the market
-    price model: baseline_spot_price is the model at baseline demand and
-    updated_spot_price the model at the responded demand, so a null
-    response leaves the market exactly unchanged.
+    ``times`` is the window's ``datetime64`` column. Prices before and
+    after the response are both produced by the market price model:
+    baseline_spot_price is the model at baseline demand, which is the
+    forecast itself, and updated_spot_price the model at the responded
+    demand, so a null response leaves the market exactly unchanged.
     """
 
-    timestamps: tuple[datetime, ...]
+    times: np.ndarray
     baseline_demand: np.ndarray
     forecast_price: np.ndarray
     dr_demand: np.ndarray
-    baseline_spot_price: np.ndarray
     updated_spot_price: np.ndarray
     clamp_flags: np.ndarray
     model: RegressionModel
     holdout_ferms: float
 
     def __post_init__(self):
-        n = len(self.timestamps)
+        n = len(self.times)
         series = (
             self.baseline_demand,
             self.forecast_price,
             self.dr_demand,
-            self.baseline_spot_price,
             self.updated_spot_price,
             self.clamp_flags,
         )
@@ -132,7 +131,13 @@ class ScenarioResult:
             raise ValueError("all result series must have equal length")
 
     def __len__(self) -> int:
-        return len(self.timestamps)
+        return len(self.times)
+
+    @property
+    def baseline_spot_price(self) -> np.ndarray:
+        """The market price before the response: the price model at
+        baseline demand, equal to ``forecast_price`` by construction."""
+        return self.forecast_price
 
     @property
     def clamp_count(self) -> int:
@@ -142,13 +147,14 @@ class ScenarioResult:
     def csv_columns(self) -> dict[str, list[str]]:
         """The RESULT_COLUMNS as CSV cells, formatted once for every writer:
         ``YYYY-MM-DDTHH:MM`` stamps, floats by repr (lossless), clamp flags
-        as 0/1."""
+        as 0/1. The baseline_spot_price cells are the forecast_price cells."""
+        forecast = float_strings(self.forecast_price)
         return {
-            "timestamp": stamp_strings(self.timestamps),
+            "timestamp": stamp_strings(self.times),
             "baseline_demand": float_strings(self.baseline_demand),
-            "forecast_price": float_strings(self.forecast_price),
+            "forecast_price": forecast,
             "dr_demand": float_strings(self.dr_demand),
-            "baseline_spot_price": float_strings(self.baseline_spot_price),
+            "baseline_spot_price": forecast,
             "updated_spot_price": float_strings(self.updated_spot_price),
             "clamped": np.where(self.clamp_flags, "1", "0").tolist(),
         }
@@ -217,7 +223,7 @@ def fit_price_model(
     ferms. The ferms gate is left to the caller."""
     train, holdout = split_train_holdout(history, cfg.holdout_days)
     spec, model = forward_select(cfg.feature_candidates, train, holdout, cfg.base_features)
-    holdout_ferms = ferms(predict(model, design_matrix(holdout, spec)), price_vector(holdout))
+    holdout_ferms = ferms(predict(model, design_matrix(holdout, spec)), holdout.spot_price)
     return spec, model, holdout_ferms
 
 
@@ -228,9 +234,11 @@ def run_scenario(
 
     Fits the price model on the history (with the last ``holdout_days``
     held out for selection and the forecast error gate), forecasts the
-    study window, responds day by day with baseline price p0 fixed at the
-    flat rate, then re-predicts prices with the responded demand
-    substituted for the observed demand.
+    study window, responds every day at once with baseline price p0 fixed
+    at the flat rate, then re-predicts prices with the responded demand
+    substituted for the observed demand. Raises ValueError when the response
+    or the re-price leaves the finite range (an extreme flat rate or
+    elasticity table).
     """
     _require_valid(history, "history")
     _require_valid(study_window, "study window")
@@ -250,25 +258,22 @@ def run_scenario(
     forecast = predict(model, design_matrix(study_window, spec))
 
     matrix = build_elasticity_matrix(cfg.elasticity_table, cfg.period_config)
-    baseline_demand = study_window.demand
-    flat = np.full(HOURS_PER_DAY, cfg.flat_rate, dtype=float)
-    dr_demand = np.empty(n, dtype=float)
-    clamp_flags = np.zeros(n, dtype=bool)
-    for start in range(0, n, HOURS_PER_DAY):
-        stop = start + HOURS_PER_DAY
-        day = DayVectors(d0=baseline_demand[start:stop], p0=flat, p=forecast[start:stop])
-        response = multi_hour_response(day, matrix)
-        dr_demand[start:stop] = response.demand
-        clamp_flags[start:stop] = response.clamped
+    days = (n // HOURS_PER_DAY, HOURS_PER_DAY)
+    by_day = DayVectors(
+        d0=study_window.demand.reshape(days), p0=np.full(days, cfg.flat_rate), p=forecast.reshape(days)
+    )
+    response = multi_hour_response(by_day, matrix)
+    dr_demand, clamp_flags = response.demand.reshape(n), response.clamped.reshape(n)
 
     updated = predict(model, design_matrix(study_window, spec, demand=dr_demand))
+    if not (np.isfinite(dr_demand).all() and np.isfinite(updated).all()):
+        raise ValueError("demand response or re-price is not finite; check flat_rate and the elasticity table")
 
     return ScenarioResult(
-        timestamps=study_window.timestamps,
-        baseline_demand=baseline_demand,
+        times=study_window.times,
+        baseline_demand=study_window.demand,
         forecast_price=forecast,
         dr_demand=dr_demand,
-        baseline_spot_price=forecast.copy(),
         updated_spot_price=updated,
         clamp_flags=clamp_flags,
         model=model,
@@ -282,7 +287,8 @@ def impact_summary(result: ScenarioResult) -> ImpactSummary:
     Baseline cost is baseline demand at the pre-response spot price,
     after-response cost is the responded demand at the re-predicted price;
     a null response leaves all deltas at exactly zero. Raises
-    ZeroBaselineError when the baseline energy or cost is zero.
+    ZeroBaselineError when the baseline energy or cost is zero, and
+    ValueError when an aggregate overflows.
     """
     if len(result) == 0:
         raise EmptyWindowError("scenario result covers no hours")
@@ -297,7 +303,7 @@ def impact_summary(result: ScenarioResult) -> ImpactSummary:
         )
     dr_cost = customer_bill(result.dr_demand, result.updated_spot_price)
     delta_cost = dr_cost - baseline_cost
-    return ImpactSummary(
+    summary = ImpactSummary(
         delta_energy_mwh=delta_energy,
         delta_energy_pct=100.0 * delta_energy / baseline_energy,
         delta_cost=delta_cost,
@@ -307,6 +313,9 @@ def impact_summary(result: ScenarioResult) -> ImpactSummary:
         peak_price_before=float(result.baseline_spot_price.max()),
         peak_price_after=float(result.updated_spot_price.max()),
     )
+    if not all(map(math.isfinite, summary.to_json_dict().values())):
+        raise ValueError(f"impact summary is not finite: {summary.to_json_dict()}")
+    return summary
 
 
 def write_result_csv(result: ScenarioResult, dest: str | Path | IO[str]) -> None:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .market_data import CalendarFeatures, HourlyRecord, RecordSeries
+from .market_data import RecordSeries
 
 HOUR_DUMMIES = tuple(f"hour{k}" for k in range(1, 24))
 FULL_FEATURES = (
@@ -106,68 +106,36 @@ def validate_feature_spec(spec: Sequence[str]) -> tuple[str, ...]:
     return spec
 
 
-def _feature_columns(spec: tuple[str, ...], columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Design rows built a column at a time: the one definition of every
-    feature. ``columns`` holds ``hour_of_day`` and the named regressors.
-    Hour dummies compare hour_of_day against k, so hour 24 gets all-zero
-    dummies (the reference level)."""
-    hour = columns["hour_of_day"]
-    rows = np.empty((len(hour), len(spec)), dtype=float)
+def design_matrix(
+    series: RecordSeries, spec: Sequence[str], demand: np.ndarray | None = None
+) -> np.ndarray:
+    """Design rows for a whole series, built a column at a time from its
+    columns: the one definition of every feature. ``demand`` optionally
+    overrides the demand column (all other regressors stay at their
+    observed values). Hour dummies compare hour_of_day against k, so hour 24
+    gets all-zero dummies (the reference level)."""
+    spec = validate_feature_spec(spec)
+    demand = series.demand if demand is None else np.asarray(demand, dtype=float)
+    if len(demand) != len(series):
+        raise LengthMismatchError(f"demand override has {len(demand)} values for {len(series)} records")
+    regressors = {
+        "demand": demand,
+        "temperature": series.dry_bulb_temp,
+        "dew_point": series.dew_point,
+        "month": series.month,
+        "holiday": series.is_holiday,
+        "saturday": series.weekday == 5,
+        "sunday": series.weekday == 6,
+    }
+    rows = np.empty((len(series), len(spec)), dtype=float)
     for j, name in enumerate(spec):
         if name == "intercept":
             rows[:, j] = 1.0
         elif name.startswith("hour"):
-            rows[:, j] = hour == int(name[4:])
+            rows[:, j] = series.hour_of_day == int(name[4:])
         else:
-            rows[:, j] = columns[name]
+            rows[:, j] = regressors[name]
     return rows
-
-
-def build_design_row(record: HourlyRecord, cal: CalendarFeatures, spec: Sequence[str]) -> np.ndarray:
-    """One design row for one hour; hour 24 maps to all-zero hour dummies."""
-    spec = validate_feature_spec(spec)
-    values = {
-        "hour_of_day": cal.hour_of_day,
-        "demand": record.demand,
-        "temperature": record.dry_bulb_temp,
-        "dew_point": record.dew_point,
-        "month": cal.month,
-        "holiday": cal.is_holiday,
-        "saturday": cal.is_saturday,
-        "sunday": cal.is_sunday,
-    }
-    return _feature_columns(spec, {name: np.array([value]) for name, value in values.items()})[0]
-
-
-def design_matrix(
-    series: RecordSeries, spec: Sequence[str], demand: np.ndarray | None = None
-) -> np.ndarray:
-    """Design rows for a whole series, read from its columns, optionally
-    overriding the demand column (all other regressors stay at their
-    observed values)."""
-    spec = validate_feature_spec(spec)
-    demand_col = series.demand if demand is None else np.asarray(demand, dtype=float)
-    if len(demand_col) != len(series):
-        raise LengthMismatchError(
-            f"demand override has {len(demand_col)} values for {len(series)} records"
-        )
-    return _feature_columns(
-        spec,
-        {
-            "hour_of_day": series.hour_of_day,
-            "demand": demand_col,
-            "temperature": series.dry_bulb_temp,
-            "dew_point": series.dew_point,
-            "month": series.month,
-            "holiday": series.is_holiday,
-            "saturday": series.weekday == 5,
-            "sunday": series.weekday == 6,
-        },
-    )
-
-
-def price_vector(series: RecordSeries) -> np.ndarray:
-    return series.spot_price
 
 
 @dataclass
@@ -360,8 +328,8 @@ def forward_select(
 
     train_full = design_matrix(train, candidates)
     holdout_full = design_matrix(holdout, candidates)
-    y_train = price_vector(train)
-    y_holdout = price_vector(holdout)
+    y_train = train.spot_price
+    y_holdout = holdout.spot_price
     column = {name: idx for idx, name in enumerate(candidates)}
 
     selected = list(base)

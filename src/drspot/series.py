@@ -1,5 +1,5 @@
-"""Columnar hourly series: the record and calendar types, the calendar
-rules, and :class:`RecordSeries`, which stores a series as numpy columns.
+"""Columnar hourly series: the calendar rules and :class:`RecordSeries`,
+which stores a series as read-only numpy columns.
 
 Timestamps are naive local time and hour-beginning: the record stamped
 00:00 covers the 00:00-01:00 interval and is hour 1 of the day.
@@ -7,11 +7,8 @@ Timestamps are naive local time and hour-beginning: the record stamped
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,56 +32,10 @@ def datetime64_column(stamps: Iterable[datetime]) -> np.ndarray:
     return np.fromiter(micros, dtype=np.int64).view(TIME_DTYPE)
 
 
-@dataclass(frozen=True)
-class HourlyRecord:
-    """One hour of market data.
-
-    Demand in MWh, prices in $/MWh (real-time spot price plus an optional
-    day-ahead price), temperatures in degrees F.
-    """
-
-    timestamp: datetime
-    demand: float
-    spot_price: float
-    dry_bulb_temp: float
-    dew_point: float
-    day_ahead_price: float | None = None
-
-
-@dataclass(frozen=True)
-class CalendarFeatures:
-    """Calendar attributes of one hour.
-
-    ``hour_of_day`` runs 1..24 with hour 1 covering the 00:00 interval.
-    At most one of the weekend flags is set; both are false on weekdays.
-    """
-
-    hour_of_day: int
-    month: int
-    is_holiday: bool
-    is_saturday: bool
-    is_sunday: bool
-
-
-def derive_calendar(timestamp: datetime, holidays: Iterable[date] = frozenset()) -> CalendarFeatures:
-    """Derive calendar features for an hour-beginning timestamp.
-
-    Pure function of (timestamp, holidays); the holiday calendar is
-    caller-supplied configuration and defaults to empty.
-    """
-    day = timestamp.date()
-    weekday = day.weekday()
-    return CalendarFeatures(
-        hour_of_day=timestamp.hour + 1,
-        month=timestamp.month,
-        is_holiday=day in holidays,
-        is_saturday=weekday == 5,
-        is_sunday=weekday == 6,
-    )
-
-
 def _calendar_columns(times: np.ndarray, holidays: frozenset[date]) -> dict[str, np.ndarray]:
-    """The rules of :func:`derive_calendar`, applied to a datetime64 column."""
+    """Calendar columns of hour-beginning stamps: ``hour_of_day`` 1..24 (the
+    00:00 hour is hour 1), ``month`` 1..12, ``weekday`` (Monday is 0) and
+    ``is_holiday`` (the stamp's date is in ``holidays``)."""
     days = times.astype("datetime64[D]")
     holiday_days = np.array(sorted(holidays), dtype="datetime64[D]")
     is_holiday = np.zeros(len(days), dtype=bool)
@@ -108,44 +59,23 @@ _COLUMNS = ("times", *_VALUE_COLUMNS, "hour_of_day", "month", "weekday", "is_hol
 class RecordSeries:
     """An ordered series of hourly records, stored as read-only numpy columns.
 
-    ``times`` holds the naive local timestamps (``datetime64[us]``);
-    ``demand``, ``spot_price``, ``dry_bulb_temp`` and ``dew_point`` the
-    values; ``day_ahead_price`` is NaN where a record has none. The calendar
-    columns ``hour_of_day`` (1..24), ``month``, ``weekday`` (Monday is 0)
-    and ``is_holiday`` are derived once, when the series is built; slices
-    and :meth:`between` share the columns of the series they come from.
+    Built from equal-length columns, which are copied: ``times`` holds the
+    naive local timestamps (stored as ``datetime64[us]``); ``demand``,
+    ``spot_price``, ``dry_bulb_temp`` and ``dew_point`` the values;
+    ``day_ahead_price`` is NaN where a record has none. The calendar columns
+    ``hour_of_day`` (1..24), ``month``, ``weekday`` (Monday is 0) and
+    ``is_holiday`` are derived once, when the series is built; slices and
+    :meth:`between` share the columns of the series they come from.
 
-    ``records``, ``calendar`` and iteration, which yields
-    ``(HourlyRecord, CalendarFeatures)`` pairs, are built on first use. A
-    series intended for model fitting or simulation must be contiguous
+    A series intended for model fitting or simulation must be contiguous
     (strictly increasing timestamps, exact one-hour spacing); use
-    :func:`validate_series` to check.  ``filled`` records the timestamps
-    that were synthesized by permissive gap-filling.
+    :func:`validate_series` to check. ``filled`` is the sorted
+    ``datetime64[us]`` column of the timestamps that permissive
+    gap-filling synthesized.
     """
 
     def __init__(
         self,
-        records: Iterable[HourlyRecord] = (),
-        holidays: Iterable[date] = frozenset(),
-        filled: Iterable[datetime] = frozenset(),
-    ):
-        records = tuple(records)
-        if any(r.timestamp.tzinfo is not None for r in records):
-            raise ValueError("record timestamps must be naive local time")
-        self._set_columns(
-            datetime64_column(r.timestamp for r in records),
-            [r.demand for r in records],
-            [r.spot_price for r in records],
-            [r.dry_bulb_temp for r in records],
-            [r.dew_point for r in records],
-            [math.nan if r.day_ahead_price is None else r.day_ahead_price for r in records],
-            holidays=holidays,
-            filled=filled,
-        )
-
-    @classmethod
-    def from_columns(
-        cls,
         times: Sequence,
         demand: Sequence[float],
         spot_price: Sequence[float],
@@ -154,20 +84,15 @@ class RecordSeries:
         day_ahead_price: Sequence[float],
         *,
         holidays: Iterable[date] = frozenset(),
-        filled: Iterable[datetime] = frozenset(),
-    ) -> "RecordSeries":
-        """Series over equal-length columns (copied); ``times`` are naive
-        local stamps and ``day_ahead_price`` is NaN where absent."""
-        series = cls.__new__(cls)
-        series._set_columns(
-            times, demand, spot_price, dry_bulb_temp, dew_point, day_ahead_price, holidays=holidays, filled=filled
-        )
-        return series
-
-    def _set_columns(self, times, *values, holidays, filled):
+        filled: Sequence = (),
+    ):
+        if not isinstance(times, np.ndarray) and any(getattr(t, "tzinfo", None) is not None for t in times):
+            raise ValueError("timestamps must be naive local time")
         self.holidays: frozenset[date] = frozenset(holidays)
-        self.filled: frozenset[datetime] = frozenset(filled)
+        self.filled = np.sort(np.array(filled, dtype=TIME_DTYPE).reshape(-1))
+        self.filled.flags.writeable = False
         columns = {"times": np.array(times, dtype=TIME_DTYPE).reshape(-1)}
+        values = (demand, spot_price, dry_bulb_temp, dew_point, day_ahead_price)
         for name, column in zip(_VALUE_COLUMNS, values):
             columns[name] = np.array(column, dtype=float).reshape(-1)
             if len(columns[name]) != len(columns["times"]):
@@ -188,13 +113,10 @@ class RecordSeries:
     def __len__(self) -> int:
         return len(self.times)
 
-    def __iter__(self) -> Iterator[tuple[HourlyRecord, CalendarFeatures]]:
-        return iter(zip(self.records, self.calendar))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._view(index)
-        return self.records[index], self.calendar[index]
+    def __getitem__(self, index: slice) -> "RecordSeries":
+        if not isinstance(index, slice):
+            raise TypeError(f"RecordSeries indices must be slices, not {type(index).__name__}")
+        return self._view(index)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RecordSeries):
@@ -209,37 +131,6 @@ class RecordSeries:
             return "RecordSeries(empty)"
         first, last = self.times[[0, -1]].tolist()
         return f"RecordSeries({len(self)} hours, {iso_minutes(first)} .. {iso_minutes(last)})"
-
-    @cached_property
-    def records(self) -> tuple[HourlyRecord, ...]:
-        day_ahead = [None if math.isnan(v) else v for v in self.day_ahead_price.tolist()]
-        return tuple(
-            map(
-                HourlyRecord,
-                self.times.tolist(),
-                self.demand.tolist(),
-                self.spot_price.tolist(),
-                self.dry_bulb_temp.tolist(),
-                self.dew_point.tolist(),
-                day_ahead,
-            )
-        )
-
-    @cached_property
-    def calendar(self) -> tuple[CalendarFeatures, ...]:
-        return tuple(
-            CalendarFeatures(hour, month, holiday, weekday == 5, weekday == 6)
-            for hour, month, holiday, weekday in zip(
-                self.hour_of_day.tolist(),
-                self.month.tolist(),
-                self.is_holiday.tolist(),
-                self.weekday.tolist(),
-            )
-        )
-
-    @property
-    def timestamps(self) -> tuple[datetime, ...]:
-        return tuple(self.times.tolist())
 
     def between(self, start: datetime, end: datetime) -> "RecordSeries":
         """Sub-series with start <= timestamp < end."""

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from drspot.market_data import HourlyRecord, RecordSeries
+from drspot.market_data import RecordSeries
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = REPO_ROOT / "data"
@@ -27,17 +27,8 @@ def build_series(
     n = len(demand)
     temp = [72.0] * n if temp is None else temp
     dew = [60.0] * n if dew is None else dew
-    records = [
-        HourlyRecord(
-            timestamp=start + timedelta(hours=i),
-            demand=float(demand[i]),
-            spot_price=float(price[i]),
-            dry_bulb_temp=float(temp[i]),
-            dew_point=float(dew[i]),
-        )
-        for i in range(n)
-    ]
-    return RecordSeries(records, holidays=holidays)
+    times = np.datetime64(start, "us") + np.arange(n) * np.timedelta64(1, "h")
+    return RecordSeries(times, demand, price, temp, dew, np.full(n, np.nan), holidays=holidays)
 
 
 def synthetic_market(
@@ -46,6 +37,7 @@ def synthetic_market(
     start: datetime = MONDAY,
     demand_coeff: float = 0.03,
     noise_sd: float = 1.0,
+    holidays=(),
 ) -> RecordSeries:
     """Synthetic hourly market whose price is linear in the regressors.
 
@@ -81,7 +73,7 @@ def synthetic_market(
         + rng.normal(0.0, noise_sd, n)
     )
     assert demand.min() > 0 and price.min() > 0
-    return build_series(demand, price, temp, dew, start=start)
+    return build_series(demand, price, temp, dew, start=start, holidays=holidays)
 
 
 # Compact candidate pool matching the synthetic generator's true model.

@@ -186,7 +186,7 @@ def test_criterion_7_historical_dataset_reproduction():
     series = parse_hourly_csv(csv_path)
     start = datetime(2014, 8, 18)
     end = datetime(2014, 8, 25)
-    history = series.between(series.records[0].timestamp, start)
+    history = series.between(series.times[0], start)
     study = series.between(start, end)
     assert len(study) == 168, "study window must cover Aug 18-24 2014"
     result = run_scenario(history, study, ScenarioConfig())

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
-import dataclasses
+import csv
 import json
+import math
 import subprocess
 import sys
-from datetime import datetime
+import tempfile
+from datetime import date, datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from conftest import DATA_DIR, synthetic_market
 from drspot import pipeline
 from drspot.cli import main
@@ -220,7 +225,7 @@ class TestOutputBytes:
         assert run_simulate(market_csv, compact_config, out) == 0
         settings, history, study = self._split(market_csv, compact_config)
         r = pipeline.run_scenario(history, study, settings.scenario)
-        ts = r.timestamps
+        ts = r.times.tolist()
         expected = {
             "result.csv": reference_csv(
                 pipeline.RESULT_COLUMNS, ts, r.baseline_demand, r.forecast_price, r.dr_demand,
@@ -247,7 +252,8 @@ class TestOutputBytes:
         spec, model, _ = pipeline.fit_price_model(history, settings.scenario)
         forecast = predict(model, design_matrix(study, spec))
         header = ("timestamp", "spot_price", "forecast_price")
-        assert out.read_bytes() == reference_csv(header, study.timestamps, study.spot_price, forecast).encode()
+        expected = reference_csv(header, study.times.tolist(), study.spot_price, forecast)
+        assert out.read_bytes() == expected.encode()
 
 
 class TestTimestampErrors:
@@ -350,15 +356,127 @@ class TestBadValues:
     def test_zero_baseline_window_exits_1(self, compact_config, tmp_path, capsys):
         market = synthetic_market(28, seed=80)
         window_start = 21 * 24
-        records = [
-            dataclasses.replace(record, demand=0.0) if i >= window_start else record
-            for i, record in enumerate(market.records)
-        ]
+        columns = reference.columns(market)
+        columns[1] = np.where(np.arange(len(market)) >= window_start, 0.0, market.demand)
         path = tmp_path / "zero_window.csv"
-        write_hourly_csv(RecordSeries(records), path)
+        write_hourly_csv(RecordSeries(*columns), path)
         rc = run_simulate(path, compact_config, tmp_path / "out")
         assert rc == 1
         assert "baseline energy" in capsys.readouterr().err
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--gate", "nan"], "--gate must be a finite number > 0, got nan"),
+            (["fit", "--gate", "inf"], "--gate must be a finite number > 0, got inf"),
+            (["fit", "--gate", "0"], "--gate must be a finite number > 0, got 0.0"),
+            (["fit", "--holdout-days", "0"], "--holdout-days must be >= 1, got 0"),
+            (["simulate", "--window-start", "2021-06-28", "--days", "-1"], "--days must be >= 1, got -1"),
+            (["forecast", "--window-start", "2021-06-28", "--days", "0"], "--days must be >= 1, got 0"),
+        ],
+    )
+    def test_out_of_range_flag_exits_1(self, market_csv, compact_config, tmp_path, capsys, argv, message):
+        command, *flags = argv
+        common = ["--data", str(market_csv), "--config", str(compact_config), "--out", str(tmp_path / "out")]
+        assert main([command, *common, *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestMalformedCsv:
+    def test_oversized_cell_exits_1(self, market_csv, compact_config, tmp_path, capsys):
+        lines = market_csv.read_text().splitlines()
+        fields = lines[40].split(",")
+        fields[2] = '"' + "1" * (csv.field_size_limit() + 1) + '"'
+        lines[40] = ",".join(fields)
+        market_csv.write_text("\n".join(lines) + "\n")
+        assert run_simulate(market_csv, compact_config, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert "load: row 41: malformed CSV: field larger than field limit" in err
+        assert "Traceback" not in err
+
+
+_ELASTICITY_KEYS = (
+    "peak_peak", "peak_offpeak", "peak_low",
+    "offpeak_peak", "offpeak_offpeak", "offpeak_low",
+    "low_peak", "low_offpeak", "low_low",
+)
+_SELF_KEYS = {"peak_peak", "offpeak_offpeak", "low_low"}
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10**6), st.floats(), st.text(max_size=4)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _or_junk(valid):
+    """Mostly a valid value, sometimes any JSON value (NaN and infinities included)."""
+    return st.one_of(valid, valid, _json_values)
+
+
+_config_json = st.fixed_dictionaries(
+    {},
+    optional={
+        "flat_rate": _or_junk(st.floats(1.0, 200.0)),
+        "ferms_gate": _or_junk(st.floats(1.0, 100.0)),
+        "holdout_days": _or_junk(st.integers(1, 25)),
+        "significance_thresholds": _or_junk(st.just([1.3, 1.69, 2.45])),
+        "elasticity": _or_junk(
+            st.fixed_dictionaries(
+                {
+                    key: _or_junk(st.floats(-1.0, 0.0) if key in _SELF_KEYS else st.floats(0.0, 0.1))
+                    for key in _ELASTICITY_KEYS
+                }
+            )
+        ),
+        "periods": _or_junk(
+            st.permutations(range(1, 25)).map(lambda h: {"peak": h[:8], "offpeak": h[8:16], "low": h[16:]})
+        ),
+        "feature_candidates": _or_junk(st.just(["intercept", "demand", "temperature", "saturday", "sunday"])),
+        "base_features": _or_junk(st.just(["intercept", "demand"])),
+        "columns": _or_junk(st.just({})),
+        "holidays": _or_junk(st.lists(st.dates(date(2021, 6, 7), date(2021, 7, 4)).map(date.isoformat), max_size=3)),
+        "holidays_file": _json_values,
+        "extra_key": _json_values,
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def module_market_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("market") / "market.csv"
+    write_hourly_csv(synthetic_market(17, seed=80), path)  # 14 days of history, a 3-day window
+    return path
+
+
+def _all_finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(map(_all_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_all_finite, value))
+    return True
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=_config_json)
+def test_random_config_exits_cleanly_and_finite(module_market_csv, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = f"{tmp}/config.json"
+        with open(config_path, "w") as handle:
+            json.dump(config, handle)  # NaN and infinities as JSON's NaN/Infinity tokens
+        rc = run_simulate(module_market_csv, config_path, f"{tmp}/out", "2021-06-21", 3)
+        assert rc in (0, 1, 2)
+        if rc == 0:
+            rows = [line.split(",") for line in open(f"{tmp}/out/result.csv").read().splitlines()[1:]]
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
+            with open(f"{tmp}/out/summary.json") as handle:
+                assert _all_finite(json.load(handle))
 
 
 class TestConfigEnvVar:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from datetime import date
 
 import pytest
@@ -118,3 +119,61 @@ def test_env_var_fallback(monkeypatch):
     monkeypatch.setenv(CONFIG_ENV_VAR, "from_env.json")
     assert resolve_config_path(None) == "from_env.json"
     assert resolve_config_path("explicit.json") == "explicit.json"
+
+
+_ZERO_TABLE = {k: 0.0 for k in (
+    "peak_peak", "peak_offpeak", "peak_low",
+    "offpeak_peak", "offpeak_offpeak", "offpeak_low",
+    "low_peak", "low_offpeak", "low_low",
+)}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"flat_rate": None}, "flat_rate must be a number, got None"),
+        ({"flat_rate": "30"}, "flat_rate must be a number"),
+        ({"ferms_gate": True}, "ferms_gate must be a number, got True"),
+        ({"flat_rate": 10**400}, "flat_rate is out of range"),
+        ({"holdout_days": 1.5}, "holdout_days must be an integer, got 1.5"),
+        ({"holdout_days": 2.0}, "holdout_days must be an integer, got 2.0"),
+        ({"holdout_days": True}, "holdout_days must be an integer, got True"),
+        ({"holidays": 5}, "holidays must be a list, got 5"),
+        ({"holidays": [20140704]}, "holidays must be ISO dates"),
+        ({"holidays_file": 5}, "holidays_file must be a path"),
+        ({"significance_thresholds": 2.0}, "significance_thresholds must be a list"),
+        ({"significance_thresholds": [1, "2", 3]}, "significance_thresholds must be a number"),
+        ({"elasticity": [1, 2]}, "elasticity must be an object"),
+        ({"elasticity": {**_ZERO_TABLE, "low_low": None}}, "elasticity.low_low must be a number"),
+        ({"periods": {"peak": [13.7], "offpeak": [], "low": []}}, "periods.peak must be integer hours, got 13.7"),
+        ({"periods": {"peak": 5, "offpeak": [], "low": []}}, "periods.peak must be a list"),
+        ({"feature_candidates": "intercept"}, "feature_candidates must be a list"),
+        ({"base_features": [{"name": "intercept"}]}, "base_features must be feature names"),
+        ({"columns": ["demand_mwh"]}, "columns must be an object"),
+        ({"columns": {"demand_mwh": 3}}, "columns must be CSV column names"),
+    ],
+)
+def test_wrong_json_types_rejected(tmp_path, data, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_settings(write_config(tmp_path, data))
+
+
+def test_whole_hours_written_as_floats_rejected(tmp_path):
+    periods = {"peak": list(range(13, 21)), "offpeak": list(range(9, 13)) + list(range(21, 25)),
+               "low": [1.0, 2, 3, 4, 5, 6, 7, 8]}
+    with pytest.raises(ConfigError, match="periods.low must be integer hours, got 1.0"):
+        load_settings(write_config(tmp_path, {"periods": periods}))
+
+
+@pytest.mark.parametrize("key", ["flat_rate", "ferms_gate"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_rate_and_gate_rejected(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be finite and > 0"):
+        load_settings(write_config(tmp_path, {key: value}))
+
+
+@pytest.mark.parametrize("entry", ["peak_peak", "low_offpeak"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_elasticity_rejected(tmp_path, entry, value):
+    with pytest.raises(ConfigError, match=f"elasticity {entry} must be finite"):
+        load_settings(write_config(tmp_path, {"elasticity": {**_ZERO_TABLE, entry: value}}))

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drspot.elasticity import (
     DayVectors,
@@ -77,6 +79,14 @@ class TestElasticityTable:
     def test_negative_cross_elasticity_rejected(self):
         with pytest.raises(ValueError):
             ElasticityTable(-0.1, -0.01, 0, 0, -0.1, 0, 0, 0, -0.1)
+
+    @pytest.mark.parametrize("index", [0, 1, 4, 7])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entry_rejected(self, index, value):
+        entries = [-0.1, 0.01, 0.01, 0.01, -0.1, 0.01, 0.01, 0.01, -0.1]
+        entries[index] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            ElasticityTable(*entries)
 
 
 class TestBuildMatrix:
@@ -216,6 +226,55 @@ class TestMultiHour:
         day = DayVectors([100.0] * 24, [30.0] * 24, [30.0] * 24)
         with pytest.raises(ValueError):
             multi_hour_response(day, np.zeros((3, 3)))
+        days = DayVectors(np.full((2, 24), 100.0), np.full((2, 24), 30.0), np.full((2, 24), 30.0))
+        with pytest.raises(ValueError):
+            multi_hour_response(days, np.zeros((48, 48)))
+
+    @pytest.mark.parametrize(
+        "shapes", [((2, 24), (24,), (2, 24)), ((2, 24), (2, 24), (3, 24)), ((2, 3, 4),) * 3, ((),) * 3]
+    )
+    def test_day_vector_shapes_checked(self, shapes):
+        with pytest.raises(ValueError, match="equal-shape"):
+            DayVectors(*(np.full(shape, 30.0) for shape in shapes))
+
+
+def per_day_response(d0, p0, p, matrix):
+    """The per-day loop the batched response replaces: one matrix-vector
+    product per day, clamped at zero."""
+    demand, clamped = np.empty_like(d0), np.zeros(d0.shape, dtype=bool)
+    for k in range(len(d0)):
+        raw = d0[k] * (1.0 + matrix @ ((p[k] - p0[k]) / p0[k]))
+        clamped[k] = raw < 0
+        demand[k] = np.where(clamped[k], 0.0, raw)
+    return demand, clamped
+
+
+_self_elasticity = st.floats(-2.0, 0.0)
+_cross_elasticity = st.floats(0.0, 0.5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    days=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    table=st.builds(
+        ElasticityTable,
+        _self_elasticity, _cross_elasticity, _cross_elasticity,
+        _cross_elasticity, _self_elasticity, _cross_elasticity,
+        _cross_elasticity, _cross_elasticity, _self_elasticity,
+    ),
+)
+def test_batched_response_equals_per_day_loop(days, seed, table):
+    rng = np.random.default_rng(seed)
+    matrix = build_elasticity_matrix(table, random_period_config(rng))
+    d0 = rng.uniform(0, 5000, (days, 24)) * (rng.random((days, 24)) > 0.05)  # some hours at zero
+    p0 = rng.uniform(1, 100, (days, 24))
+    p = p0 * rng.uniform(0.0, 4.0, (days, 24))  # far enough from p0 to clamp hours
+    demand, clamped = per_day_response(d0, p0, p, matrix)
+    response = multi_hour_response(DayVectors(d0, p0, p), matrix)
+    assert np.array_equal(response.demand, demand)
+    assert np.array_equal(response.clamped, clamped)
+    assert response.demand.shape == response.clamped.shape == (days, 24)
 
 
 class TestImpliedPrice:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import io
 from datetime import date, datetime, timedelta, timezone
 
@@ -8,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from drspot import market_data
 from drspot.market_data import (
     GapError,
-    HourlyRecord,
     MissingColumnError,
     ParseError,
     RecordSeries,
-    derive_calendar,
     float_strings,
     parse_hourly_csv,
     read_holidays,
@@ -24,6 +24,7 @@ from drspot.market_data import (
     validate_series,
     write_hourly_csv,
 )
+from reference import HourlyRecord, derive_calendar, series_from_records
 
 CSV_3ROWS = """timestamp,demand_mwh,spot_price,dry_bulb_f,dew_point_f
 2014-08-18T00:00,1000.0,25.5,70.0,58.0
@@ -35,7 +36,8 @@ CSV_3ROWS = """timestamp,demand_mwh,spot_price,dry_bulb_f,dew_point_f
 def test_parse_minimal_csv():
     series = parse_hourly_csv(io.StringIO(CSV_3ROWS))
     assert len(series) == 3
-    rec, cal = series[0]
+    rec, cal = reference.hours(series)[0]
+    assert series.hour_of_day[0] == 1
     assert rec.timestamp == datetime(2014, 8, 18, 0)
     assert rec.demand == 1000.0
     assert rec.spot_price == 25.5
@@ -59,12 +61,12 @@ def test_parse_gap_permissive_fills_and_flags():
     del lines[2]
     series = parse_hourly_csv(io.StringIO("\n".join(lines)), strict=False)
     assert len(series) == 3
-    filled_rec, _ = series[1]
+    filled_rec = reference.records(series)[1]
     assert filled_rec.timestamp == datetime(2014, 8, 18, 1)
     assert filled_rec.demand == pytest.approx(950.0)       # linear between 1000 and 900
     assert filled_rec.dry_bulb_temp == pytest.approx(69.0)
     assert filled_rec.spot_price == 25.5                   # forward-filled
-    assert series.filled == {datetime(2014, 8, 18, 1)}
+    assert series.filled.tolist() == [datetime(2014, 8, 18, 1)]
     assert validate_series(series) == []
 
 
@@ -99,7 +101,7 @@ def test_parse_schema_remap():
         io.StringIO(renamed), schema={"demand_mwh": "Load", "spot_price": "RT_LMP"}
     )
     assert len(series) == 3
-    assert series.records[0].demand == 1000.0
+    assert series.demand[0] == 1000.0
 
 
 def test_parse_optional_da_price():
@@ -109,8 +111,9 @@ def test_parse_optional_da_price():
         "2014-08-18T01:00,950.0,24.0,69.0,57.5,\n"
     )
     series = parse_hourly_csv(io.StringIO(content))
-    assert series.records[0].day_ahead_price == 26.0
-    assert series.records[1].day_ahead_price is None
+    assert series.day_ahead_price[0] == 26.0
+    assert np.isnan(series.day_ahead_price[1])
+    assert [r.day_ahead_price for r in reference.records(series)] == [26.0, None]
 
 
 def test_parse_bad_timestamp():
@@ -179,7 +182,7 @@ def test_parse_keeps_rows_and_gaps_across_chunks():
     edge = market_data._CHUNK_ROWS  # data rows are converted this many at a time
     start = datetime(2020, 12, 31, 0)
     records = [_record(start + timedelta(hours=h), demand=float(h)) for h in range(2 * edge + 100)]
-    series = RecordSeries(records)
+    series = series_from_records(records)
     lines = series_to_csv(series).splitlines()  # lines[k] is file row k + 1
     assert parse_hourly_csv(io.StringIO("\n".join(lines))) == series
 
@@ -189,7 +192,7 @@ def test_parse_keeps_rows_and_gaps_across_chunks():
     assert excinfo.value.missing == records[edge - 1].timestamp
     filled = parse_hourly_csv(io.StringIO("\n".join(holed)), strict=False)
     assert filled == series
-    assert filled.filled == {records[edge - 1].timestamp, records[edge].timestamp}
+    assert filled.filled.tolist() == [records[edge - 1].timestamp, records[edge].timestamp]
 
     repeated = lines[: edge + 1] + [lines[edge]] + lines[edge + 1 :]
     with pytest.raises(GapError, match=f"row {edge + 2}: duplicate hour "):
@@ -204,28 +207,36 @@ def test_parse_keeps_rows_and_gaps_across_chunks():
     assert (excinfo.value.row, excinfo.value.column) == (2 * edge + 6, "demand_mwh")
 
 
+def _checked_calendar(ts, holidays=frozenset()):
+    """derive_calendar of ``ts``, after checking that the columns of a
+    one-hour series give the same features."""
+    cal = derive_calendar(ts, holidays)
+    assert reference.calendar(series_from_records([_record(ts)], holidays)) == [cal]
+    return cal
+
+
 def test_derive_calendar_weekday():
-    cal = derive_calendar(datetime(2014, 8, 18, 13))  # a Monday
+    cal = _checked_calendar(datetime(2014, 8, 18, 13))  # a Monday
     assert cal.hour_of_day == 14
     assert cal.month == 8
     assert not cal.is_holiday and not cal.is_saturday and not cal.is_sunday
 
 
 def test_derive_calendar_sunday_midnight():
-    cal = derive_calendar(datetime(2014, 8, 24, 0))
+    cal = _checked_calendar(datetime(2014, 8, 24, 0))
     assert cal.hour_of_day == 1
     assert cal.is_sunday and not cal.is_saturday
 
 
 def test_derive_calendar_saturday():
-    cal = derive_calendar(datetime(2014, 8, 23, 12))
+    cal = _checked_calendar(datetime(2014, 8, 23, 12))
     assert cal.is_saturday and not cal.is_sunday
 
 
 def test_derive_calendar_holiday():
     holidays = {date(2014, 7, 4)}
-    assert derive_calendar(datetime(2014, 7, 4, 9), holidays).is_holiday
-    assert not derive_calendar(datetime(2014, 7, 5, 9), holidays).is_holiday
+    assert _checked_calendar(datetime(2014, 7, 4, 9), holidays).is_holiday
+    assert not _checked_calendar(datetime(2014, 7, 5, 9), holidays).is_holiday
 
 
 def test_derive_calendar_is_pure():
@@ -237,10 +248,12 @@ def test_derive_calendar_is_pure():
 def test_calendar_hour_range_over_full_day():
     hours = [derive_calendar(datetime(2014, 8, 18, h)).hour_of_day for h in range(24)]
     assert hours == list(range(1, 25))
+    day = series_from_records([_record(datetime(2014, 8, 18, h)) for h in range(24)])
+    assert day.hour_of_day.tolist() == list(range(1, 25))
 
 
 def _series(records):
-    return RecordSeries(records)
+    return series_from_records(records)
 
 
 def _record(ts, demand=100.0):
@@ -292,7 +305,7 @@ def test_csv_round_trip():
         )
         for h in range(48)
     ]
-    series = RecordSeries(records, holidays={date(2014, 8, 19)})
+    series = series_from_records(records, holidays={date(2014, 8, 19)})
     text = series_to_csv(series)
     reparsed = parse_hourly_csv(io.StringIO(text), holidays={date(2014, 8, 19)})
     assert reparsed == series
@@ -310,7 +323,7 @@ def test_series_slicing_and_between():
     front = series[:6]
     assert isinstance(front, RecordSeries) and len(front) == 6
     window = series.between(datetime(2014, 8, 18, 6), datetime(2014, 8, 18, 9))
-    assert [r.timestamp.hour for r in window.records] == [6, 7, 8]
+    assert [ts.hour for ts in window.times.tolist()] == [6, 7, 8]
 
 
 def test_slices_share_columns_and_are_read_only():
@@ -355,27 +368,27 @@ def test_columnar_calendar_slices_and_between_match_per_record_reference(
 ):
     holidays = {start.date() + timedelta(days=d) for d in holiday_days}
     records = [_record(start + timedelta(hours=h), demand=float(h)) for h in range(hours)]
-    series = RecordSeries(records, holidays=holidays)
+    series = series_from_records(records, holidays=holidays)
 
     expected = [derive_calendar(r.timestamp, holidays) for r in records]
-    assert list(series.calendar) == expected
+    assert reference.calendar(series) == expected
     assert series.hour_of_day.tolist() == [c.hour_of_day for c in expected]
     assert series.month.tolist() == [c.month for c in expected]
     assert series.is_holiday.tolist() == [c.is_holiday for c in expected]
     assert series.weekday.tolist() == [r.timestamp.weekday() for r in records]
-    assert list(series.records) == records
+    assert reference.records(series) == records
 
     a, b = cut
     part = series[a:b]
-    assert list(part.records) == records[a:b]
-    assert list(part.calendar) == expected[a:b]
+    assert reference.records(part) == records[a:b]
+    assert reference.calendar(part) == expected[a:b]
 
     lo = start + timedelta(hours=window[0], minutes=window[2])
     hi = start + timedelta(hours=window[1])
     kept = [i for i, r in enumerate(records) if lo <= r.timestamp < hi]
     between = series.between(lo, hi)
-    assert list(between.records) == [records[i] for i in kept]
-    assert list(between.calendar) == [expected[i] for i in kept]
+    assert reference.records(between) == [records[i] for i in kept]
+    assert reference.calendar(between) == [expected[i] for i in kept]
 
     assert parse_hourly_csv(io.StringIO(series_to_csv(series)), holidays=holidays) == series
 
@@ -385,7 +398,6 @@ def test_column_formatters_match_per_value_reference():
     assert float_strings(np.array(values)) == [repr(float(v)) for v in values]
     stamps = [datetime(1900, 3, 1, 5), datetime(1969, 12, 31, 23), datetime(2024, 2, 29, 0)]
     expected = [ts.isoformat(timespec="minutes") for ts in stamps]
-    assert stamp_strings(stamps) == expected
     assert stamp_strings(np.array(stamps, dtype="datetime64[us]")) == expected
 
 
@@ -397,3 +409,45 @@ def test_read_holidays(tmp_path):
     bad.write_text("07/04/2014\n")
     with pytest.raises(ParseError):
         read_holidays(bad)
+
+
+def test_series_takes_slices_only():
+    series = _series([_record(datetime(2014, 8, 18, h)) for h in range(3)])
+    with pytest.raises(TypeError, match="slices"):
+        series[0]
+
+
+def test_filled_is_a_sorted_read_only_column():
+    stamps = [datetime(2014, 8, 18, 5), datetime(2014, 8, 18, 2)]
+    ones = [1.0] * 8
+    series = RecordSeries([datetime(2014, 8, 18, h) for h in range(8)], ones, ones, ones, ones, ones, filled=stamps)
+    assert series.filled.dtype == np.dtype("datetime64[us]")
+    assert series.filled.tolist() == sorted(stamps)
+    assert series[2:4].filled is series.filled
+    with pytest.raises(ValueError):
+        series.filled[0] = np.datetime64("2014-08-18T03:00")
+    assert parse_hourly_csv(io.StringIO(CSV_3ROWS)).filled.tolist() == []
+
+
+def test_parse_oversized_cell_names_file_line():
+    limit = csv.field_size_limit()
+    lines = CSV_3ROWS.splitlines()
+    lines[2] = lines[2].replace("950.0", '"' + "9" * (limit + 1) + '"')
+    with pytest.raises(ParseError) as excinfo:
+        parse_hourly_csv(io.StringIO("\n".join(lines)))
+    assert excinfo.value.row == 3
+    assert str(excinfo.value) == f"row 3: malformed CSV: field larger than field limit ({limit})"
+
+    # A bad cell on an earlier row is still reported first; in the header the
+    # reader's error is reported as is.
+    earlier = lines[:1] + [lines[1].replace("1000.0", "abc")] + lines[2:]
+    with pytest.raises(ParseError, match="row 2, column 'demand_mwh'"):
+        parse_hourly_csv(io.StringIO("\n".join(earlier)))
+    with pytest.raises(ParseError, match="row 1: malformed CSV"):
+        parse_hourly_csv(io.StringIO('"' + "t" * (limit + 1) + '"\n'))
+
+
+def test_parse_path_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "excel.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + CSV_3ROWS.encode())
+    assert parse_hourly_csv(path) == parse_hourly_csv(io.StringIO(CSV_3ROWS))

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import io
-from datetime import timedelta
+from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from conftest import MONDAY, SYNTHETIC_CANDIDATES, build_series, synthetic_market
 from drspot.elasticity import ElasticityTable
+from drspot.market_data import RecordSeries
 from drspot.pipeline import (
     EmptyWindowError,
     ModelRejectedError,
@@ -42,14 +46,14 @@ def dummy_model():
     return fit_ols(np.ones((3, 1)), np.array([1.0, 1.0, 1.0]))
 
 
-def make_result(baseline_demand, forecast, dr_demand, baseline_spot, updated, clamps=None):
+def make_result(baseline_demand, forecast, dr_demand, updated, clamps=None):
+    """A result whose baseline spot price is, as in run_scenario, the forecast."""
     n = len(baseline_demand)
     return ScenarioResult(
-        timestamps=tuple(MONDAY + timedelta(hours=i) for i in range(n)),
+        times=np.datetime64(MONDAY, "us") + np.arange(n) * np.timedelta64(1, "h"),
         baseline_demand=np.asarray(baseline_demand, float),
         forecast_price=np.asarray(forecast, float),
         dr_demand=np.asarray(dr_demand, float),
-        baseline_spot_price=np.asarray(baseline_spot, float),
         updated_spot_price=np.asarray(updated, float),
         clamp_flags=np.zeros(n, bool) if clamps is None else np.asarray(clamps, bool),
         model=dummy_model(),
@@ -76,7 +80,7 @@ class TestImpactSummary:
     def test_no_change_means_zero_deltas(self):
         demand = [100.0, 200.0]
         price = [50.0, 20.0]
-        summary = impact_summary(make_result(demand, price, demand, price, price))
+        summary = impact_summary(make_result(demand, price, demand, price))
         assert summary.delta_energy_mwh == 0.0
         assert summary.delta_energy_pct == 0.0
         assert summary.delta_cost == 0.0
@@ -88,7 +92,6 @@ class TestImpactSummary:
                 baseline_demand=[100.0, 100.0],
                 forecast=[50.0, 10.0],
                 dr_demand=[90.0, 110.0],
-                baseline_spot=[50.0, 10.0],
                 updated=[40.0, 12.0],
             )
         )
@@ -103,7 +106,7 @@ class TestImpactSummary:
 
     def test_empty_window(self):
         with pytest.raises(EmptyWindowError):
-            impact_summary(make_result([], [], [], [], []))
+            impact_summary(make_result([], [], [], []))
 
     @pytest.mark.parametrize(
         "demand, price",
@@ -112,7 +115,13 @@ class TestImpactSummary:
     )
     def test_zero_baseline_raises(self, demand, price):
         with pytest.raises(ZeroBaselineError, match="non-zero"):
-            impact_summary(make_result(demand, price, [1.0, 1.0], price, price))
+            impact_summary(make_result(demand, price, [1.0, 1.0], price))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_aggregate_raises(self):
+        # Finite hours whose cost overflows: the summary would read inf and NaN.
+        with pytest.raises(ValueError, match="not finite"):
+            impact_summary(make_result([1.0, 1.0], [1e200, 1e200], [1e200, 1e200], [1e200, 1e200]))
 
     def test_accounting_identity_and_pct_consistency(self):
         rng = np.random.default_rng(40)
@@ -124,7 +133,6 @@ class TestImpactSummary:
                 baseline_demand,
                 rng.uniform(10, 80, n),
                 dr_demand,
-                rng.uniform(10, 80, n),
                 rng.uniform(10, 80, n),
             )
         )
@@ -207,6 +215,13 @@ class TestRunScenario:
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
         assert a.holdout_ferms == b.holdout_ferms
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_response_rejected(self):
+        history, study = split_market(21, 7, seed=57)
+        # p0 so small that (p - p0) / p0 overflows to infinity
+        with pytest.raises(ValueError, match="not finite"):
+            run_scenario(history, study, fast_config(flat_rate=5e-324))
+
     def test_partial_day_window_rejected(self):
         history, study = split_market(21, 7, seed=55)
         with pytest.raises(ValueError):
@@ -219,11 +234,10 @@ class TestRunScenario:
 
     def test_invalid_history_rejected(self):
         history, study = split_market(21, 7, seed=57)
-        broken = history[: 5 * 24].records + history[6 * 24 :].records  # one-day hole
-        from drspot.market_data import RecordSeries
-
+        hole = np.s_[5 * 24 : 6 * 24]  # one day
+        broken = [np.delete(column, hole) for column in reference.columns(history)]
         with pytest.raises(ValueError):
-            run_scenario(RecordSeries(broken), study, fast_config())
+            run_scenario(RecordSeries(*broken), study, fast_config())
 
 
 class TestSplitTrainHoldout:
@@ -231,7 +245,7 @@ class TestSplitTrainHoldout:
         series = synthetic_market(10, seed=58)
         train, holdout = split_train_holdout(series, 3)
         assert len(train) == 7 * 24 and len(holdout) == 3 * 24
-        assert holdout.records[0].timestamp == series.records[7 * 24].timestamp
+        assert holdout.times[0] == series.times[7 * 24]
 
     def test_history_too_short(self):
         series = synthetic_market(3, seed=59)
@@ -243,11 +257,12 @@ class TestResultCsv:
     def test_bytes_match_per_row_reference(self):
         rng = np.random.default_rng(71)
         n = 48
-        columns = [rng.normal(0.0, 1e3, n) for _ in range(5)]
-        columns[0][:4] = [0.0, -0.0, 5e-324, 1e300]
-        result = make_result(*columns, clamps=rng.random(n) < 0.3)
+        demand, forecast, dr_demand, updated = (rng.normal(0.0, 1e3, n) for _ in range(4))
+        demand[:4] = [0.0, -0.0, 5e-324, 1e300]
+        result = make_result(demand, forecast, dr_demand, updated, clamps=rng.random(n) < 0.3)
+        columns = [demand, forecast, dr_demand, forecast, updated]  # baseline_spot_price is the forecast
         lines = [",".join(RESULT_COLUMNS)]
-        for i, ts in enumerate(result.timestamps):
+        for i, ts in enumerate(result.times.tolist()):
             cells = [repr(float(col[i])) for col in columns]
             flag = "1" if result.clamp_flags[i] else "0"
             lines.append(",".join([ts.isoformat(timespec="minutes"), *cells, flag]))
@@ -264,7 +279,30 @@ class TestResultCsv:
         assert lines[0] == ",".join(RESULT_COLUMNS)
         assert len(lines) == len(result) + 1
         first = lines[1].split(",")
-        assert first[0] == result.timestamps[0].isoformat(timespec="minutes")
+        assert first[0] == result.times[0].item().isoformat(timespec="minutes")
         assert float(first[1]) == result.baseline_demand[0]
         assert float(first[5]) == result.updated_spot_price[0]
         assert first[6] in ("0", "1")
+
+
+class TestScenarioConfig:
+    @pytest.mark.parametrize("key", ["flat_rate", "ferms_gate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rate_and_gate_must_be_finite_and_positive(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite and > 0"):
+            ScenarioConfig(**{key: value})
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    history_days=st.integers(14, 28),
+    study_days=st.integers(1, 10),
+    seed=st.integers(0, 2**16),
+    start=st.sampled_from([datetime(2021, 6, 7), datetime(2021, 12, 20), datetime(2020, 2, 24)]),
+)
+def test_zero_elasticity_leaves_market_exactly_unchanged(history_days, study_days, seed, start):
+    history, study = split_market(history_days, study_days, seed=seed, start=start)
+    result = run_scenario(history, study, fast_config(elasticity_table=ElasticityTable.zero()))
+    assert np.array_equal(result.dr_demand, result.baseline_demand)
+    assert np.array_equal(result.updated_spot_price, result.baseline_spot_price)
+    assert not result.clamp_flags.any()

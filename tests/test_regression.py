@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import DATA_DIR, SYNTHETIC_CANDIDATES, build_series, synthetic_market
 from drspot.config import load_settings
 from drspot.market_data import RecordSeries, parse_hourly_csv
@@ -21,13 +22,11 @@ from drspot.regression import (
     RegressionModel,
     SignificanceLevel,
     ZeroMeanActualError,
-    build_design_row,
     design_matrix,
     ferms,
     fit_ols,
     forward_select,
     predict,
-    price_vector,
     significance_level,
     validate_feature_spec,
 )
@@ -54,51 +53,54 @@ class TestFeatureSpec:
             validate_feature_spec(("intercept", "hour24"))
 
 
+def one_hour_row(series, i, spec):
+    """The design row of hour ``i`` alone, from a one-hour slice."""
+    return design_matrix(series[i : i + 1], spec)[0]
+
+
 class TestDesignRow:
     def _series_for_hour(self, hour_of_day):
         # one day starting Monday midnight; hour_of_day k is record k-1
         series = synthetic_market(1, seed=0)
-        return series[hour_of_day - 1]
+        return series[hour_of_day - 1 : hour_of_day]
 
     def test_hour24_is_reference_level(self):
-        record, cal = self._series_for_hour(24)
-        assert cal.hour_of_day == 24
-        row = build_design_row(record, cal, FULL_FEATURES)
+        hour = self._series_for_hour(24)
+        assert hour.hour_of_day[0] == 24
+        row = design_matrix(hour, FULL_FEATURES)[0]
         hour_block = row[1:24]
         assert np.all(hour_block == 0.0)
 
     def test_hour5_one_hot(self):
-        record, cal = self._series_for_hour(5)
-        row = build_design_row(record, cal, FULL_FEATURES)
+        row = design_matrix(self._series_for_hour(5), FULL_FEATURES)[0]
         hour_block = row[1:24]
         assert hour_block[4] == 1.0 and hour_block.sum() == 1.0
 
     def test_numeric_features_pass_through(self):
-        record, cal = self._series_for_hour(14)
-        row = build_design_row(record, cal, ("intercept", "demand", "temperature", "dew_point", "month"))
+        hour = self._series_for_hour(14)
+        row = design_matrix(hour, ("intercept", "demand", "temperature", "dew_point", "month"))[0]
         assert row[0] == 1.0
-        assert row[1] == record.demand
-        assert row[2] == record.dry_bulb_temp
-        assert row[3] == record.dew_point
-        assert row[4] == float(cal.month)
+        assert row[1] == hour.demand[0]
+        assert row[2] == hour.dry_bulb_temp[0]
+        assert row[3] == hour.dew_point[0]
+        assert row[4] == float(hour.month[0])
 
     def test_month_is_numeric_not_dummy(self):
-        record, cal = self._series_for_hour(1)
-        row = build_design_row(record, cal, ("intercept", "month"))
+        row = design_matrix(self._series_for_hour(1), ("intercept", "month"))[0]
         assert row[1] == 6.0  # June start
 
     def test_weekend_flags(self):
         series = synthetic_market(7, seed=0)  # Monday..Sunday
-        sat_record, sat_cal = series[5 * 24 + 3]
-        row = build_design_row(sat_record, sat_cal, ("intercept", "saturday", "sunday"))
+        row = one_hour_row(series, 5 * 24 + 3, ("intercept", "saturday", "sunday"))
         assert row[1] == 1.0 and row[2] == 0.0
 
     def test_design_matrix_matches_row_builder(self):
         series = synthetic_market(2, seed=1)
         matrix = design_matrix(series, FULL_FEATURES)
+        hours = reference.hours(series)
         for i in (0, 17, 47):
-            record, cal = series[i]
-            np.testing.assert_array_equal(matrix[i], build_design_row(record, cal, FULL_FEATURES))
+            np.testing.assert_array_equal(matrix[i], one_hour_row(series, i, FULL_FEATURES))
+            np.testing.assert_array_equal(matrix[i], reference.design_row(*hours[i], FULL_FEATURES))
 
     def test_design_matrix_demand_override(self):
         series = synthetic_market(1, seed=1)
@@ -278,9 +280,9 @@ class TestForwardSelect:
         holdout = self._demand_driven_series(7, seed=11, noise=0.1)
         spec, model = forward_select(SYNTHETIC_CANDIDATES, train, holdout, base=("intercept",))
         assert "demand" in spec
-        base_model = fit_ols(design_matrix(train, ("intercept",)), price_vector(train), spec=("intercept",))
-        base_score = ferms(predict(base_model, design_matrix(holdout, ("intercept",))), price_vector(holdout))
-        final_score = ferms(predict(model, design_matrix(holdout, spec)), price_vector(holdout))
+        base_model = fit_ols(design_matrix(train, ("intercept",)), train.spot_price, spec=("intercept",))
+        base_score = ferms(predict(base_model, design_matrix(holdout, ("intercept",))), holdout.spot_price)
+        final_score = ferms(predict(model, design_matrix(holdout, spec)), holdout.spot_price)
         assert final_score <= base_score
         # noise-only regressors stay out on this data
         assert "temperature" not in spec and "dew_point" not in spec
@@ -320,9 +322,9 @@ class TestForwardSelect:
             train, holdout = series[: 14 * 24], series[14 * 24 :]
             base = ("intercept",)
             spec, model = forward_select(SYNTHETIC_CANDIDATES, train, holdout, base=base)
-            base_model = fit_ols(design_matrix(train, base), price_vector(train), spec=base)
-            base_score = ferms(predict(base_model, design_matrix(holdout, base)), price_vector(holdout))
-            final_score = ferms(predict(model, design_matrix(holdout, spec)), price_vector(holdout))
+            base_model = fit_ols(design_matrix(train, base), train.spot_price, spec=base)
+            base_score = ferms(predict(base_model, design_matrix(holdout, base)), holdout.spot_price)
+            final_score = ferms(predict(model, design_matrix(holdout, spec)), holdout.spot_price)
             assert final_score <= base_score
 
 
@@ -352,28 +354,11 @@ class TestModelSerialization:
         assert "intercept" in text and "t-value" in text
 
 
-def reference_design_row(record, cal, spec, demand):
-    """Cell-by-cell design row, written independently of drspot.regression."""
-    values = {
-        "intercept": 1.0,
-        **{f"hour{k}": 1.0 if cal.hour_of_day == k else 0.0 for k in range(1, 24)},
-        "demand": demand,
-        "temperature": record.dry_bulb_temp,
-        "dew_point": record.dew_point,
-        "month": float(cal.month),
-        "holiday": 1.0 if cal.is_holiday else 0.0,
-        "saturday": 1.0 if cal.is_saturday else 0.0,
-        "sunday": 1.0 if cal.is_sunday else 0.0,
-    }
-    return [values[name] for name in spec]
-
-
 class TestDesignMatrixColumns:
     def _series(self):
         # Friday 2021-05-28 .. Tuesday 2021-06-08: month change, weekends, a
         # holiday (Memorial Day, 2021-05-31) and twelve hour-24 rows.
-        market = synthetic_market(12, seed=2, start=datetime(2021, 5, 28))
-        return RecordSeries(market.records, holidays={date(2021, 5, 31)})
+        return synthetic_market(12, seed=2, start=datetime(2021, 5, 28), holidays={date(2021, 5, 31)})
 
     @pytest.mark.parametrize("override", [False, True])
     def test_every_feature_matches_row_reference(self, override):
@@ -382,8 +367,8 @@ class TestDesignMatrixColumns:
         matrix = design_matrix(series, FULL_FEATURES, demand=demand if override else None)
         expected = np.array(
             [
-                reference_design_row(record, cal, FULL_FEATURES, demand[i])
-                for i, (record, cal) in enumerate(series)
+                reference.design_row(record, cal, FULL_FEATURES, demand[i])
+                for i, (record, cal) in enumerate(reference.hours(series))
             ]
         )
         assert matrix.dtype == np.float64
@@ -393,10 +378,11 @@ class TestDesignMatrixColumns:
             assert matrix[:, FULL_FEATURES.index(name)].any(), name
 
     def test_row_builder_matches_row_reference(self):
-        for record, cal in self._series():
+        series = self._series()
+        for i, (record, cal) in enumerate(reference.hours(series)):
             np.testing.assert_array_equal(
-                build_design_row(record, cal, FULL_FEATURES),
-                reference_design_row(record, cal, FULL_FEATURES, record.demand),
+                one_hour_row(series, i, FULL_FEATURES),
+                reference.design_row(record, cal, FULL_FEATURES, record.demand),
             )
 
     def test_feature_order_follows_spec(self):
@@ -408,7 +394,8 @@ class TestDesignMatrixColumns:
         )
 
     def test_empty_series(self):
-        assert design_matrix(RecordSeries([]), FULL_FEATURES).shape == (0, len(FULL_FEATURES))
+        empty = RecordSeries([], [], [], [], [], [])
+        assert design_matrix(empty, FULL_FEATURES).shape == (0, len(FULL_FEATURES))
 
 
 def refit_forward_select(candidates, train, holdout, base, tol=0.0):
@@ -417,7 +404,7 @@ def refit_forward_select(candidates, train, holdout, base, tol=0.0):
     the disqualified candidates."""
     train_full = design_matrix(train, candidates)
     holdout_full = design_matrix(holdout, candidates)
-    y_train, y_holdout = price_vector(train), price_vector(holdout)
+    y_train, y_holdout = train.spot_price, holdout.spot_price
 
     def trial(spec):
         idx = [candidates.index(name) for name in spec]
@@ -466,7 +453,7 @@ class TestSelectionMatchesRefit:
     def test_bundled_data(self):
         cfg = load_settings(DATA_DIR / "scenario.json")
         series = parse_hourly_csv(DATA_DIR / "synthetic_market.csv", holidays=cfg.holidays)
-        history = series.between(series.records[0].timestamp, datetime(2021, 8, 9))
+        history = series.between(series.times[0], datetime(2021, 8, 9))
         train, holdout = split_train_holdout(history, cfg.scenario.holdout_days)
         spec, _ = self._check(FULL_FEATURES, train, holdout, DEFAULT_BASE_FEATURES)
         assert len(spec) > 20
@@ -481,8 +468,8 @@ class TestSelectionMatchesRefit:
         assert "month" not in spec and "holiday" not in spec
 
     def test_market_across_month_and_holiday(self):
-        market = synthetic_market(35, seed=5, start=datetime(2021, 5, 10))
-        series = RecordSeries(market.records, holidays={date(2021, 5, 31), date(2021, 6, 7)})
+        holidays = {date(2021, 5, 31), date(2021, 6, 7)}
+        series = synthetic_market(35, seed=5, start=datetime(2021, 5, 10), holidays=holidays)
         train, holdout = series[: 28 * 24], series[28 * 24 :]
         _, disqualified = self._check(FULL_FEATURES, train, holdout, ("intercept",))
         assert disqualified == []
