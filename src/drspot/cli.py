@@ -74,7 +74,10 @@ def _load_series(args, settings: Settings) -> RecordSeries:
 def _split_window(series: RecordSeries, args) -> tuple[RecordSeries, RecordSeries]:
     with _stage("window"):
         start = datetime.combine(date.fromisoformat(args.window_start), time(0))
-        end = start + timedelta(days=args.days)
+        try:
+            end = start + timedelta(days=args.days)
+        except OverflowError:
+            raise ValueError(f"--days {args.days} puts the window end past {date.max}") from None
         study = series.between(start, end)
         if len(study) != args.days * 24:
             raise ValueError(
@@ -90,11 +93,13 @@ def _split_window(series: RecordSeries, args) -> tuple[RecordSeries, RecordSerie
 def cmd_fit(args) -> int:
     settings = _load_settings(args)
     series = _load_series(args, settings)
+    selection = []
     with _stage("fit"):
-        _spec, model, holdout_ferms = pipeline.fit_price_model(series, settings.scenario)
+        _spec, model, holdout_ferms = pipeline.fit_price_model(series, settings.scenario, selection)
     thresholds = settings.scenario.significance_thresholds
     doc = model.to_json_dict(thresholds)
     doc["holdout_ferms"] = holdout_ferms
+    doc["selection"] = [step.to_json_dict() for step in selection]
     with _stage("write"):
         Path(args.out).write_text(_json_text(doc))
     print(model.table_text(thresholds))
@@ -142,6 +147,7 @@ def cmd_simulate(args) -> int:
         doc["hours"] = len(result)
         doc["selected_features"] = list(result.model.spec)
         doc["filled_hours"] = stamp_strings(series.filled)
+        doc["selection"] = [step.to_json_dict() for step in result.selection]
         (out_dir / "summary.json").write_text(_json_text(doc))
         cells = result.csv_columns
         plots = {

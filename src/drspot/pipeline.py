@@ -28,6 +28,7 @@ from .regression import (
     FULL_FEATURES,
     LengthMismatchError,
     RegressionModel,
+    SelectionStep,
     design_matrix,
     ferms,
     forward_select,
@@ -107,6 +108,8 @@ class ScenarioResult:
     baseline_spot_price is the model at baseline demand, which is the
     forecast itself, and updated_spot_price the model at the responded
     demand, so a null response leaves the market exactly unchanged.
+    ``selection`` is the trace of the forward selection that chose the
+    model's features.
     """
 
     times: np.ndarray
@@ -117,6 +120,7 @@ class ScenarioResult:
     clamp_flags: np.ndarray
     model: RegressionModel
     holdout_ferms: float
+    selection: tuple[SelectionStep, ...] = ()
 
     def __post_init__(self):
         n = len(self.times)
@@ -216,13 +220,16 @@ def _require_valid(series: RecordSeries, label: str) -> None:
 
 
 def fit_price_model(
-    history: RecordSeries, cfg: ScenarioConfig = ScenarioConfig()
+    history: RecordSeries,
+    cfg: ScenarioConfig = ScenarioConfig(),
+    trace: list[SelectionStep] | None = None,
 ) -> tuple[tuple[str, ...], RegressionModel, float]:
     """Select and fit the price model on the history with the last
     ``holdout_days`` held out; returns the spec, the model and its holdout
-    ferms. The ferms gate is left to the caller."""
+    ferms. The ferms gate is left to the caller. ``trace`` collects the
+    selection steps (see :func:`forward_select`)."""
     train, holdout = split_train_holdout(history, cfg.holdout_days)
-    spec, model = forward_select(cfg.feature_candidates, train, holdout, cfg.base_features)
+    spec, model = forward_select(cfg.feature_candidates, train, holdout, cfg.base_features, trace=trace)
     holdout_ferms = ferms(predict(model, design_matrix(holdout, spec)), holdout.spot_price)
     return spec, model, holdout_ferms
 
@@ -251,7 +258,8 @@ def run_scenario(
     if len(history) and history.times[0] <= last and first <= history.times[-1]:
         raise ValueError("history and study window overlap")
 
-    spec, model, holdout_ferms = fit_price_model(history, cfg)
+    selection: list[SelectionStep] = []
+    spec, model, holdout_ferms = fit_price_model(history, cfg, selection)
     if holdout_ferms > cfg.ferms_gate:
         raise ModelRejectedError(holdout_ferms, cfg.ferms_gate)
 
@@ -262,10 +270,12 @@ def run_scenario(
     by_day = DayVectors(
         d0=study_window.demand.reshape(days), p0=np.full(days, cfg.flat_rate), p=forecast.reshape(days)
     )
-    response = multi_hour_response(by_day, matrix)
-    dr_demand, clamp_flags = response.demand.reshape(n), response.clamped.reshape(n)
-
-    updated = predict(model, design_matrix(study_window, spec, demand=dr_demand))
+    # An extreme flat rate or table overflows here; the check below reports
+    # it as one error, so numpy's floating-point warnings are not printed.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        response = multi_hour_response(by_day, matrix)
+        dr_demand, clamp_flags = response.demand.reshape(n), response.clamped.reshape(n)
+        updated = predict(model, design_matrix(study_window, spec, demand=dr_demand))
     if not (np.isfinite(dr_demand).all() and np.isfinite(updated).all()):
         raise ValueError("demand response or re-price is not finite; check flat_rate and the elasticity table")
 
@@ -278,6 +288,7 @@ def run_scenario(
         clamp_flags=clamp_flags,
         model=model,
         holdout_ferms=holdout_ferms,
+        selection=tuple(selection),
     )
 
 
@@ -292,16 +303,18 @@ def impact_summary(result: ScenarioResult) -> ImpactSummary:
     """
     if len(result) == 0:
         raise EmptyWindowError("scenario result covers no hours")
-    baseline_energy = float(result.baseline_demand.sum())
-    dr_energy = float(result.dr_demand.sum())
+    # An overflow is reported by the finite check at the end, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        baseline_energy = float(result.baseline_demand.sum())
+        dr_energy = float(result.dr_demand.sum())
+        baseline_cost = customer_bill(result.baseline_demand, result.baseline_spot_price)
+        dr_cost = customer_bill(result.dr_demand, result.updated_spot_price)
     delta_energy = dr_energy - baseline_energy
-    baseline_cost = customer_bill(result.baseline_demand, result.baseline_spot_price)
     if baseline_energy == 0.0 or baseline_cost == 0.0:
         raise ZeroBaselineError(
             f"baseline energy ({baseline_energy!r} MWh) and cost ({baseline_cost!r} $) must be "
             "non-zero to express the deltas in percent"
         )
-    dr_cost = customer_bill(result.dr_demand, result.updated_spot_price)
     delta_cost = dr_cost - baseline_cost
     summary = ImpactSummary(
         delta_energy_mwh=delta_energy,

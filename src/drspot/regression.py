@@ -272,33 +272,102 @@ def ferms(forecast: np.ndarray, actual: np.ndarray) -> float:
     return float(100.0 * np.sqrt(np.mean((forecast - actual) ** 2)) / mean_actual)
 
 
-def _append_trial(
-    q: np.ndarray, r: np.ndarray, qty: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
-    """Least-squares fit of ``y`` on the columns of ``q @ r`` plus ``x``,
-    without refactoring them.
+@dataclass(frozen=True)
+class SelectionStep:
+    """One step of :func:`forward_select`, as scored during the search.
 
-    ``q`` (n, k) has orthonormal columns, ``r`` (k, k) is upper triangular
-    and ``qty == q.T @ y``. ``x`` is orthogonalized against ``q`` by
-    classical Gram-Schmidt with one reorthogonalization (CGS2), which adds
-    the column ``r_xx * q_x + q @ c`` to the factorization at O(n k) cost.
-    Returns ``None`` when the extended R diagonal fails the
-    ``RANK_TOLERANCE`` rule of :func:`fit_ols`; otherwise the k + 1
-    coefficients and the new factor column ``(q_x, c, r_xx)``.
+    ``added`` is the candidate the step added, or ``None`` on the last step
+    when no candidate lowered the holdout ferms by more than ``tol``;
+    ``ferms`` is the holdout ferms after the step. ``runner_up`` is the
+    best-scoring candidate not added (``None`` when no other candidate was
+    scored), and ``disqualified`` lists the candidates the rank rule
+    removed at this step.
     """
-    c = q.T @ x
-    v = x - q @ c
-    c2 = q.T @ v
-    v -= q @ c2
-    c += c2
-    r_xx = float(np.linalg.norm(v))
-    diag = np.append(np.abs(np.diag(r)), r_xx)
-    if diag.min() <= RANK_TOLERANCE * diag.max():
-        return None
-    q_x = v / r_xx
-    beta_x = float(q_x @ y) / r_xx
-    beta = np.append(np.linalg.solve(r, qty - c * beta_x), beta_x)
-    return beta, q_x, c, r_xx
+
+    added: str | None
+    ferms: float
+    runner_up: str | None
+    runner_up_ferms: float | None
+    disqualified: tuple[str, ...]
+
+    @property
+    def margin(self) -> float | None:
+        """How much worse the runner-up scored than the step's choice: a
+        small margin is a near-tie that a change in rounding could flip."""
+        return None if self.runner_up_ferms is None else self.runner_up_ferms - self.ferms
+
+    def to_json_dict(self) -> dict:
+        return {
+            "added": self.added,
+            "ferms": self.ferms,
+            "runner_up": self.runner_up,
+            "runner_up_ferms": self.runner_up_ferms,
+            "margin": self.margin,
+            "disqualified": list(self.disqualified),
+        }
+
+
+class _PoolResiduals:
+    """Least-squares fits of ``y`` on the selected columns plus any one pool
+    column, for every pool column at once.
+
+    The selected columns are a thin QR factorization kept as ``r`` and
+    ``qty == Q.T @ y``; Q itself is not stored. Pool column j is kept as
+    ``Q @ c[:k, j] + v[j]``, where the residual ``v[j]`` (a row, so that
+    the per-step update runs along contiguous memory) is orthogonal to Q.
+    The residuals start from block classical Gram-Schmidt with one
+    reorthogonalization (CGS2) against the base columns' Q. Appending pool
+    column j takes ``q_x = v[j] / |v[j]|`` as the next Q column and removes
+    it from every residual with one rank-1 update, as in modified
+    Gram-Schmidt (Björck, Numerical Methods for Least Squares Problems,
+    1996, §2.4), so a step costs O(n p) for p pool columns.
+    """
+
+    def __init__(self, base: np.ndarray, pool: np.ndarray, y: np.ndarray):
+        k, p = base.shape[1], pool.shape[1]
+        q, r = np.linalg.qr(base)
+        self.y = y
+        self.k = k
+        self.r = np.zeros((k + p, k + p))
+        self.r[:k, :k] = r
+        self.qty = np.empty(k + p)
+        self.qty[:k] = q.T @ y
+        self.c = np.empty((k + p, p))
+        self.v = np.ascontiguousarray(pool.T, dtype=float)
+        self.c[:k] = (self.v @ q).T
+        self.v -= self.c[:k].T @ q.T
+        correction = (self.v @ q).T
+        self.v -= correction.T @ q.T
+        self.c[:k] += correction
+
+    def trials(self) -> tuple[np.ndarray, np.ndarray]:
+        """The trial fit of every pool column: ``ok[j]`` is False when
+        appending column j gives an R diagonal that fails the
+        ``RANK_TOLERANCE`` rule of :func:`fit_ols`, and ``beta[:, j]`` holds
+        the k + 1 coefficients (the selected columns, then column j). A
+        column that fails the rule gets coefficient 0 and the fit without
+        it."""
+        k = self.k
+        norms = np.sqrt(np.einsum("ij,ij->i", self.v, self.v))
+        diag = np.abs(np.diag(self.r)[:k])
+        ok = np.minimum(norms, diag.min()) > RANK_TOLERANCE * np.maximum(norms, diag.max())
+        beta = np.empty((k + 1, len(norms)))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            beta[k] = np.where(ok, (self.v @ self.y) / norms / norms, 0.0)
+        beta[:k] = np.linalg.solve(self.r[:k, :k], self.qty[:k, None] - self.c[:k] * beta[k])
+        return ok, beta
+
+    def append(self, j: int) -> None:
+        """Add pool column j to the factorization."""
+        k, v_j = self.k, self.v[j]
+        r_xx = float(np.sqrt(v_j @ v_j))
+        q_x = v_j / r_xx
+        self.r[:k, k] = self.c[:k, j]
+        self.r[k, k] = r_xx
+        self.qty[k] = q_x @ self.y
+        self.c[k] = self.v @ q_x
+        self.v -= self.c[k, :, None] * q_x
+        self.k = k + 1
 
 
 def forward_select(
@@ -307,6 +376,7 @@ def forward_select(
     holdout: RecordSeries,
     base: Sequence[str] = DEFAULT_BASE_FEATURES,
     tol: float = 0.0,
+    trace: list[SelectionStep] | None = None,
 ) -> tuple[tuple[str, ...], RegressionModel]:
     """Greedy forward selection on out-of-sample forecast error.
 
@@ -315,9 +385,10 @@ def forward_select(
     A candidate whose trial fit is rank deficient is disqualified for the
     rest of the search. Ties go to the earlier candidate in list order.
 
-    The train block of the selected features is factored once (thin QR)
-    and each trial appends one column to that factorization; only the base
-    spec and the returned model go through :func:`fit_ols`.
+    Every step scores all remaining candidates at once from their train
+    residuals against the selected columns (:class:`_PoolResiduals`); only
+    the base spec and the returned model go through :func:`fit_ols`. When
+    ``trace`` is a list, one :class:`SelectionStep` per step is appended.
 
     Returns the selected spec and the model fitted on ``train`` with it.
     """
@@ -337,41 +408,45 @@ def forward_select(
     model = fit_ols(train_full[:, idx], y_train, spec=base)
     best_score = ferms(predict(model, holdout_full[:, idx]), y_holdout)
 
-    # Thin QR of the selected train columns, grown in place one column per step.
-    n, k = len(y_train), len(base)
-    q = np.empty((n, len(candidates)), order="F")
-    r = np.zeros((len(candidates), len(candidates)))
-    q[:, :k], r[:k, :k] = np.linalg.qr(train_full[:, idx])
     pool = [name for name in candidates if name not in set(base)]
+    pool_idx = [column[name] for name in pool]
+    residuals = _PoolResiduals(train_full[:, idx], train_full[:, pool_idx], y_train)
+    holdout_pool = holdout_full[:, pool_idx]
+    mean_actual = float(y_holdout.mean())
+    active = np.ones(len(pool), dtype=bool)
 
-    while pool:
-        if n <= k + 1:
-            raise InsufficientDataError(n, k + 1)
-        q_sel, r_sel = q[:, :k], r[:k, :k]
-        qty = q_sel.T @ y_train
-        holdout_sel = holdout_full[:, idx]
-        best = None
-        disqualified = []
-        for name in pool:
-            trial = _append_trial(q_sel, r_sel, qty, train_full[:, column[name]], y_train)
-            if trial is None:
-                disqualified.append(name)
-                continue
-            beta = trial[0]
-            score = ferms(
-                holdout_sel @ beta[:k] + holdout_full[:, column[name]] * beta[k], y_holdout
+    while active.any():
+        if len(y_train) <= residuals.k + 1:
+            raise InsufficientDataError(len(y_train), residuals.k + 1)
+        ok, beta = residuals.trials()
+        ok &= active
+        error = holdout_full[:, idx] @ beta[:-1] + holdout_pool * beta[-1] - y_holdout[:, None]
+        scores = 100.0 * np.sqrt(np.mean(error**2, axis=0)) / mean_actual
+        ranked = np.where(ok & np.isfinite(scores), scores, np.inf)
+        best = int(np.argmin(ranked))  # the first minimum: ties go to the earlier candidate
+        added = best_score - ranked[best] > tol
+        if added:
+            best_score = float(ranked[best])
+            ranked[best] = np.inf
+        runner_up = int(np.argmin(ranked))
+        if trace is not None:
+            scored = ranked[runner_up] < np.inf
+            trace.append(
+                SelectionStep(
+                    added=pool[best] if added else None,
+                    ferms=best_score,
+                    runner_up=pool[runner_up] if scored else None,
+                    runner_up_ferms=float(ranked[runner_up]) if scored else None,
+                    disqualified=tuple(pool[j] for j in np.flatnonzero(active & ~ok)),
+                )
             )
-            if best_score - score > tol and (best is None or score < best[0]):
-                best = (score, name, *trial[1:])
-        for name in disqualified:
-            pool.remove(name)
-        if best is None:
+        active = ok
+        if not added:
             break
-        best_score, name, q[:, k], r[:k, k], r[k, k] = best
-        selected.append(name)
-        idx.append(column[name])
-        pool.remove(name)
-        k += 1
+        residuals.append(best)
+        selected.append(pool[best])
+        idx.append(pool_idx[best])
+        active[best] = False
 
     if len(selected) > len(base):
         model = fit_ols(train_full[:, idx], y_train, spec=selected)

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from datetime import date, datetime
 
 import numpy as np
@@ -87,6 +88,18 @@ class TestFit:
         assert "holdout_ferms" in doc
         printed = capsys.readouterr().out
         assert "t-value" in printed and "holdout ferms" in printed
+
+    def test_model_json_has_selection_trace(self, market_csv, compact_config, tmp_path):
+        out = tmp_path / "model.json"
+        assert main(["fit", "--data", str(market_csv), "--config", str(compact_config), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        steps = doc["selection"]
+        added = [step["added"] for step in steps if step["added"] is not None]
+        assert ["intercept", "demand", *added] == [f["name"] for f in doc["features"]]
+        for step in steps:
+            assert set(step) == {"added", "ferms", "runner_up", "runner_up_ferms", "margin", "disqualified"}
+            if step["runner_up"] is not None:
+                assert step["margin"] == step["runner_up_ferms"] - step["ferms"] >= 0.0
 
     def test_unreadable_data_exits_1(self, compact_config, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
@@ -171,6 +184,29 @@ class TestSimulate:
         rc = run_simulate(market_csv, compact_config, tmp_path / "out", start="2022-01-01")
         assert rc == 1
         assert "2022-01-01" in capsys.readouterr().err
+
+    def test_summary_selection_matches_fit(self, market_csv, compact_config, tmp_path):
+        out = tmp_path / "out"
+        assert run_simulate(market_csv, compact_config, out) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        settings = load_settings(compact_config)
+        series = parse_hourly_csv(market_csv, schema=settings.columns, holidays=settings.holidays)
+        trace = []
+        pipeline.fit_price_model(series.between(datetime.min, datetime(2021, 6, 28)), settings.scenario, trace)
+        assert summary["selection"] == [step.to_json_dict() for step in trace]
+        added = [step["added"] for step in summary["selection"] if step["added"] is not None]
+        assert summary["selected_features"] == ["intercept", "demand", *added]
+
+    @pytest.mark.parametrize("flat_rate", [5e-324, 1e-300])
+    def test_overflow_exits_1_without_warnings(self, market_csv, compact_config, tmp_path, capsys, flat_rate):
+        config = tmp_path / "extreme.json"
+        config.write_text(json.dumps({**json.loads(compact_config.read_text()), "flat_rate": flat_rate}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_simulate(market_csv, config, tmp_path / "out") == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulate: ") and err.count("\n") == 1
 
     def test_outputs_present(self, market_csv, compact_config, tmp_path):
         out = tmp_path / "out"
@@ -382,6 +418,12 @@ class TestFlagRanges:
         common = ["--data", str(market_csv), "--config", str(compact_config), "--out", str(tmp_path / "out")]
         assert main([command, *common, *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("days", [9999999999, 3_000_000])
+    def test_window_end_past_year_9999_exits_1(self, market_csv, compact_config, tmp_path, capsys, days):
+        # The first overflows timedelta itself, the second only the window end.
+        assert run_simulate(market_csv, compact_config, tmp_path / "out", "2021-06-28", days) == 1
+        assert capsys.readouterr().err == f"error: window: --days {days} puts the window end past 9999-12-31\n"
 
 
 class TestMalformedCsv:

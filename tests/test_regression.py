@@ -20,6 +20,7 @@ from drspot.regression import (
     LengthMismatchError,
     RankDeficientError,
     RegressionModel,
+    SelectionStep,
     SignificanceLevel,
     ZeroMeanActualError,
     design_matrix,
@@ -30,7 +31,7 @@ from drspot.regression import (
     significance_level,
     validate_feature_spec,
 )
-from drspot.regression import _append_trial
+from drspot.regression import _PoolResiduals
 
 
 class TestFeatureSpec:
@@ -400,8 +401,8 @@ class TestDesignMatrixColumns:
 
 def refit_forward_select(candidates, train, holdout, base, tol=0.0):
     """Forward selection that refits every trial from scratch with fit_ols:
-    the reference the incremental-QR search must reproduce. Also returns
-    the disqualified candidates."""
+    the reference the residual-update search must reproduce. Also returns
+    the disqualified candidates and the selection trace."""
     train_full = design_matrix(train, candidates)
     holdout_full = design_matrix(holdout, candidates)
     y_train, y_holdout = train.spot_price, holdout.spot_price
@@ -415,23 +416,41 @@ def refit_forward_select(candidates, train, holdout, base, tol=0.0):
     model, best_score = trial(selected)
     pool = [name for name in candidates if name not in base]
     disqualified = []
+    steps = []
     while pool:
         best = None
+        scores = {}
+        step_disqualified = []
         for name in list(pool):
             try:
                 trial_model, score = trial(selected + [name])
             except RankDeficientError:
                 disqualified.append(name)
+                step_disqualified.append(name)
                 pool.remove(name)
                 continue
+            scores[name] = score
             if best_score - score > tol and (best is None or score < best[2]):
                 best = (name, trial_model, score)
+        if best is not None:
+            name, model, best_score = best
+            selected.append(name)
+            pool.remove(name)
+            del scores[name]
+        # min() keeps the first of equal scores, in pool order
+        runner_up = min(scores, key=scores.get) if scores else None
+        steps.append(
+            SelectionStep(
+                added=None if best is None else best[0],
+                ferms=best_score,
+                runner_up=runner_up,
+                runner_up_ferms=scores.get(runner_up),
+                disqualified=tuple(step_disqualified),
+            )
+        )
         if best is None:
             break
-        name, model, best_score = best
-        selected.append(name)
-        pool.remove(name)
-    return tuple(selected), model, disqualified
+    return tuple(selected), model, disqualified, steps
 
 
 def assert_same_model(a: RegressionModel, b: RegressionModel):
@@ -442,12 +461,23 @@ def assert_same_model(a: RegressionModel, b: RegressionModel):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
+def assert_same_trace(steps, ref_steps):
+    assert len(steps) == len(ref_steps)
+    for step, ref in zip(steps, ref_steps):
+        assert (step.added, step.runner_up, step.disqualified) == (ref.added, ref.runner_up, ref.disqualified)
+        assert step.ferms == pytest.approx(ref.ferms, rel=1e-9)
+        assert step.runner_up_ferms == pytest.approx(ref.runner_up_ferms, rel=1e-9)
+        assert step.margin == pytest.approx(ref.margin, rel=1e-6, abs=1e-9)
+
+
 class TestSelectionMatchesRefit:
     def _check(self, candidates, train, holdout, base):
-        spec, model = forward_select(candidates, train, holdout, base=base)
-        ref_spec, ref_model, disqualified = refit_forward_select(candidates, train, holdout, base)
+        trace = []
+        spec, model = forward_select(candidates, train, holdout, base=base, trace=trace)
+        ref_spec, ref_model, disqualified, ref_trace = refit_forward_select(candidates, train, holdout, base)
         assert spec == ref_spec
         assert_same_model(model, ref_model)
+        assert_same_trace(trace, ref_trace)
         return spec, disqualified
 
     def test_bundled_data(self):
@@ -474,6 +504,41 @@ class TestSelectionMatchesRefit:
         _, disqualified = self._check(FULL_FEATURES, train, holdout, ("intercept",))
         assert disqualified == []
 
+    @pytest.mark.parametrize(
+        "base", [("intercept", "demand"), ("intercept", "demand", "temperature")], ids=["update", "block"]
+    )
+    def test_nearly_collinear_candidate(self, base):
+        # dew_point is temperature plus noise of about 1e-9: its residual
+        # against temperature sits just above rounding and below the rank
+        # rule. With temperature in the pool, the residual comes from the
+        # rank-1 update; with temperature in the base, from block CGS2.
+        market = synthetic_market(28, seed=9)
+        dew = market.dry_bulb_temp + np.random.default_rng(9).normal(0.0, 1e-9, len(market))
+        series = RecordSeries(
+            market.times, market.demand, market.spot_price, market.dry_bulb_temp, dew, market.day_ahead_price
+        )
+        train, holdout = series[: 21 * 24], series[21 * 24 :]
+        spec, disqualified = self._check(FULL_FEATURES, train, holdout, base)
+        kept = {"temperature", "dew_point"} & set(spec)
+        assert len(kept) == 1
+        assert ({"temperature", "dew_point"} - kept) <= set(disqualified)
+
+    def test_exact_tie_goes_to_earlier_candidate(self):
+        # dew_point is an exact copy of temperature: the two score the same,
+        # temperature comes first in the pool and wins, and dew_point is
+        # disqualified at the next step.
+        market = synthetic_market(21, seed=4)
+        series = RecordSeries(
+            market.times, market.demand, market.spot_price, market.dry_bulb_temp,
+            market.dry_bulb_temp.copy(), market.day_ahead_price,
+        )
+        train, holdout = series[: 14 * 24], series[14 * 24 :]
+        self._check(SYNTHETIC_CANDIDATES, train, holdout, DEFAULT_BASE_FEATURES)
+        trace = []
+        forward_select(SYNTHETIC_CANDIDATES, train, holdout, trace=trace)
+        assert (trace[0].added, trace[0].runner_up, trace[0].margin) == ("temperature", "dew_point", 0.0)
+        assert trace[1].disqualified == ("dew_point",)
+
     def test_insufficient_data_raised_like_refit(self):
         train = build_series([1000.0, 1200.0, 900.0], [30.0, 35.0, 28.0], temp=[70.0, 75.0, 71.0])
         holdout = build_series([1100.0, 950.0], [32.0, 29.0], temp=[72.0, 69.0])
@@ -499,8 +564,13 @@ def test_appended_trial_rank_rule_matches_fit_ols(make_x, deficient):
     X = np.column_stack([np.ones(50), rng.normal(size=50)])
     y = rng.normal(size=50)
     x = make_x(X, rng)
-    q, r = np.linalg.qr(X)
-    assert (_append_trial(q, r, q.T @ y, x, y) is None) == deficient
+    # x as a pool column against both columns of X: once by block CGS2, once
+    # after the rank-1 update that appends X's second column to the intercept.
+    block = _PoolResiduals(X, x[:, None], y)
+    updated = _PoolResiduals(X[:, :1], np.column_stack([X[:, 1], x]), y)
+    updated.append(0)
+    assert (not block.trials()[0][0]) == deficient
+    assert (not updated.trials()[0][1]) == deficient
     if deficient:
         with pytest.raises(RankDeficientError):
             fit_ols(np.column_stack([X, x]), y)
@@ -522,7 +592,34 @@ def test_appended_trial_matches_fit_ols(seed, k, extra_rows):
     X[:, 0] = 1.0
     beta_true = rng.uniform(0.5, 5.0, k + 1) * rng.choice([-1.0, 1.0], k + 1) / scales
     y = X @ beta_true + rng.normal(0.0, 1e-3, n)
-    q, r = np.linalg.qr(X[:, :k])
-    trial = _append_trial(q, r, q.T @ y, X[:, k], y)
-    assert trial is not None
-    np.testing.assert_allclose(trial[0], fit_ols(X, y).coefficients, rtol=1e-9)
+    expected = fit_ols(X, y).coefficients
+    # The last column as a pool column against the first k: by block CGS2,
+    # and after appending columns 1..k-1 to the intercept by rank-1 updates.
+    block = _PoolResiduals(X[:, :k], X[:, k:], y)
+    updated = _PoolResiduals(X[:, :1], X[:, 1:], y)
+    for j in range(k - 1):
+        updated.append(j)
+    for residuals, j in ((block, 0), (updated, k - 1)):
+        ok, beta = residuals.trials()
+        assert ok[j]
+        np.testing.assert_allclose(beta[:, j], expected, rtol=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    days=st.integers(14, 63),
+    december=st.booleans(),
+    compact=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_selection_matches_refit_on_random_markets(days, december, compact, seed):
+    start = datetime(2021, 12, 6) if december else datetime(2021, 6, 7)
+    train, holdout = split_train_holdout(synthetic_market(days, seed=seed, start=start), 7)
+    candidates = SYNTHETIC_CANDIDATES if compact else FULL_FEATURES
+    trace = []
+    spec, model = forward_select(candidates, train, holdout, trace=trace)
+    ref_spec, ref_model, disqualified, _ = refit_forward_select(candidates, train, holdout, DEFAULT_BASE_FEATURES)
+    assert spec == ref_spec
+    assert_same_model(model, ref_model)
+    assert tuple(step.added for step in trace if step.added) == spec[len(DEFAULT_BASE_FEATURES) :]
+    assert [name for step in trace for name in step.disqualified] == disqualified
