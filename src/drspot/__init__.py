@@ -53,4 +53,4 @@ from .regression import (
     significance_level,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

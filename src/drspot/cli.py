@@ -191,18 +191,34 @@ def _read_result_csv(path: Path) -> int:
     return len(text) - 1
 
 
+# The summary.json keys that report prints: the impact summary and three that simulate adds.
+_REPORT_KEYS = (
+    *(f.name for f in dataclasses.fields(pipeline.ImpactSummary)), "hours", "holdout_ferms", "clamp_count"
+)
+
+
+def _read_summary(path: Path) -> dict:
+    if not path.exists():
+        raise FileNotFoundError(f"{path} not found")
+    summary = json.loads(path.read_text())
+    if not isinstance(summary, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(summary).__name__}")
+    for key in _REPORT_KEYS:
+        if key not in summary:
+            raise ValueError(f"{path}: missing key {key!r}")
+        value = summary[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{path}: key {key!r} must be a JSON number, got {type(value).__name__}")
+    return summary
+
+
 def cmd_report(args) -> int:
     result_dir = Path(args.result_dir)
     with _stage("read"):
-        summary_path = result_dir / "summary.json"
-        if not summary_path.exists():
-            raise FileNotFoundError(f"{summary_path} not found")
-        summary = json.loads(summary_path.read_text())
+        summary = _read_summary(result_dir / "summary.json")
         rows = _read_result_csv(result_dir / "result.csv")
-        if rows != summary.get("hours"):
-            raise ValueError(
-                f"{result_dir / 'result.csv'}: {rows} rows but summary says {summary.get('hours')}"
-            )
+        if rows != summary["hours"]:
+            raise ValueError(f"{result_dir / 'result.csv'}: {rows} rows but summary says {summary['hours']}")
     print(f"scenario report: {result_dir}")
     print(f"  hours simulated       {summary['hours']}")
     print(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
 from pathlib import Path
 
@@ -46,11 +46,7 @@ _KNOWN_KEYS = {
     "holidays_file",
 }
 
-_ELASTICITY_KEYS = {
-    "peak_peak", "peak_offpeak", "peak_low",
-    "offpeak_peak", "offpeak_offpeak", "offpeak_low",
-    "low_peak", "low_offpeak", "low_low",
-}
+_ELASTICITY_KEYS = {f.name for f in fields(ElasticityTable)}
 
 
 class ConfigError(ValueError):

@@ -7,7 +7,7 @@ fixed-point iteration).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import IO, Sequence
@@ -15,6 +15,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .elasticity import (
+    HOURS_PER_DAY,
     DayVectors,
     ElasticityTable,
     PeriodConfig,
@@ -35,8 +36,6 @@ from .regression import (
     predict,
     validate_feature_spec,
 )
-
-HOURS_PER_DAY = 24
 
 RESULT_COLUMNS = (
     "timestamp",
@@ -178,16 +177,7 @@ class ImpactSummary:
     peak_price_after: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "delta_energy_mwh": self.delta_energy_mwh,
-            "delta_energy_pct": self.delta_energy_pct,
-            "delta_cost": self.delta_cost,
-            "delta_cost_pct": self.delta_cost_pct,
-            "baseline_cost": self.baseline_cost,
-            "dr_cost": self.dr_cost,
-            "peak_price_before": self.peak_price_before,
-            "peak_price_after": self.peak_price_after,
-        }
+        return asdict(self)
 
 
 def customer_bill(demand: Sequence[float], prices: float | Sequence[float]) -> float:
@@ -237,7 +227,8 @@ def fit_price_model(
 def run_scenario(
     history: RecordSeries, study_window: RecordSeries, cfg: ScenarioConfig = ScenarioConfig()
 ) -> ScenarioResult:
-    """Run the full loop over a study window of whole days.
+    """Run the full loop over a study window of whole days, starting at
+    00:00 so that each row of the ``(days, 24)`` response is one day.
 
     Fits the price model on the history (with the last ``holdout_days``
     held out for selection and the forecast error gate), forecasts the
@@ -252,6 +243,9 @@ def run_scenario(
     n = len(study_window)
     if n == 0 or n % HOURS_PER_DAY:
         raise ValueError(f"study window must cover whole days, got {n} hours")
+    if study_window.hour_of_day[0] != 1:
+        start = stamp_strings(study_window.times[:1])[0]
+        raise ValueError(f"study window must start at 00:00, got a start at {start}")
     # Both are runs of consecutive hours (validated above): they share an hour
     # exactly when their ranges overlap.
     first, last = study_window.times[[0, -1]]

@@ -277,7 +277,7 @@ class SelectionStep:
     """One step of :func:`forward_select`, as scored during the search.
 
     ``added`` is the candidate the step added, or ``None`` on the last step
-    when no candidate lowered the holdout ferms by more than ``tol``;
+    when no candidate lowered the holdout ferms;
     ``ferms`` is the holdout ferms after the step. ``runner_up`` is the
     best-scoring candidate not added (``None`` when no other candidate was
     scored), and ``disqualified`` lists the candidates the rank rule
@@ -308,45 +308,36 @@ class SelectionStep:
 
 
 class _PoolResiduals:
-    """Least-squares fits of ``y`` on the selected columns plus any one pool
-    column, for every pool column at once.
+    """Least-squares fits of ``y`` on the selected columns plus any one
+    candidate column, for every candidate at once.
 
     The selected columns are a thin QR factorization kept as ``r`` and
-    ``qty == Q.T @ y``; Q itself is not stored. Pool column j is kept as
-    ``Q @ c[:k, j] + v[j]``, where the residual ``v[j]`` (a row, so that
+    ``qty == Q.T @ y``; Q itself is not stored. Candidate column j is kept
+    as ``Q @ c[:k, j] + v[j]``, where the residual ``v[j]`` (a row, so that
     the per-step update runs along contiguous memory) is orthogonal to Q.
-    The residuals start from block classical Gram-Schmidt with one
-    reorthogonalization (CGS2) against the base columns' Q. Appending pool
-    column j takes ``q_x = v[j] / |v[j]|`` as the next Q column and removes
-    it from every residual with one rank-1 update, as in modified
-    Gram-Schmidt (Björck, Numerical Methods for Least Squares Problems,
-    1996, §2.4), so a step costs O(n p) for p pool columns.
+    The factorization starts empty (``k == 0``, ``v[j]`` the column itself).
+    Appending column j takes ``q_x = v[j] / |v[j]|`` as the next Q column
+    and removes it from every residual with one rank-1 update, as in
+    modified Gram-Schmidt (Björck, Numerical Methods for Least Squares
+    Problems, 1996, §2.4), so a step costs O(n m) for m candidates.
     """
 
-    def __init__(self, base: np.ndarray, pool: np.ndarray, y: np.ndarray):
-        k, p = base.shape[1], pool.shape[1]
-        q, r = np.linalg.qr(base)
+    def __init__(self, columns: np.ndarray, y: np.ndarray):
+        m = columns.shape[1]
         self.y = y
-        self.k = k
-        self.r = np.zeros((k + p, k + p))
-        self.r[:k, :k] = r
-        self.qty = np.empty(k + p)
-        self.qty[:k] = q.T @ y
-        self.c = np.empty((k + p, p))
-        self.v = np.ascontiguousarray(pool.T, dtype=float)
-        self.c[:k] = (self.v @ q).T
-        self.v -= self.c[:k].T @ q.T
-        correction = (self.v @ q).T
-        self.v -= correction.T @ q.T
-        self.c[:k] += correction
+        self.k = 0
+        self.r = np.zeros((m, m))
+        self.qty = np.empty(m)
+        self.c = np.empty((m, m))
+        self.v = np.ascontiguousarray(columns.T, dtype=float)
 
     def trials(self) -> tuple[np.ndarray, np.ndarray]:
-        """The trial fit of every pool column: ``ok[j]`` is False when
-        appending column j gives an R diagonal that fails the
-        ``RANK_TOLERANCE`` rule of :func:`fit_ols`, and ``beta[:, j]`` holds
-        the k + 1 coefficients (the selected columns, then column j). A
-        column that fails the rule gets coefficient 0 and the fit without
-        it."""
+        """The trial fit of every candidate column once at least one column
+        is selected: ``ok[j]`` is False when appending column j gives an R
+        diagonal that fails the ``RANK_TOLERANCE`` rule of :func:`fit_ols`,
+        and ``beta[:, j]`` holds the k + 1 coefficients (the selected
+        columns, then column j). A column that fails the rule gets
+        coefficient 0 and the fit without it."""
         k = self.k
         norms = np.sqrt(np.einsum("ij,ij->i", self.v, self.v))
         diag = np.abs(np.diag(self.r)[:k])
@@ -358,7 +349,7 @@ class _PoolResiduals:
         return ok, beta
 
     def append(self, j: int) -> None:
-        """Add pool column j to the factorization."""
+        """Add candidate column j to the factorization."""
         k, v_j = self.k, self.v[j]
         r_xx = float(np.sqrt(v_j @ v_j))
         q_x = v_j / r_xx
@@ -375,19 +366,19 @@ def forward_select(
     train: RecordSeries,
     holdout: RecordSeries,
     base: Sequence[str] = DEFAULT_BASE_FEATURES,
-    tol: float = 0.0,
     trace: list[SelectionStep] | None = None,
 ) -> tuple[tuple[str, ...], RegressionModel]:
     """Greedy forward selection on out-of-sample forecast error.
 
     Starting from ``base``, repeatedly adds the candidate that most reduces
-    holdout ferms; stops when no candidate reduces it by more than ``tol``.
-    A candidate whose trial fit is rank deficient is disqualified for the
-    rest of the search. Ties go to the earlier candidate in list order.
+    holdout ferms; stops when no candidate strictly reduces it. A candidate
+    whose trial fit is rank deficient is disqualified for the rest of the
+    search. Ties go to the earlier candidate in list order.
 
-    Every step scores all remaining candidates at once from their train
-    residuals against the selected columns (:class:`_PoolResiduals`); only
-    the base spec and the returned model go through :func:`fit_ols`. When
+    Only the base spec and the returned model go through :func:`fit_ols`,
+    which rejects a rank deficient or too wide base. Every step scores all
+    remaining candidates at once from their residuals against the selected
+    columns (:class:`_PoolResiduals`, started with the base columns). When
     ``trace`` is a list, one :class:`SelectionStep` per step is appended.
 
     Returns the selected spec and the model fitted on ``train`` with it.
@@ -401,30 +392,27 @@ def forward_select(
     holdout_full = design_matrix(holdout, candidates)
     y_train = train.spot_price
     y_holdout = holdout.spot_price
-    column = {name: idx for idx, name in enumerate(candidates)}
 
-    selected = list(base)
-    idx = [column[name] for name in selected]
+    idx = [candidates.index(name) for name in base]
     model = fit_ols(train_full[:, idx], y_train, spec=base)
     best_score = ferms(predict(model, holdout_full[:, idx]), y_holdout)
 
-    pool = [name for name in candidates if name not in set(base)]
-    pool_idx = [column[name] for name in pool]
-    residuals = _PoolResiduals(train_full[:, idx], train_full[:, pool_idx], y_train)
-    holdout_pool = holdout_full[:, pool_idx]
+    residuals = _PoolResiduals(train_full, y_train)
+    for j in idx:
+        residuals.append(j)
     mean_actual = float(y_holdout.mean())
-    active = np.ones(len(pool), dtype=bool)
+    active = np.array([name not in base for name in candidates])
 
     while active.any():
         if len(y_train) <= residuals.k + 1:
             raise InsufficientDataError(len(y_train), residuals.k + 1)
         ok, beta = residuals.trials()
         ok &= active
-        error = holdout_full[:, idx] @ beta[:-1] + holdout_pool * beta[-1] - y_holdout[:, None]
+        error = holdout_full[:, idx] @ beta[:-1] + holdout_full * beta[-1] - y_holdout[:, None]
         scores = 100.0 * np.sqrt(np.mean(error**2, axis=0)) / mean_actual
         ranked = np.where(ok & np.isfinite(scores), scores, np.inf)
         best = int(np.argmin(ranked))  # the first minimum: ties go to the earlier candidate
-        added = best_score - ranked[best] > tol
+        added = ranked[best] < best_score
         if added:
             best_score = float(ranked[best])
             ranked[best] = np.inf
@@ -433,21 +421,21 @@ def forward_select(
             scored = ranked[runner_up] < np.inf
             trace.append(
                 SelectionStep(
-                    added=pool[best] if added else None,
+                    added=candidates[best] if added else None,
                     ferms=best_score,
-                    runner_up=pool[runner_up] if scored else None,
+                    runner_up=candidates[runner_up] if scored else None,
                     runner_up_ferms=float(ranked[runner_up]) if scored else None,
-                    disqualified=tuple(pool[j] for j in np.flatnonzero(active & ~ok)),
+                    disqualified=tuple(candidates[j] for j in np.flatnonzero(active & ~ok)),
                 )
             )
         active = ok
         if not added:
             break
         residuals.append(best)
-        selected.append(pool[best])
-        idx.append(pool_idx[best])
+        idx.append(best)
         active[best] = False
 
-    if len(selected) > len(base):
-        model = fit_ols(train_full[:, idx], y_train, spec=selected)
-    return tuple(selected), model
+    spec = tuple(candidates[j] for j in idx)
+    if len(spec) > len(base):
+        model = fit_ols(train_full[:, idx], y_train, spec=spec)
+    return spec, model

@@ -101,6 +101,16 @@ class TestFit:
             if step["runner_up"] is not None:
                 assert step["margin"] == step["runner_up_ferms"] - step["ferms"] >= 0.0
 
+    def test_rank_deficient_base_exits_1(self, tmp_path, capsys):
+        # The bundled data under a config without holidays: the holiday column is all zero.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"base_features": ["intercept", "holiday"]}))
+        rc = main(["fit", "--data", str(BUNDLED_DATA), "--config", str(config), "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: fit: design matrix is rank deficient: column 'holiday' is linearly dependent\n"
+        )
+
     def test_unreadable_data_exits_1(self, compact_config, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         rc = main(["fit", "--data", str(missing), "--config", str(compact_config), "--out", str(tmp_path / "m.json")])
@@ -345,6 +355,27 @@ class TestReport:
         assert rc == 1
         assert "result.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: [doc], "expected a JSON object, got list"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "delta_energy_mwh"}, "missing key 'delta_energy_mwh'"),
+            (lambda doc: {**doc, "holdout_ferms": "4.2"}, "key 'holdout_ferms' must be a JSON number, got str"),
+            (lambda doc: {**doc, "clamp_count": True}, "key 'clamp_count' must be a JSON number, got bool"),
+        ],
+        ids=["list", "missing_key", "string_value", "bool_value"],
+    )
+    def test_malformed_summary_exits_1(self, market_csv, compact_config, tmp_path, capsys, edit, message):
+        out = tmp_path / "out"
+        assert run_simulate(market_csv, compact_config, out) == 0
+        summary = out / "summary.json"
+        summary.write_text(json.dumps(edit(json.loads(summary.read_text()))))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: read: {summary}: {message}\n"
+        assert captured.out == ""
+
 
 class TestGapHandling:
     def test_strict_rejects_gap_permissive_fills(self, compact_config, tmp_path, capsys):
@@ -505,6 +536,13 @@ def _all_finite(value) -> bool:
     return True
 
 
+def _assert_finite_outputs(out_dir: str) -> None:
+    rows = [line.split(",") for line in open(f"{out_dir}/result.csv").read().splitlines()[1:]]
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
+    with open(f"{out_dir}/summary.json") as handle:
+        assert _all_finite(json.load(handle))
+
+
 @settings(max_examples=30, deadline=None)
 @given(config=_config_json)
 def test_random_config_exits_cleanly_and_finite(module_market_csv, config):
@@ -515,10 +553,57 @@ def test_random_config_exits_cleanly_and_finite(module_market_csv, config):
         rc = run_simulate(module_market_csv, config_path, f"{tmp}/out", "2021-06-21", 3)
         assert rc in (0, 1, 2)
         if rc == 0:
-            rows = [line.split(",") for line in open(f"{tmp}/out/result.csv").read().splitlines()[1:]]
-            assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
-            with open(f"{tmp}/out/summary.json") as handle:
-                assert _all_finite(json.load(handle))
+            _assert_finite_outputs(f"{tmp}/out")
+
+
+_LONG_CELL = "1" * (csv.field_size_limit() + 10)
+_cell_text = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    st.sampled_from(
+        ["", "nan", "inf", "-1", "0", "1e308", "1" * 400, '"', "2021-08-01T00:00", "2021-08-01T00:00+01:00"]
+    ),
+)
+# One edit of the bundled CSV's lines (header included), applied in order.
+_csv_mutation = st.one_of(
+    st.tuples(st.just("edit"), st.integers(0, 1680), st.integers(0, 4), _cell_text),
+    st.tuples(st.just("drop"), st.integers(0, 1680)),
+    st.tuples(st.just("repeat"), st.integers(0, 1680)),
+    st.tuples(st.just("long"), st.integers(0, 1680), st.integers(0, 4)),
+    st.tuples(st.just("blank"), st.integers(0, 1680)),
+    st.just(("bom",)),
+)
+
+
+def _mutate_lines(lines: list[str], mutation: tuple) -> list[str]:
+    kind, *where = mutation
+    if kind == "bom":
+        return ["\ufeff" + lines[0], *lines[1:]]
+    row = where[0] % len(lines)
+    if kind == "drop":
+        return lines[:row] + lines[row + 1 :]
+    if kind == "repeat":
+        return lines[: row + 1] + lines[row:]
+    if kind == "blank":
+        return lines[:row] + [""] + lines[row:]
+    cells = lines[row].split(",")
+    cells[where[1] % len(cells)] = _LONG_CELL if kind == "long" else where[2]
+    return lines[:row] + [",".join(cells)] + lines[row + 1 :]
+
+
+@settings(max_examples=30, deadline=None)
+@given(mutations=st.lists(_csv_mutation, min_size=1, max_size=4))
+def test_mutated_csv_exits_cleanly_and_finite(mutations):
+    lines = BUNDLED_DATA.read_text().splitlines()
+    for mutation in mutations:
+        lines = _mutate_lines(lines, mutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        data = f"{tmp}/market.csv"
+        with open(data, "w", encoding="utf-8", newline="") as handle:
+            handle.write("\n".join(lines) + "\n")
+        rc = run_simulate(data, BUNDLED_CONFIG, f"{tmp}/out", "2021-08-09", 7)
+        assert rc in (0, 1, 2)
+        if rc == 0:
+            _assert_finite_outputs(f"{tmp}/out")
 
 
 class TestConfigEnvVar:

@@ -227,6 +227,14 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             run_scenario(history, study[:30], fast_config())
 
+    def test_window_not_starting_at_midnight_rejected(self):
+        # Whole days from 05:00: the (days, 24) rows would not be days, and the
+        # elasticity matrix would act five hours off.
+        series = synthetic_market(40, seed=1)
+        history, study = series[: 30 * 24], series[30 * 24 + 5 : 37 * 24 + 5]
+        with pytest.raises(ValueError, match="must start at 00:00, got a start at 2021-07-07T05:00"):
+            run_scenario(history, study, fast_config())
+
     def test_overlapping_windows_rejected(self):
         series = synthetic_market(14, seed=56)
         with pytest.raises(ValueError):

@@ -317,6 +317,22 @@ class TestForwardSelect:
         with pytest.raises(ValueError):
             forward_select(("intercept", "demand"), train, holdout, base=("intercept", "month"))
 
+    def test_rank_deficient_base_names_the_column(self):
+        # Three weeks of June: month is constant, a multiple of the intercept.
+        series = synthetic_market(21, seed=3)
+        train, holdout = series[: 14 * 24], series[14 * 24 :]
+        with pytest.raises(RankDeficientError) as info:
+            forward_select(FULL_FEATURES, train, holdout, base=("intercept", "month"))
+        assert info.value.column == "month"
+
+    def test_base_wider_than_train_rows(self):
+        series = synthetic_market(3, seed=3)
+        train, holdout = series[:20], series[24:]
+        base = FULL_FEATURES[:25]  # intercept, hour1..hour23, demand
+        with pytest.raises(InsufficientDataError) as info:
+            forward_select(FULL_FEATURES, train, holdout, base=base)
+        assert (info.value.n_obs, info.value.n_features) == (20, 25)
+
     def test_never_worse_than_base(self):
         for seed in range(4):
             series = synthetic_market(21, seed=seed)
@@ -399,7 +415,7 @@ class TestDesignMatrixColumns:
         assert design_matrix(empty, FULL_FEATURES).shape == (0, len(FULL_FEATURES))
 
 
-def refit_forward_select(candidates, train, holdout, base, tol=0.0):
+def refit_forward_select(candidates, train, holdout, base):
     """Forward selection that refits every trial from scratch with fit_ols:
     the reference the residual-update search must reproduce. Also returns
     the disqualified candidates and the selection trace."""
@@ -430,7 +446,7 @@ def refit_forward_select(candidates, train, holdout, base, tol=0.0):
                 pool.remove(name)
                 continue
             scores[name] = score
-            if best_score - score > tol and (best is None or score < best[2]):
+            if score < best_score and (best is None or score < best[2]):
                 best = (name, trial_model, score)
         if best is not None:
             name, model, best_score = best
@@ -510,8 +526,9 @@ class TestSelectionMatchesRefit:
     def test_nearly_collinear_candidate(self, base):
         # dew_point is temperature plus noise of about 1e-9: its residual
         # against temperature sits just above rounding and below the rank
-        # rule. With temperature in the pool, the residual comes from the
-        # rank-1 update; with temperature in the base, from block CGS2.
+        # rule. With temperature in the pool, its residual comes from the
+        # update that selects temperature; with temperature in the base, from
+        # the update that appends the base.
         market = synthetic_market(28, seed=9)
         dew = market.dry_bulb_temp + np.random.default_rng(9).normal(0.0, 1e-9, len(market))
         series = RecordSeries(
@@ -564,13 +581,12 @@ def test_appended_trial_rank_rule_matches_fit_ols(make_x, deficient):
     X = np.column_stack([np.ones(50), rng.normal(size=50)])
     y = rng.normal(size=50)
     x = make_x(X, rng)
-    # x as a pool column against both columns of X: once by block CGS2, once
-    # after the rank-1 update that appends X's second column to the intercept.
-    block = _PoolResiduals(X, x[:, None], y)
-    updated = _PoolResiduals(X[:, :1], np.column_stack([X[:, 1], x]), y)
-    updated.append(0)
-    assert (not block.trials()[0][0]) == deficient
-    assert (not updated.trials()[0][1]) == deficient
+    # x as a candidate column against both columns of X, appended one at a
+    # time from the empty factorization.
+    residuals = _PoolResiduals(np.column_stack([X, x]), y)
+    residuals.append(0)
+    residuals.append(1)
+    assert (not residuals.trials()[0][2]) == deficient
     if deficient:
         with pytest.raises(RankDeficientError):
             fit_ols(np.column_stack([X, x]), y)
@@ -593,16 +609,14 @@ def test_appended_trial_matches_fit_ols(seed, k, extra_rows):
     beta_true = rng.uniform(0.5, 5.0, k + 1) * rng.choice([-1.0, 1.0], k + 1) / scales
     y = X @ beta_true + rng.normal(0.0, 1e-3, n)
     expected = fit_ols(X, y).coefficients
-    # The last column as a pool column against the first k: by block CGS2,
-    # and after appending columns 1..k-1 to the intercept by rank-1 updates.
-    block = _PoolResiduals(X[:, :k], X[:, k:], y)
-    updated = _PoolResiduals(X[:, :1], X[:, 1:], y)
-    for j in range(k - 1):
-        updated.append(j)
-    for residuals, j in ((block, 0), (updated, k - 1)):
-        ok, beta = residuals.trials()
-        assert ok[j]
-        np.testing.assert_allclose(beta[:, j], expected, rtol=1e-9)
+    # The last column as a candidate column against the first k, appended one
+    # at a time from the empty factorization.
+    residuals = _PoolResiduals(X, y)
+    for j in range(k):
+        residuals.append(j)
+    ok, beta = residuals.trials()
+    assert ok[k]
+    np.testing.assert_allclose(beta[:, k], expected, rtol=1e-9)
 
 
 @settings(max_examples=20, deadline=None)
