@@ -15,7 +15,6 @@ from .elasticity import (
     PeriodClass,
     PeriodConfig,
     build_elasticity_matrix,
-    classify_period,
     implied_price,
     multi_hour_response,
     single_hour_response,
@@ -53,4 +52,4 @@ from .regression import (
     significance_level,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

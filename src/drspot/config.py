@@ -13,7 +13,7 @@ the built-in defaults. Schema:
     periods                   {"peak": [hours], "offpeak": [hours], "low": [hours]}
     feature_candidates        [feature names]
     base_features             [feature names]
-    columns                   {canonical name: CSV column name}
+    columns                   {required column name: CSV column name}
     holidays                  ["YYYY-MM-DD", ...]
     holidays_file             path, relative to the config file
 """
@@ -27,7 +27,7 @@ from datetime import date
 from pathlib import Path
 
 from .elasticity import ElasticityTable, PeriodConfig
-from .market_data import read_holidays
+from .market_data import REQUIRED_COLUMNS, read_holidays
 from .pipeline import ScenarioConfig
 
 CONFIG_ENV_VAR = "DR_SPOT_SIM_CONFIG"
@@ -89,12 +89,13 @@ def _items(path: Path, key: str, value, kind: type, what: str) -> list:
 
 
 def load_settings(path: str | Path | None) -> Settings:
-    """Load a config file, or return defaults when no path is given."""
+    """Load a config file (UTF-8, a leading byte order mark skipped), or
+    return defaults when no path is given."""
     if path is None:
         return Settings()
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
 
@@ -160,6 +161,8 @@ def load_settings(path: str | Path | None) -> Settings:
         holidays |= read_holidays(path.parent / holidays_file)
 
     columns = _expect(path, "columns", data.get("columns", {}), dict, "an object")
-    for name in columns.values():
+    for key, name in columns.items():
+        if key not in REQUIRED_COLUMNS:
+            raise ConfigError(f"{path}: unknown columns key {key!r}; expected one of {list(REQUIRED_COLUMNS)}")
         _expect(path, "columns", name, str, "CSV column names")
     return Settings(scenario=scenario, columns=dict(columns), holidays=frozenset(holidays))

@@ -82,11 +82,6 @@ class PeriodConfig:
         raise ValueError(f"hour must be in 1..24, got {hour}")
 
 
-def classify_period(hour: int, cfg: PeriodConfig) -> PeriodClass:
-    """Period class of an hour index (1..24) under the given partition."""
-    return cfg.classify(hour)
-
-
 @dataclass(frozen=True)
 class ElasticityTable:
     """3x3 elasticity table indexed by (demand period, price period).

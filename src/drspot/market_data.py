@@ -2,7 +2,7 @@
 
 CSV contract: a header row with columns ``timestamp`` (ISO-8601 local time
 at hour resolution, without a UTC offset), ``demand_mwh``, ``spot_price``,
-``dry_bulb_f``, ``dew_point_f``, and optionally ``da_price``.  Files with
+``dry_bulb_f`` and ``dew_point_f``; other columns are ignored.  Files with
 different column names can be mapped onto this contract with the ``schema``
 argument of :func:`parse_hourly_csv`.  Units are passed through unconverted
 (MWh, $/MWh, degrees F).
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from datetime import date, datetime
 from itertools import islice
 from operator import attrgetter, itemgetter
@@ -36,7 +35,6 @@ from .series import (  # noqa: F401
 )
 
 REQUIRED_COLUMNS = ("timestamp", "demand_mwh", "spot_price", "dry_bulb_f", "dew_point_f")
-OPTIONAL_COLUMNS = ("da_price",)
 
 
 class MarketDataError(Exception):
@@ -104,10 +102,6 @@ def _first(mask: np.ndarray) -> int:
     return int(mask.argmax()) if mask.any() else len(mask)
 
 
-def _optional_float(raw: str) -> float:
-    return float(raw) if raw else math.nan
-
-
 def _fill_gaps(
     times: np.ndarray, values: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
@@ -143,22 +137,25 @@ _CHUNK_ROWS = 256
 
 
 def _convert_rows(
-    rows: Sequence[list[str]], row_nums: Sequence[int], first: int, order: list[str], col_index: dict[str, int]
+    rows: Sequence[list[str]], row_nums: Sequence[int], first: int, indices: Sequence[int]
 ) -> tuple[np.ndarray, dict[str, np.ndarray], list[tuple[int, int, MarketDataError]]]:
     """Columns of a chunk of non-blank data rows, the first of which is data
     row ``first``. Returns the timestamps up to the first bad one, the value
     columns, and the (data row, check rank within the row, error) of each
-    check's first failure. A short row is the chunk's last row."""
+    check's first failure. ``indices`` holds the file column of each of
+    ``REQUIRED_COLUMNS``, the order in which a row's cells are checked. A
+    short row is the chunk's last row."""
     failures: list[tuple[int, int, MarketDataError]] = []
-    width = max(col_index.values()) + 1
+    width = max(indices) + 1
     if min(map(len, rows)) < width:
         short = next(i for i, row in enumerate(rows) if len(row) < width)
         row = rows[short]
-        rank = min(k for k, c in enumerate(order) if col_index[c] >= len(row))
-        failures.append((first + short, rank, ParseError(row_nums[short], order[rank], "", "row too short")))
+        rank = min(k for k, i in enumerate(indices) if i >= len(row))
+        error = ParseError(row_nums[short], REQUIRED_COLUMNS[rank], "", "row too short")
+        failures.append((first + short, rank, error))
         rows = [*rows[:short], row + [""] * (width - len(row))]
     n = len(rows)
-    cells = dict(zip(order, zip(*map(itemgetter(*(col_index[c] for c in order)), rows))))
+    cells = dict(zip(REQUIRED_COLUMNS, zip(*map(itemgetter(*indices), rows))))
 
     raw_stamps = list(map(str.strip, cells["timestamp"]))
     stamps, bad = _convert(raw_stamps, datetime.fromisoformat)
@@ -175,15 +172,11 @@ def _convert_rows(
         times = times[:bad]
 
     values: dict[str, np.ndarray] = {}
-    for rank, column in enumerate(order[1:], start=1):
+    for rank, column in enumerate(REQUIRED_COLUMNS[1:], start=1):
         raw = cells[column]
-        optional = column in OPTIONAL_COLUMNS
-        if optional:  # an empty cell is an absent value
-            raw = list(map(str.strip, raw))
-        parsed, bad = _convert(raw, _optional_float if optional else float)
+        parsed, bad = _convert(raw, float)
         values[column] = np.array(parsed, dtype=float)
-        present = np.array(list(map(bool, raw[:bad])), dtype=bool) if optional else True
-        non_finite = _first(~np.isfinite(values[column]) & present)
+        non_finite = _first(~np.isfinite(values[column]))
         reason = "non-numeric value"
         if non_finite < bad:
             bad, reason = non_finite, "non-finite value"
@@ -227,19 +220,13 @@ def parse_hourly_csv(
         raise malformed[0] if malformed else ParseError(1, "timestamp", "", "empty input, header row required")
     header = [h.strip() for h in header]
 
-    col_index: dict[str, int] = {}
+    indices = []
     for canonical in REQUIRED_COLUMNS:
         actual = schema.get(canonical, canonical)
         if actual not in header:
             raise MissingColumnError(actual, canonical)
-        col_index[canonical] = header.index(actual)
-    for canonical in OPTIONAL_COLUMNS:
-        actual = schema.get(canonical, canonical)
-        if actual in header:
-            col_index[canonical] = header.index(actual)
+        indices.append(header.index(actual))
 
-    # Cells in the order a row is checked; the first bad cell in file order is reported.
-    order = ["timestamp", *(c for c in OPTIONAL_COLUMNS if c in col_index), *REQUIRED_COLUMNS[1:]]
     numbered = enumerate(records, start=2)
     row_nums: list[int] = []
     chunks: list[tuple[np.ndarray, dict[str, np.ndarray]]] = []
@@ -251,13 +238,13 @@ def parse_hourly_csv(
         kept = [(num, row) for num, row in batch if any(map(str.strip, row))]
         if kept:
             nums, rows = zip(*kept)
-            times, values, failures = _convert_rows(rows, nums, len(row_nums), order, col_index)
+            times, values, failures = _convert_rows(rows, nums, len(row_nums), indices)
             row_nums.extend(nums)
             chunks.append((times, values))
     if not chunks:
         if malformed:
             raise malformed[0]
-        return RecordSeries([], [], [], [], [], [], holidays=holidays)
+        return RecordSeries([], [], [], [], [], holidays=holidays)
 
     times = np.concatenate([chunk_times for chunk_times, _ in chunks])
     step = np.diff(times)
@@ -265,15 +252,13 @@ def parse_hourly_csv(
     if bad < len(times):
         expected, found = times[bad - 1].item() + HOUR, times[bad].item()
         error = GapError(expected) if found > expected else GapError(expected, found, row_nums[bad])
-        failures.append((bad, len(order), error))
+        failures.append((bad, len(REQUIRED_COLUMNS), error))
     if malformed:  # it follows every row read
         failures.append((len(row_nums), 0, malformed[0]))
     if failures:
         raise min(failures, key=itemgetter(0, 1))[2]
 
     def column(name: str) -> np.ndarray:
-        if name not in col_index:
-            return np.full(len(times), math.nan)
         return np.concatenate([chunk_values[name] for _, chunk_values in chunks])
 
     columns = {
@@ -281,7 +266,6 @@ def parse_hourly_csv(
         "spot_price": column("spot_price"),
         "dry_bulb_temp": column("dry_bulb_f"),
         "dew_point": column("dew_point_f"),
-        "day_ahead_price": column("da_price"),
     }
     filled = times[:0]
     if (step > HOUR64).any():
@@ -311,26 +295,18 @@ def write_csv_columns(dest: IO[str], header: Sequence[str], columns: Sequence[Se
 
 
 def write_hourly_csv(series: RecordSeries, dest: str | Path | IO[str]) -> None:
-    """Write a RecordSeries in the canonical CSV layout.
-
-    The da_price column is emitted only when at least one record carries a
-    day-ahead price.  Parsing the output reproduces the series exactly.
-    """
+    """Write a RecordSeries in the canonical CSV layout. Parsing the output
+    reproduces the series exactly."""
     if isinstance(dest, (str, Path)):
         with open(dest, "w", newline="") as handle:
             write_hourly_csv(series, handle)
         return
 
-    header = list(REQUIRED_COLUMNS)
     columns = [
         stamp_strings(series.times),
         *map(float_strings, (series.demand, series.spot_price, series.dry_bulb_temp, series.dew_point)),
     ]
-    absent = np.isnan(series.day_ahead_price)
-    if not absent.all():
-        header.append("da_price")
-        columns.append(np.where(absent, "", float_strings(series.day_ahead_price)).tolist())
-    write_csv_columns(dest, header, columns)
+    write_csv_columns(dest, REQUIRED_COLUMNS, columns)
 
 
 def series_to_csv(series: RecordSeries) -> str:
@@ -341,9 +317,10 @@ def series_to_csv(series: RecordSeries) -> str:
 
 def read_holidays(path: str | Path) -> frozenset[date]:
     """Read a holiday calendar: one ISO date per line, blank lines and
-    ``#`` comments ignored."""
+    ``#`` comments ignored. Read as UTF-8, skipping a leading byte order
+    mark."""
     days = set()
-    for line_num, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_num, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue

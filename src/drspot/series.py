@@ -52,7 +52,7 @@ def _calendar_columns(times: np.ndarray, holidays: frozenset[date]) -> dict[str,
     }
 
 
-_VALUE_COLUMNS = ("demand", "spot_price", "dry_bulb_temp", "dew_point", "day_ahead_price")
+_VALUE_COLUMNS = ("demand", "spot_price", "dry_bulb_temp", "dew_point")
 _COLUMNS = ("times", *_VALUE_COLUMNS, "hour_of_day", "month", "weekday", "is_holiday")
 
 
@@ -61,11 +61,11 @@ class RecordSeries:
 
     Built from equal-length columns, which are copied: ``times`` holds the
     naive local timestamps (stored as ``datetime64[us]``); ``demand``,
-    ``spot_price``, ``dry_bulb_temp`` and ``dew_point`` the values;
-    ``day_ahead_price`` is NaN where a record has none. The calendar columns
-    ``hour_of_day`` (1..24), ``month``, ``weekday`` (Monday is 0) and
-    ``is_holiday`` are derived once, when the series is built; slices and
-    :meth:`between` share the columns of the series they come from.
+    ``spot_price``, ``dry_bulb_temp`` and ``dew_point`` the values. The
+    calendar columns ``hour_of_day`` (1..24), ``month``, ``weekday`` (Monday
+    is 0) and ``is_holiday`` are derived once, when the series is built;
+    slices and :meth:`between` share the columns of the series they come
+    from.
 
     A series intended for model fitting or simulation must be contiguous
     (strictly increasing timestamps, exact one-hour spacing); use
@@ -81,7 +81,6 @@ class RecordSeries:
         spot_price: Sequence[float],
         dry_bulb_temp: Sequence[float],
         dew_point: Sequence[float],
-        day_ahead_price: Sequence[float],
         *,
         holidays: Iterable[date] = frozenset(),
         filled: Sequence = (),
@@ -92,7 +91,7 @@ class RecordSeries:
         self.filled = np.sort(np.array(filled, dtype=TIME_DTYPE).reshape(-1))
         self.filled.flags.writeable = False
         columns = {"times": np.array(times, dtype=TIME_DTYPE).reshape(-1)}
-        values = (demand, spot_price, dry_bulb_temp, dew_point, day_ahead_price)
+        values = (demand, spot_price, dry_bulb_temp, dew_point)
         for name, column in zip(_VALUE_COLUMNS, values):
             columns[name] = np.array(column, dtype=float).reshape(-1)
             if len(columns[name]) != len(columns["times"]):

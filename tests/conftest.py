@@ -28,7 +28,7 @@ def build_series(
     temp = [72.0] * n if temp is None else temp
     dew = [60.0] * n if dew is None else dew
     times = np.datetime64(start, "us") + np.arange(n) * np.timedelta64(1, "h")
-    return RecordSeries(times, demand, price, temp, dew, np.full(n, np.nan), holidays=holidays)
+    return RecordSeries(times, demand, price, temp, dew, holidays=holidays)
 
 
 def synthetic_market(

@@ -4,7 +4,6 @@ The columnar code in drspot is checked against them."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Iterable, Sequence
@@ -18,8 +17,8 @@ from drspot.market_data import RecordSeries
 class HourlyRecord:
     """One hour of market data.
 
-    Demand in MWh, prices in $/MWh (real-time spot price plus an optional
-    day-ahead price), temperatures in degrees F.
+    Demand in MWh, the real-time spot price in $/MWh, temperatures in
+    degrees F.
     """
 
     timestamp: datetime
@@ -27,7 +26,6 @@ class HourlyRecord:
     spot_price: float
     dry_bulb_temp: float
     dew_point: float
-    day_ahead_price: float | None = None
 
 
 @dataclass(frozen=True)
@@ -66,14 +64,12 @@ def series_from_records(records: Sequence[HourlyRecord], holidays: Iterable[date
         [r.spot_price for r in records],
         [r.dry_bulb_temp for r in records],
         [r.dew_point for r in records],
-        [math.nan if r.day_ahead_price is None else r.day_ahead_price for r in records],
         holidays=holidays,
     )
 
 
 def records(series: RecordSeries) -> list[HourlyRecord]:
     """The series' hours as records, read back from its columns."""
-    day_ahead = [None if math.isnan(v) else v for v in series.day_ahead_price.tolist()]
     return list(
         map(
             HourlyRecord,
@@ -82,7 +78,6 @@ def records(series: RecordSeries) -> list[HourlyRecord]:
             series.spot_price.tolist(),
             series.dry_bulb_temp.tolist(),
             series.dew_point.tolist(),
-            day_ahead,
         )
     )
 
@@ -123,6 +118,5 @@ def hours(series: RecordSeries) -> list[tuple[HourlyRecord, CalendarFeatures]]:
 
 
 def columns(series: RecordSeries) -> list[np.ndarray]:
-    """The constructor's six columns of ``series``, in argument order."""
-    return [series.times, series.demand, series.spot_price, series.dry_bulb_temp, series.dew_point,
-            series.day_ahead_price]
+    """The constructor's five columns of ``series``, in argument order."""
+    return [series.times, series.demand, series.spot_price, series.dry_bulb_temp, series.dew_point]

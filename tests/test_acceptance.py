@@ -10,6 +10,8 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR, SYNTHETIC_CANDIDATES, synthetic_market
 from drspot.cli import main
@@ -226,3 +228,49 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
     bundled = parse_hourly_csv(DATA_DIR / "synthetic_market.csv")
     assert parse_hourly_csv(io.StringIO(series_to_csv(bundled))) == bundled
     print(f"[criterion 8] PASS byte-identical outputs ({len(names)} files) and lossless CSV round trip")
+
+
+# The README invariants as properties over random draws; the criteria above
+# check the same invariants on fixed seeds.
+
+
+@settings(deadline=None)
+@given(
+    d0=st.floats(1.0, 5000.0),
+    p0=st.floats(10.0, 100.0),
+    p=st.floats(0.0, 300.0),
+    e=st.floats(0.01, 1.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_property_inverse_consistency(d0, p0, p, e, sign):
+    e *= sign
+    assert implied_price(single_hour_response(d0, p0, p, e), d0, p0, e) == pytest.approx(p, rel=1e-9, abs=1e-9)
+
+
+@settings(deadline=None)
+@given(n=st.integers(60, 400), m=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
+def test_property_ols_noiseless_recovery(n, m, seed):
+    rng = np.random.default_rng(seed)
+    numeric = rng.normal(0.0, 1.0, (n, m - 1)) * rng.uniform(0.5, 3.0, m - 1)
+    X = np.column_stack([np.ones(n), numeric])
+    beta = rng.uniform(0.5, 5.0, m) * rng.choice([-1.0, 1.0], m)
+    model = fit_ols(X, X @ beta)
+    np.testing.assert_allclose(model.coefficients, beta, rtol=1e-8, atol=0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(history_days=st.integers(21, 35), study_days=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_property_closed_loop_signs(history_days, study_days, seed):
+    cfg = ScenarioConfig(
+        feature_candidates=SYNTHETIC_CANDIDATES,
+        base_features=("intercept", "demand"),
+        elasticity_table=ElasticityTable.diagonal(-0.10),
+    )
+    series = synthetic_market(history_days + study_days, seed=seed)
+    history, study = series[: history_days * 24], series[history_days * 24 :]
+    result = run_scenario(history, study, cfg)
+    spikes = result.forecast_price > cfg.flat_rate
+    assume(spikes.any())
+    assert np.all(result.dr_demand[spikes] < result.baseline_demand[spikes])
+    assert np.all(result.updated_spot_price[spikes] < result.forecast_price[spikes])
+    assert result.updated_spot_price.max() <= result.forecast_price.max()

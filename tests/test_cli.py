@@ -606,6 +606,23 @@ def test_mutated_csv_exits_cleanly_and_finite(mutations):
             _assert_finite_outputs(f"{tmp}/out")
 
 
+class TestConfigFile:
+    @pytest.mark.parametrize("columns", [{"spot": "rt_lmp"}, {"demand": "demand_mwh"}])
+    def test_unknown_columns_key_exits_1(self, market_csv, tmp_path, capsys, columns):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({**json.loads(BUNDLED_CONFIG.read_text()), "columns": columns}))
+        assert run_simulate(market_csv, config, tmp_path / "out") == 1
+        assert f"unknown columns key {next(iter(columns))!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_byte_order_marks_exit_0(self, market_csv, compact_config, tmp_path):
+        (tmp_path / "holidays.txt").write_text("\ufeff2021-07-05\n", encoding="utf-8")
+        data = {**json.loads(compact_config.read_text()), "holidays_file": "holidays.txt"}
+        config = tmp_path / "bom.json"
+        config.write_text("\ufeff" + json.dumps(data), encoding="utf-8")
+        assert run_simulate(market_csv, config, tmp_path / "out") == 0
+
+
 class TestConfigEnvVar:
     def test_env_var_used_as_fallback(self, market_csv, tmp_path, monkeypatch, capsys):
         config = tmp_path / "from_env.json"

@@ -112,6 +112,19 @@ def test_holidays_file_merged(tmp_path):
     assert settings.holidays == {date(2014, 7, 4), date(2014, 9, 1)}
 
 
+# Windows editors write a UTF-8 byte order mark at the start of a file.
+def test_config_byte_order_mark_skipped(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text("\ufeff" + json.dumps({"flat_rate": 25.0}), encoding="utf-8")
+    assert load_settings(path).scenario.flat_rate == 25.0
+
+
+def test_holidays_file_byte_order_mark_skipped(tmp_path):
+    (tmp_path / "holidays.txt").write_text("\ufeff2021-07-05\n2021-09-06\n", encoding="utf-8")
+    settings = load_settings(write_config(tmp_path, {"holidays_file": "holidays.txt"}))
+    assert settings.holidays == {date(2021, 7, 5), date(2021, 9, 6)}
+
+
 def test_env_var_fallback(monkeypatch):
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
     assert resolve_config_path(None) is None
@@ -151,6 +164,13 @@ _ZERO_TABLE = {k: 0.0 for k in (
         ({"base_features": [{"name": "intercept"}]}, "base_features must be feature names"),
         ({"columns": ["demand_mwh"]}, "columns must be an object"),
         ({"columns": {"demand_mwh": 3}}, "columns must be CSV column names"),
+        (
+            {"columns": {"demand_mwh": "Load", "spot": "rt_lmp"}},
+            "unknown columns key 'spot'; expected one of "
+            "['timestamp', 'demand_mwh', 'spot_price', 'dry_bulb_f', 'dew_point_f']",
+        ),
+        ({"columns": {"demand": "demand_mwh"}}, "unknown columns key 'demand'"),
+        ({"columns": {"da_price": "DA_LMP"}}, "unknown columns key 'da_price'"),
     ],
 )
 def test_wrong_json_types_rejected(tmp_path, data, message):

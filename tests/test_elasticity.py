@@ -13,7 +13,6 @@ from drspot.elasticity import (
     PeriodClass,
     PeriodConfig,
     build_elasticity_matrix,
-    classify_period,
     implied_price,
     multi_hour_response,
     single_hour_response,
@@ -34,14 +33,14 @@ class TestPeriods:
     def test_default_partition(self):
         cfg = PeriodConfig.default()
         assert cfg.peak_hours | cfg.offpeak_hours | cfg.low_hours == set(range(1, 25))
-        assert classify_period(15, cfg) is PeriodClass.PEAK
-        assert classify_period(3, cfg) is PeriodClass.LOW
-        assert classify_period(10, cfg) is PeriodClass.OFFPEAK
+        assert cfg.classify(15) is PeriodClass.PEAK
+        assert cfg.classify(3) is PeriodClass.LOW
+        assert cfg.classify(10) is PeriodClass.OFFPEAK
 
     def test_every_hour_classified(self):
         cfg = PeriodConfig.default()
         for hour in range(1, 25):
-            assert classify_period(hour, cfg) in PeriodClass
+            assert cfg.classify(hour) in PeriodClass
 
     def test_custom_offpeak_assignment(self):
         cfg = PeriodConfig(
@@ -49,7 +48,7 @@ class TestPeriods:
             offpeak_hours=frozenset({5}),
             low_hours=frozenset({1}),
         )
-        assert classify_period(5, cfg) is PeriodClass.OFFPEAK
+        assert cfg.classify(5) is PeriodClass.OFFPEAK
 
     def test_incomplete_partition_rejected(self):
         with pytest.raises(ValueError):

@@ -43,7 +43,6 @@ def test_parse_minimal_csv():
     assert rec.spot_price == 25.5
     assert rec.dry_bulb_temp == 70.0
     assert rec.dew_point == 58.0
-    assert rec.day_ahead_price is None
     assert cal.hour_of_day == 1
 
 
@@ -104,16 +103,19 @@ def test_parse_schema_remap():
     assert series.demand[0] == 1000.0
 
 
-def test_parse_optional_da_price():
-    content = (
-        "timestamp,demand_mwh,spot_price,dry_bulb_f,dew_point_f,da_price\n"
-        "2014-08-18T00:00,1000.0,25.5,70.0,58.0,26.0\n"
-        "2014-08-18T01:00,950.0,24.0,69.0,57.5,\n"
-    )
-    series = parse_hourly_csv(io.StringIO(content))
-    assert series.day_ahead_price[0] == 26.0
-    assert np.isnan(series.day_ahead_price[1])
-    assert [r.day_ahead_price for r in reference.records(series)] == [26.0, None]
+def test_parse_ignores_da_price_column():
+    # A day-ahead price column is not read: not even a non-numeric cell fails.
+    expected = parse_hourly_csv(io.StringIO(CSV_3ROWS))
+    extra = ["da_price", "", "nan", "abc"]
+    for position in (1, 5):  # after the timestamp, and last
+        lines = []
+        for cell, line in zip(extra, CSV_3ROWS.splitlines()):
+            cells = line.split(",")
+            cells.insert(position, cell)
+            lines.append(",".join(cells))
+        with_extra = parse_hourly_csv(io.StringIO("\n".join(lines) + "\n"))
+        assert with_extra == expected
+        assert series_to_csv(with_extra) == CSV_3ROWS
 
 
 def test_parse_bad_timestamp():
@@ -301,7 +303,6 @@ def test_csv_round_trip():
             spot_price=float(rng.uniform(5, 200)),
             dry_bulb_temp=float(rng.uniform(40, 100)),
             dew_point=float(rng.uniform(30, 80)),
-            day_ahead_price=float(rng.uniform(5, 200)) if h % 3 else None,
         )
         for h in range(48)
     ]
@@ -420,7 +421,7 @@ def test_series_takes_slices_only():
 def test_filled_is_a_sorted_read_only_column():
     stamps = [datetime(2014, 8, 18, 5), datetime(2014, 8, 18, 2)]
     ones = [1.0] * 8
-    series = RecordSeries([datetime(2014, 8, 18, h) for h in range(8)], ones, ones, ones, ones, ones, filled=stamps)
+    series = RecordSeries([datetime(2014, 8, 18, h) for h in range(8)], ones, ones, ones, ones, filled=stamps)
     assert series.filled.dtype == np.dtype("datetime64[us]")
     assert series.filled.tolist() == sorted(stamps)
     assert series[2:4].filled is series.filled

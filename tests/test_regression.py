@@ -411,7 +411,7 @@ class TestDesignMatrixColumns:
         )
 
     def test_empty_series(self):
-        empty = RecordSeries([], [], [], [], [], [])
+        empty = RecordSeries([], [], [], [], [])
         assert design_matrix(empty, FULL_FEATURES).shape == (0, len(FULL_FEATURES))
 
 
@@ -531,9 +531,7 @@ class TestSelectionMatchesRefit:
         # the update that appends the base.
         market = synthetic_market(28, seed=9)
         dew = market.dry_bulb_temp + np.random.default_rng(9).normal(0.0, 1e-9, len(market))
-        series = RecordSeries(
-            market.times, market.demand, market.spot_price, market.dry_bulb_temp, dew, market.day_ahead_price
-        )
+        series = RecordSeries(market.times, market.demand, market.spot_price, market.dry_bulb_temp, dew)
         train, holdout = series[: 21 * 24], series[21 * 24 :]
         spec, disqualified = self._check(FULL_FEATURES, train, holdout, base)
         kept = {"temperature", "dew_point"} & set(spec)
@@ -547,7 +545,7 @@ class TestSelectionMatchesRefit:
         market = synthetic_market(21, seed=4)
         series = RecordSeries(
             market.times, market.demand, market.spot_price, market.dry_bulb_temp,
-            market.dry_bulb_temp.copy(), market.day_ahead_price,
+            market.dry_bulb_temp.copy(),
         )
         train, holdout = series[: 14 * 24], series[14 * 24 :]
         self._check(SYNTHETIC_CANDIDATES, train, holdout, DEFAULT_BASE_FEATURES)
