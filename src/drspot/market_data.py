@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from datetime import date, datetime
-from itertools import islice
+from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
@@ -28,6 +29,7 @@ import numpy as np
 from .series import (  # noqa: F401
     HOUR,
     HOUR64,
+    TIME_DTYPE,
     RecordSeries,
     datetime64_column,
     iso_minutes,
@@ -123,26 +125,109 @@ def _fill_gaps(
     return times[0] + full * HOUR64, filled, synthesized
 
 
-def _records(reader, malformed: list[ParseError]) -> Iterator[list[str]]:
-    """The reader's records up to the first one it rejects, whose error
-    (by file line) is appended to ``malformed``."""
+def _records(lines: Iterable[str], offset: int, malformed: list[ParseError]) -> Iterator[tuple[int, list[str]]]:
+    """The CSV records of ``lines``, which follow the first ``offset`` lines
+    of the file, each with the file line it starts on. They stop at the
+    first record the reader rejects, whose error (by file line) is appended
+    to ``malformed``."""
+    reader = csv.reader(lines)
+    start = offset + 1
     try:
-        yield from reader
+        for record in reader:
+            yield start, record
+            start = offset + reader.line_num + 1
     except csv.Error as exc:
-        malformed.append(ParseError(reader.line_num, None, "", f"malformed CSV: {exc}"))
+        malformed.append(ParseError(offset + reader.line_num, None, "", f"malformed CSV: {exc}"))
 
 
 # Rows parsed or written at a time: bounds the cell strings held at once.
 _CHUNK_ROWS = 256
+# Canonical stamps, one a line: the only ones numpy's ISO parser converts
+# here, since on them it agrees with datetime.fromisoformat from year 1 on.
+_STAMP = "[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}"
+_CANONICAL_STAMPS = re.compile(_STAMP + "(?:\n" + _STAMP + ")*")
+_YEAR_ONE = np.datetime64("0001-01-01", "us")
+
+
+def _plain_block(
+    block: list[str], width: int, indices: Sequence[int]
+) -> tuple[list[str], np.ndarray, list[list[str]]] | None:
+    """The stripped stamps, their times and the raw cells of each value
+    column of a block of data lines, or None unless ``csv.reader`` would
+    split every line at each of its commas into ``width`` cells and every
+    stamp is canonical (``YYYY-MM-DDTHH:MM``, from year 1).
+
+    A plain block has no quote, carriage return or NUL (which the reader
+    treats specially) and no more characters than ``csv.field_size_limit()``
+    (so no cell the reader rejects). It has no blank row either: each row
+    has a stamp."""
+    text = "".join(block)
+    if (
+        '"' in text
+        or "\r" in text
+        or "\0" in text
+        or len(text) > csv.field_size_limit()
+        or set(map(str.count, block, repeat(","))) != {width - 1}
+    ):
+        return None
+    n = len(block)
+    cells = text.replace("\n", ",").split(",")
+    raw_stamps, *values = (cells[i : n * width : width] for i in indices)
+    stamps = list(map(str.strip, raw_stamps))
+    if not _CANONICAL_STAMPS.fullmatch("\n".join(stamps)):
+        return None
+    try:
+        times = np.array(stamps, dtype=TIME_DTYPE)
+    except ValueError:  # a month, day, hour or minute out of range
+        return None
+    if (times < _YEAR_ONE).any():
+        return None
+    return stamps, times, values
+
+
+def _convert_columns(
+    stamps: Sequence[str],
+    times: np.ndarray,
+    cells: Sequence[Sequence[str]],
+    row_nums: Sequence[int],
+    reason: str = "",
+) -> tuple[np.ndarray, dict[str, np.ndarray], list[tuple[int, int, MarketDataError]]]:
+    """Checked columns of a chunk of non-blank data rows on file rows
+    ``row_nums``. ``stamps`` holds the stripped stamps, ``times`` converts
+    them up to the first one rejected (for ``reason``), and ``cells`` holds
+    the raw cells of each value column of ``REQUIRED_COLUMNS``. Returns the
+    times up to the first bad stamp, the value columns, and the (row within
+    the chunk, check rank within the row, error) of each check's first
+    failure."""
+    failures: list[tuple[int, int, MarketDataError]] = []
+    n = len(stamps)
+    bad = len(times)
+    off_hour = _first(times != times.astype("datetime64[h]"))
+    if off_hour < bad:
+        bad, reason = off_hour, "timestamp not on an hour boundary"
+    if bad < n:
+        failures.append((bad, 0, ParseError(row_nums[bad], "timestamp", stamps[bad], reason)))
+        times = times[:bad]
+
+    values: dict[str, np.ndarray] = {}
+    for rank, (column, raw) in enumerate(zip(REQUIRED_COLUMNS[1:], cells), start=1):
+        parsed, bad = _convert(raw, float)
+        values[column] = np.array(parsed, dtype=float)
+        non_finite = _first(~np.isfinite(values[column]))
+        reason = "non-numeric value"
+        if non_finite < bad:
+            bad, reason = non_finite, "non-finite value"
+        if bad < n:
+            failures.append((bad, rank, ParseError(row_nums[bad], column, raw[bad].strip(), reason)))
+    return times, values, failures
 
 
 def _convert_rows(
-    rows: Sequence[list[str]], row_nums: Sequence[int], first: int, indices: Sequence[int]
+    rows: Sequence[list[str]], row_nums: Sequence[int], indices: Sequence[int]
 ) -> tuple[np.ndarray, dict[str, np.ndarray], list[tuple[int, int, MarketDataError]]]:
-    """Columns of a chunk of non-blank data rows, the first of which is data
-    row ``first``. Returns the timestamps up to the first bad one, the value
-    columns, and the (data row, check rank within the row, error) of each
-    check's first failure. ``indices`` holds the file column of each of
+    """:func:`_convert_columns` of a chunk of non-blank records that
+    ``csv.reader`` split, converting the stamps with
+    ``datetime.fromisoformat``. ``indices`` holds the file column of each of
     ``REQUIRED_COLUMNS``, the order in which a row's cells are checked. A
     short row is the chunk's last row."""
     failures: list[tuple[int, int, MarketDataError]] = []
@@ -151,38 +236,54 @@ def _convert_rows(
         short = next(i for i, row in enumerate(rows) if len(row) < width)
         row = rows[short]
         rank = min(k for k, i in enumerate(indices) if i >= len(row))
-        error = ParseError(row_nums[short], REQUIRED_COLUMNS[rank], "", "row too short")
-        failures.append((first + short, rank, error))
+        failures.append((short, rank, ParseError(row_nums[short], REQUIRED_COLUMNS[rank], "", "row too short")))
         rows = [*rows[:short], row + [""] * (width - len(row))]
-    n = len(rows)
-    cells = dict(zip(REQUIRED_COLUMNS, zip(*map(itemgetter(*indices), rows))))
+    raw_stamps, *cells = zip(*map(itemgetter(*indices), rows))
 
-    raw_stamps = list(map(str.strip, cells["timestamp"]))
-    stamps, bad = _convert(raw_stamps, datetime.fromisoformat)
+    stamps = list(map(str.strip, raw_stamps))
+    parsed, bad = _convert(stamps, datetime.fromisoformat)
     reason = "bad timestamp"
-    if any(map(attrgetter("tzinfo"), stamps)):
-        bad = next(i for i, ts in enumerate(stamps) if ts.tzinfo is not None)
+    if any(map(attrgetter("tzinfo"), parsed)):
+        bad = next(i for i, ts in enumerate(parsed) if ts.tzinfo is not None)
         reason = "timestamp has a UTC offset; local time expected"
-    times = datetime64_column(stamps[:bad])
-    off_hour = _first(times != times.astype("datetime64[h]"))
-    if off_hour < bad:
-        bad, reason = off_hour, "timestamp not on an hour boundary"
-    if bad < n:
-        failures.append((first + bad, 0, ParseError(row_nums[bad], "timestamp", raw_stamps[bad], reason)))
-        times = times[:bad]
+    times, values, checked = _convert_columns(stamps, datetime64_column(parsed[:bad]), cells, row_nums, reason)
+    return times, values, failures + checked
 
-    values: dict[str, np.ndarray] = {}
-    for rank, column in enumerate(REQUIRED_COLUMNS[1:], start=1):
-        raw = cells[column]
-        parsed, bad = _convert(raw, float)
-        values[column] = np.array(parsed, dtype=float)
-        non_finite = _first(~np.isfinite(values[column]))
-        reason = "non-numeric value"
-        if non_finite < bad:
-            bad, reason = non_finite, "non-finite value"
-        if bad < n:
-            failures.append((first + bad, rank, ParseError(row_nums[bad], column, raw[bad].strip(), reason)))
-    return times, values, failures
+
+_Chunk = tuple[Sequence[int], np.ndarray, dict[str, np.ndarray], list[tuple[int, int, MarketDataError]]]
+
+
+def _record_chunks(records: Iterator[tuple[int, list[str]]], indices: Sequence[int]) -> Iterator[_Chunk]:
+    """The file rows and :func:`_convert_rows` of each chunk of the
+    non-blank ``records``."""
+    while batch := list(islice(records, _CHUNK_ROWS)):
+        kept = [(num, row) for num, row in batch if any(map(str.strip, row))]
+        if kept:
+            nums, rows = zip(*kept)
+            yield (nums, *_convert_rows(rows, nums, indices))
+
+
+def _chunks(
+    lines: Iterator[str], offset: int, width: int, indices: Sequence[int], malformed: list[ParseError]
+) -> Iterator[_Chunk]:
+    """The file rows and checked columns of each chunk of the non-blank data
+    rows on the lines after line ``offset``, read a block of lines at a
+    time. A plain block (see :func:`_plain_block`) is split without
+    ``csv.reader`` and gives the same chunk; any other block goes through
+    the reader, and from a block with a quote on, so does the rest of the
+    file, since a quoted cell can span lines."""
+    while block := list(islice(lines, _CHUNK_ROWS)):
+        plain = _plain_block(block, width, indices)
+        if plain is not None:
+            nums = range(offset + 1, offset + len(block) + 1)
+            yield (nums, *_convert_columns(*plain, nums))
+        else:
+            quoted = any('"' in line for line in block)
+            records = _records(chain(block, lines) if quoted else block, offset, malformed)
+            yield from _record_chunks(records, indices)
+            if quoted or malformed:
+                return
+        offset += len(block)
 
 
 def parse_hourly_csv(
@@ -196,11 +297,12 @@ def parse_hourly_csv(
 
     ``schema`` maps canonical column names to the file's actual header
     names (identity by default).  Row numbers in errors are 1-based file
-    lines, counting the header as row 1.  The first bad cell in file order
-    is reported; timestamps with a UTC offset are rejected, and so is a row
-    the CSV reader cannot split (a cell over ``csv.field_size_limit()``
-    characters, say). A path is read as UTF-8, skipping a leading byte
-    order mark.
+    lines, counting the header as row 1; a record whose quoted cell spans
+    lines is numbered by the line it starts on.  The first bad cell in file
+    order is reported; timestamps with a UTC offset are rejected, and so is
+    a row the CSV reader cannot split (a cell over
+    ``csv.field_size_limit()`` characters, say). A path is read as UTF-8,
+    skipping a leading byte order mark.
 
     In strict mode (default) any hole in the hourly sequence raises
     GapError.  In permissive mode interior gaps are filled (demand and
@@ -214,11 +316,15 @@ def parse_hourly_csv(
 
     schema = dict(schema or {})
     malformed: list[ParseError] = []
-    records = _records(csv.reader(source), malformed)
-    header = next(records, None)
-    if header is None:
+    lines = iter(source)
+    head = list(islice(lines, 1))
+    # A quoted header cell can span lines: one reader then reads the whole file.
+    quoted = any('"' in line for line in head)
+    records = _records(chain(head, lines) if quoted else head, 0, malformed)
+    first = next(records, None)
+    if first is None:
         raise malformed[0] if malformed else ParseError(1, "timestamp", "", "empty input, header row required")
-    header = [h.strip() for h in header]
+    header = [h.strip() for h in first[1]]
 
     indices = []
     for canonical in REQUIRED_COLUMNS:
@@ -227,20 +333,17 @@ def parse_hourly_csv(
             raise MissingColumnError(actual, canonical)
         indices.append(header.index(actual))
 
-    numbered = enumerate(records, start=2)
+    converted = _record_chunks(records, indices) if quoted else _chunks(lines, 1, len(header), indices, malformed)
     row_nums: list[int] = []
     chunks: list[tuple[np.ndarray, dict[str, np.ndarray]]] = []
     failures: list[tuple[int, int, MarketDataError]] = []
-    while not failures:
-        batch = list(islice(numbered, _CHUNK_ROWS))
-        if not batch:
+    for nums, times, values, chunk_failures in converted:
+        # Failures are ordered by data row across chunks, then by check rank.
+        failures = [(len(row_nums) + i, rank, error) for i, rank, error in chunk_failures]
+        row_nums.extend(nums)
+        chunks.append((times, values))
+        if failures:
             break
-        kept = [(num, row) for num, row in batch if any(map(str.strip, row))]
-        if kept:
-            nums, rows = zip(*kept)
-            times, values, failures = _convert_rows(rows, nums, len(row_nums), indices)
-            row_nums.extend(nums)
-            chunks.append((times, values))
     if not chunks:
         if malformed:
             raise malformed[0]

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 from drspot.market_data import RecordSeries
 
@@ -13,6 +15,11 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = REPO_ROOT / "data"
 
 MONDAY = datetime(2021, 6, 7)
+
+# HYPOTHESIS_PROFILE=ci runs the properties that fix no example count ten
+# times as long (the differential parser property among them).
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def build_series(

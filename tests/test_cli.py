@@ -312,6 +312,17 @@ class TestTimestampErrors:
         assert "row 2, column 'timestamp': timestamp has a UTC offset; local time expected" in err
         assert "Traceback" not in err
 
+    def test_zulu_stamp_exits_1_without_warnings(self, market_csv, compact_config, tmp_path, capsys):
+        lines = market_csv.read_text().splitlines()
+        lines[5] = lines[5].replace(",", "Z,", 1)
+        market_csv.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_simulate(market_csv, compact_config, tmp_path / "out") == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: load: ") and "row 6, column 'timestamp': " in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("mode", ["--strict", "--permissive"])
     def test_duplicate_hour_exits_1(self, market_csv, compact_config, tmp_path, capsys, mode):
         lines = market_csv.read_text().splitlines()

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from conftest import synthetic_market
 from drspot import market_data
 from drspot.market_data import (
     GapError,
+    MarketDataError,
     MissingColumnError,
     ParseError,
     RecordSeries,
@@ -452,3 +454,165 @@ def test_parse_path_skips_byte_order_mark(tmp_path):
     path = tmp_path / "excel.csv"
     path.write_bytes(b"\xef\xbb\xbf" + CSV_3ROWS.encode())
     assert parse_hourly_csv(path) == parse_hourly_csv(io.StringIO(CSV_3ROWS))
+
+
+def test_parse_numbers_rows_by_file_line_after_multi_line_cell():
+    lines = [
+        "timestamp,demand_mwh,spot_price,dry_bulb_f,dew_point_f,note",
+        '2021-06-07T00:00,1000.0,25.5,70.0,58.0,"two',
+        'lines"',
+        "2021-06-07T01:00,abc,24.0,69.0,57.5,",
+    ]
+    with pytest.raises(ParseError) as excinfo:
+        parse_hourly_csv(io.StringIO("\n".join(lines) + "\n"))
+    assert str(excinfo.value) == "row 4, column 'demand_mwh': non-numeric value: 'abc'"
+
+    lines[3] = lines[3].replace("abc", "950.0")
+    lines.append("2021-06-07T01:00,900.0,23.1,68.0,57.0,")
+    with pytest.raises(GapError, match="^row 5: duplicate hour 2021-06-07T01:00$"):
+        parse_hourly_csv(io.StringIO("\n".join(lines) + "\n"))
+
+
+@pytest.mark.parametrize("blank", [" , , , , ", ",,,,"])
+def test_parse_skips_blank_rows_inside_a_plain_block(blank):
+    lines = CSV_3ROWS.splitlines()
+    lines.insert(2, blank)
+    assert parse_hourly_csv(io.StringIO("\n".join(lines) + "\n")) == parse_hourly_csv(io.StringIO(CSV_3ROWS))
+    lines[3] = lines[3].replace("950.0", "abc")
+    with pytest.raises(ParseError, match="^row 4, column 'demand_mwh': non-numeric value: 'abc'$"):
+        parse_hourly_csv(io.StringIO("\n".join(lines) + "\n"))
+
+
+# Well-formed stamps with a field out of range; numpy's ISO parser takes year 0.
+@pytest.mark.parametrize("stamp", ["0000-01-01T00:00", "2014-02-29T01:00", "2014-13-01T01:00", "2014-08-18T24:00"])
+def test_parse_out_of_range_stamp_is_a_bad_timestamp(stamp):
+    bad = CSV_3ROWS.replace("2014-08-18T01:00", stamp)
+    with pytest.raises(ParseError) as excinfo:
+        parse_hourly_csv(io.StringIO(bad))
+    assert str(excinfo.value) == f"row 3, column 'timestamp': bad timestamp: {stamp!r}"
+
+
+def _quote_header(text: str) -> str:
+    """The same CSV with its first header cell quoted, which ``csv.reader``
+    reads identically but which sends every line through it."""
+    return '"' + text.replace(",", '",', 1)
+
+
+def test_plain_blocks_number_rows_like_the_csv_reader_across_block_edge():
+    edge = market_data._CHUNK_ROWS
+    start = datetime(2021, 6, 7)
+    series = series_from_records([_record(start + timedelta(hours=h), float(h)) for h in range(2 * edge + 20)])
+    text = series_to_csv(series)
+    blocks = text.splitlines(keepends=True)[1:]
+    for first in range(0, len(blocks), edge):  # every block of the canonical file is plain
+        assert market_data._plain_block(blocks[first : first + edge], 5, range(5)) is not None
+
+    for data_row in (edge - 1, edge, edge + 1, edge + 2):
+        lines = text.splitlines()  # lines[k] is file row k + 1
+        cells = lines[data_row].split(",")
+        cells[1] = "abc"
+        lines[data_row] = ",".join(cells)
+        repeated = text.splitlines()
+        repeated.insert(data_row + 1, repeated[data_row])
+        for variant, expected in (
+            (lines, f"row {data_row + 1}, column 'demand_mwh': non-numeric value: 'abc'"),
+            (repeated, f"row {data_row + 2}: duplicate hour "),
+        ):
+            for content in ("\n".join(variant) + "\n", _quote_header("\n".join(variant) + "\n")):
+                with pytest.raises(MarketDataError) as excinfo:
+                    parse_hourly_csv(io.StringIO(content))
+                assert str(excinfo.value).startswith(expected)
+
+
+# The differential property: a file and the same file with a quoted header
+# cell (so every line goes through csv.reader) parse alike. The mutations
+# sit anywhere, and often next to the block edges of the plain path.
+_EDGE = market_data._CHUNK_ROWS
+_BASE_LINES = series_to_csv(synthetic_market(23, seed=3)).splitlines()  # 552 data rows
+_near_edge = [r for e in (1, _EDGE, 2 * _EDGE) for r in range(e - 1, e + 3) if r >= 1]
+_row = st.one_of(st.sampled_from(_near_edge), st.integers(1, len(_BASE_LINES) - 1))
+_LIMIT = csv.field_size_limit()
+_cell = st.sampled_from(
+    ['"950.0"', '"9\n50"', '"a\n\nb"', '"', '""', "9\x000", "abc", "nan", "inf", " 1.5 ", "1_0", ""]
+    + ["9" * _LIMIT, "9" * (_LIMIT + 1), '"' + "9" * (_LIMIT + 1) + '"']
+)
+_STAMP_EDITS = {
+    "seconds": lambda s: s + ":00",
+    "space": lambda s: s.replace("T", " "),
+    "zulu": lambda s: s + "Z",
+    "utc": lambda s: s + "+00:00",
+    "offset": lambda s: s + "-05:00",
+    "year_zero": lambda s: "0000" + s[4:],
+    "arabic_digit": lambda s: s[:-1] + "٠",
+    "fullwidth_digit": lambda s: "２" + s[1:],
+    "half_past": lambda s: s[:-2] + "30",
+    "padded": lambda s: " " + s + "\t",
+    "month_13": lambda s: s[:5] + "13" + s[7:],
+    "hour_24": lambda s: s[:11] + "24" + s[13:],
+}
+_csv_edit = st.one_of(
+    st.tuples(st.just("insert"), _row, st.sampled_from(["", " ", " , , , , ", ",,,,", "\t,, ,,", ",,,,,,"])),
+    st.tuples(st.just("cell"), _row, st.integers(0, 5), _cell),
+    st.tuples(st.just("stamp"), _row, st.sampled_from(sorted(_STAMP_EDITS))),
+    # Any digits in the canonical layout: numpy parses these, fromisoformat on the other path.
+    st.tuples(st.just("digits"), _row, st.integers(0, 9999), *[st.integers(0, 99)] * 4),
+    st.tuples(st.just("append"), _row, st.sampled_from(["\r", "\x00", ",1.0", ",1.0\r", "\r,1.0"])),
+    st.tuples(st.just("short"), _row),
+    st.tuples(st.just("drop"), _row),
+    st.tuples(st.just("repeat"), _row),
+)
+
+
+def _edit_lines(lines: list[str], edit: tuple) -> list[str]:
+    kind, row, *args = edit
+    row %= len(lines)
+    row = max(row, 1)  # the header stays as it is
+    if kind == "insert":
+        return lines[:row] + [args[0]] + lines[row:]
+    if kind == "drop":
+        return lines[:row] + lines[row + 1 :]
+    if kind == "repeat":
+        return lines[: row + 1] + lines[row:]
+    cells = lines[row].split(",")
+    if kind == "cell":
+        cells[args[0] % len(cells)] = args[1]
+    elif kind == "stamp":
+        cells[0] = _STAMP_EDITS[args[0]](cells[0])
+    elif kind == "digits":
+        cells[0] = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}".format(*args)
+    elif kind == "append":
+        cells[-1] += args[0]
+    else:
+        cells = cells[:-1]
+    return lines[:row] + [",".join(cells)] + lines[row + 1 :]
+
+
+def _outcome(text: str, strict: bool, as_file: bool):
+    """The parsed series (as its CSV and filled hours), or the error."""
+    if as_file:  # as parse_hourly_csv opens a path, which also ends lines at a lone \r
+        source = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8-sig", newline="")
+    else:
+        source = io.StringIO(text)
+    try:
+        series = parse_hourly_csv(source, strict=strict)
+    except MarketDataError as exc:
+        return type(exc), str(exc)
+    return series_to_csv(series), series.filled.tolist()
+
+
+@settings(deadline=None)
+@given(
+    edits=st.lists(_csv_edit, min_size=1, max_size=4),
+    note=st.booleans(),
+    crlf=st.booleans(),
+    final_newline=st.booleans(),
+    as_file=st.booleans(),
+)
+def test_plain_path_matches_csv_reader_path(edits, note, crlf, final_newline, as_file):
+    lines = [line + ",note" if k == 0 else line + "," for k, line in enumerate(_BASE_LINES)] if note else _BASE_LINES
+    for edit in edits:
+        lines = _edit_lines(lines, edit)
+    ending = "\r\n" if crlf else "\n"
+    text = ending.join(lines) + (ending if final_newline else "")
+    for strict in (True, False):
+        assert _outcome(text, strict, as_file) == _outcome(_quote_header(text), strict, as_file)
