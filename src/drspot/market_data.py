@@ -125,17 +125,14 @@ def _fill_gaps(
     return times[0] + full * HOUR64, filled, synthesized
 
 
-def _records(lines: Iterable[str], offset: int, malformed: list[ParseError]) -> Iterator[tuple[int, list[str]]]:
-    """The CSV records of ``lines``, which follow the first ``offset`` lines
-    of the file, each with the file line it starts on. They stop at the
-    first record the reader rejects, whose error (by file line) is appended
-    to ``malformed``."""
-    reader = csv.reader(lines)
-    start = offset + 1
+def _records(reader, offset: int, malformed: list[ParseError]) -> Iterator[tuple[int, list[str]]]:
+    """The records of a CSV ``reader`` whose first line is file line
+    ``offset + 1``, each with the number of lines read before it: the
+    record starts on file line ``offset + 1`` plus that number. They stop
+    at the first record the reader rejects, whose error (by file line) is
+    appended to ``malformed``."""
     try:
-        for record in reader:
-            yield start, record
-            start = offset + reader.line_num + 1
+        yield from zip(map(attrgetter("line_num"), repeat(reader)), reader)
     except csv.Error as exc:
         malformed.append(ParseError(offset + reader.line_num, None, "", f"malformed CSV: {exc}"))
 
@@ -149,40 +146,46 @@ _CANONICAL_STAMPS = re.compile(_STAMP + "(?:\n" + _STAMP + ")*")
 _YEAR_ONE = np.datetime64("0001-01-01", "us")
 
 
-def _plain_block(
-    block: list[str], width: int, indices: Sequence[int]
-) -> tuple[list[str], np.ndarray, list[list[str]]] | None:
-    """The stripped stamps, their times and the raw cells of each value
-    column of a block of data lines, or None unless ``csv.reader`` would
-    split every line at each of its commas into ``width`` cells and every
-    stamp is canonical (``YYYY-MM-DDTHH:MM``, from year 1).
-
-    A plain block has no quote, carriage return or NUL (which the reader
-    treats specially) and no more characters than ``csv.field_size_limit()``
-    (so no cell the reader rejects). It has no blank row either: each row
-    has a stamp."""
-    text = "".join(block)
-    if (
-        '"' in text
-        or "\r" in text
-        or "\0" in text
-        or len(text) > csv.field_size_limit()
-        or set(map(str.count, block, repeat(","))) != {width - 1}
-    ):
-        return None
-    n = len(block)
-    cells = text.replace("\n", ",").split(",")
-    raw_stamps, *values = (cells[i : n * width : width] for i in indices)
-    stamps = list(map(str.strip, raw_stamps))
+def _canonical_times(stamps: Sequence[str]) -> np.ndarray | None:
+    """The times of stripped stamps by numpy's ISO parser, or None unless
+    every stamp is canonical (``YYYY-MM-DDTHH:MM``, from year 1). The
+    pattern is checked first, so numpy never sees (and never warns about) a
+    ``Z`` or an offset."""
     if not _CANONICAL_STAMPS.fullmatch("\n".join(stamps)):
         return None
     try:
         times = np.array(stamps, dtype=TIME_DTYPE)
     except ValueError:  # a month, day, hour or minute out of range
         return None
-    if (times < _YEAR_ONE).any():
+    return None if (times < _YEAR_ONE).any() else times
+
+
+def _plain_block(
+    text: str, block: list[str], width: int, indices: Sequence[int]
+) -> tuple[list[str], np.ndarray, list[list[str]]] | None:
+    """The stripped stamps, their times and the raw cells of each value
+    column of a block of data lines without a quote, joined as ``text``, or
+    None unless ``csv.reader`` would split every line at each of its commas
+    into ``width`` cells and every stamp is canonical (``YYYY-MM-DDTHH:MM``,
+    from year 1).
+
+    A plain block has no carriage return but in a ``\r\n`` line end, no NUL
+    (which the reader treats specially) and no line longer than
+    ``csv.field_size_limit()`` (so no cell the reader rejects). It has no
+    blank row either: each row has a stamp."""
+    if (
+        "\0" in text
+        or ("\r" in text and text.count("\r") != text.count("\r\n"))
+        or max(map(len, block)) > csv.field_size_limit()
+        or set(map(str.count, block, repeat(","))) != {width - 1}
+    ):
         return None
-    return stamps, times, values
+    n = len(block)
+    cells = text.replace("\r\n", ",").replace("\n", ",").split(",")
+    raw_stamps, *values = (cells[i : n * width : width] for i in indices)
+    stamps = list(map(str.strip, raw_stamps))
+    times = _canonical_times(stamps)
+    return None if times is None else (stamps, times, values)
 
 
 def _convert_columns(
@@ -226,10 +229,10 @@ def _convert_rows(
     rows: Sequence[list[str]], row_nums: Sequence[int], indices: Sequence[int]
 ) -> tuple[np.ndarray, dict[str, np.ndarray], list[tuple[int, int, MarketDataError]]]:
     """:func:`_convert_columns` of a chunk of non-blank records that
-    ``csv.reader`` split, converting the stamps with
-    ``datetime.fromisoformat``. ``indices`` holds the file column of each of
-    ``REQUIRED_COLUMNS``, the order in which a row's cells are checked. A
-    short row is the chunk's last row."""
+    ``csv.reader`` split, converting the stamps with numpy when all are
+    canonical and with ``datetime.fromisoformat`` otherwise. ``indices``
+    holds the file column of each of ``REQUIRED_COLUMNS``, the order in
+    which a row's cells are checked. A short row is the chunk's last row."""
     failures: list[tuple[int, int, MarketDataError]] = []
     width = max(indices) + 1
     if min(map(len, rows)) < width:
@@ -241,25 +244,34 @@ def _convert_rows(
     raw_stamps, *cells = zip(*map(itemgetter(*indices), rows))
 
     stamps = list(map(str.strip, raw_stamps))
-    parsed, bad = _convert(stamps, datetime.fromisoformat)
-    reason = "bad timestamp"
-    if any(map(attrgetter("tzinfo"), parsed)):
-        bad = next(i for i, ts in enumerate(parsed) if ts.tzinfo is not None)
-        reason = "timestamp has a UTC offset; local time expected"
-    times, values, checked = _convert_columns(stamps, datetime64_column(parsed[:bad]), cells, row_nums, reason)
+    times, reason = _canonical_times(stamps), ""
+    if times is None:
+        parsed, bad = _convert(stamps, datetime.fromisoformat)
+        reason = "bad timestamp"
+        if any(map(attrgetter("tzinfo"), parsed)):
+            bad = next(i for i, ts in enumerate(parsed) if ts.tzinfo is not None)
+            reason = "timestamp has a UTC offset; local time expected"
+        times = datetime64_column(parsed[:bad])
+    times, values, checked = _convert_columns(stamps, times, cells, row_nums, reason)
     return times, values, failures + checked
 
 
 _Chunk = tuple[Sequence[int], np.ndarray, dict[str, np.ndarray], list[tuple[int, int, MarketDataError]]]
 
 
-def _record_chunks(records: Iterator[tuple[int, list[str]]], indices: Sequence[int]) -> Iterator[_Chunk]:
+def _record_chunks(
+    lines: Iterable[str], offset: int, indices: Sequence[int], malformed: list[ParseError]
+) -> Iterator[_Chunk]:
     """The file rows and :func:`_convert_rows` of each chunk of the
-    non-blank ``records``."""
+    non-blank CSV records of ``lines``, which follow line ``offset`` of the
+    file (see :func:`_records`)."""
+    records = _records(csv.reader(lines), offset, malformed)
     while batch := list(islice(records, _CHUNK_ROWS)):
-        kept = [(num, row) for num, row in batch if any(map(str.strip, row))]
+        # A row is blank when the text of all its cells is whitespace.
+        kept = [(num, row) for num, row in batch if "".join(row).strip()]
         if kept:
             nums, rows = zip(*kept)
+            nums = tuple(map((offset + 1).__add__, nums))
             yield (nums, *_convert_rows(rows, nums, indices))
 
 
@@ -273,15 +285,17 @@ def _chunks(
     the reader, and from a block with a quote on, so does the rest of the
     file, since a quoted cell can span lines."""
     while block := list(islice(lines, _CHUNK_ROWS)):
-        plain = _plain_block(block, width, indices)
+        text = "".join(block)
+        if '"' in text:
+            yield from _record_chunks(chain(block, lines), offset, indices, malformed)
+            return
+        plain = _plain_block(text, block, width, indices)
         if plain is not None:
             nums = range(offset + 1, offset + len(block) + 1)
             yield (nums, *_convert_columns(*plain, nums))
         else:
-            quoted = any('"' in line for line in block)
-            records = _records(chain(block, lines) if quoted else block, offset, malformed)
-            yield from _record_chunks(records, indices)
-            if quoted or malformed:
+            yield from _record_chunks(block, offset, indices, malformed)
+            if malformed:
                 return
         offset += len(block)
 
@@ -317,11 +331,10 @@ def parse_hourly_csv(
     schema = dict(schema or {})
     malformed: list[ParseError] = []
     lines = iter(source)
-    head = list(islice(lines, 1))
-    # A quoted header cell can span lines: one reader then reads the whole file.
-    quoted = any('"' in line for line in head)
-    records = _records(chain(head, lines) if quoted else head, 0, malformed)
-    first = next(records, None)
+    # The header reader takes the lines of one record only (more than one
+    # when a quoted cell spans lines), so the data lines follow it.
+    reader = csv.reader(lines)
+    first = next(_records(reader, 0, malformed), None)
     if first is None:
         raise malformed[0] if malformed else ParseError(1, "timestamp", "", "empty input, header row required")
     header = [h.strip() for h in first[1]]
@@ -333,11 +346,10 @@ def parse_hourly_csv(
             raise MissingColumnError(actual, canonical)
         indices.append(header.index(actual))
 
-    converted = _record_chunks(records, indices) if quoted else _chunks(lines, 1, len(header), indices, malformed)
     row_nums: list[int] = []
     chunks: list[tuple[np.ndarray, dict[str, np.ndarray]]] = []
     failures: list[tuple[int, int, MarketDataError]] = []
-    for nums, times, values, chunk_failures in converted:
+    for nums, times, values, chunk_failures in _chunks(lines, reader.line_num, len(header), indices, malformed):
         # Failures are ordered by data row across chunks, then by check rank.
         failures = [(len(row_nums) + i, rank, error) for i, rank, error in chunk_failures]
         row_nums.extend(nums)

@@ -16,8 +16,12 @@ DATA_DIR = REPO_ROOT / "data"
 
 MONDAY = datetime(2021, 6, 7)
 
-# HYPOTHESIS_PROFILE=ci runs the properties that fix no example count ten
-# times as long (the differential parser property among them).
+# HYPOTHESIS_PROFILE=ci gives the properties that fix no example count
+# 1,000 examples instead of 100: the differential parser property
+# (test_market_data) and the inverse-consistency and OLS-recovery
+# properties (test_acceptance). Each checks numpy against an independent
+# computation (its ISO stamp parser, its linear algebra), and CI runs them
+# on numpy versions that cannot be installed offline, numpy 1.23 among them.
 settings.register_profile("ci", max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 from datetime import date, datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -472,6 +473,11 @@ def test_parse_numbers_rows_by_file_line_after_multi_line_cell():
     with pytest.raises(GapError, match="^row 5: duplicate hour 2021-06-07T01:00$"):
         parse_hourly_csv(io.StringIO("\n".join(lines) + "\n"))
 
+    # A bad cell of the record that spans lines is on the line it starts on.
+    lines[1] = lines[1].replace("1000.0", "abc")
+    with pytest.raises(ParseError, match="^row 2, column 'demand_mwh': non-numeric value: 'abc'$"):
+        parse_hourly_csv(io.StringIO("\n".join(lines) + "\n"))
+
 
 @pytest.mark.parametrize("blank", [" , , , , ", ",,,,"])
 def test_parse_skips_blank_rows_inside_a_plain_block(blank):
@@ -492,10 +498,28 @@ def test_parse_out_of_range_stamp_is_a_bad_timestamp(stamp):
     assert str(excinfo.value) == f"row 3, column 'timestamp': bad timestamp: {stamp!r}"
 
 
-def _quote_header(text: str) -> str:
-    """The same CSV with its first header cell quoted, which ``csv.reader``
-    reads identically but which sends every line through it."""
-    return '"' + text.replace(",", '",', 1)
+def _parse_by_reader(source, **kwargs):
+    """``parse_hourly_csv`` with no block taken as plain and no stamp read by
+    numpy, so that every data line goes through ``csv.reader`` and every
+    stamp through ``datetime.fromisoformat``."""
+    with mock.patch.object(market_data, "_plain_block", return_value=None):
+        with mock.patch.object(market_data, "_canonical_times", return_value=None):
+            return parse_hourly_csv(source, **kwargs)
+
+
+def test_quoted_header_leaves_the_data_lines_to_the_plain_path():
+    lines = series_to_csv(synthetic_market(20, seed=1)).splitlines()
+    lines[0] = '"' + lines[0].replace(",", '",', 1) + ',"two\nline note"'
+    lines[1:] = [line + "," for line in lines[1:]]
+    cells = lines[300].split(",")  # data row 300, on file line 302
+    cells[1] = "abc"
+    lines[300] = ",".join(cells)
+    text = "\n".join(lines) + "\n"
+    with mock.patch.object(market_data, "_record_chunks", side_effect=AssertionError("csv.reader path")):
+        with pytest.raises(ParseError, match="^row 302, column 'demand_mwh': non-numeric value: 'abc'"):
+            parse_hourly_csv(io.StringIO(text))
+    with pytest.raises(ParseError, match="^row 302, column 'demand_mwh': non-numeric value: 'abc'"):
+        _parse_by_reader(io.StringIO(text))
 
 
 def test_plain_blocks_number_rows_like_the_csv_reader_across_block_edge():
@@ -505,7 +529,8 @@ def test_plain_blocks_number_rows_like_the_csv_reader_across_block_edge():
     text = series_to_csv(series)
     blocks = text.splitlines(keepends=True)[1:]
     for first in range(0, len(blocks), edge):  # every block of the canonical file is plain
-        assert market_data._plain_block(blocks[first : first + edge], 5, range(5)) is not None
+        block = blocks[first : first + edge]
+        assert market_data._plain_block("".join(block), block, 5, range(5)) is not None
 
     for data_row in (edge - 1, edge, edge + 1, edge + 2):
         lines = text.splitlines()  # lines[k] is file row k + 1
@@ -518,15 +543,48 @@ def test_plain_blocks_number_rows_like_the_csv_reader_across_block_edge():
             (lines, f"row {data_row + 1}, column 'demand_mwh': non-numeric value: 'abc'"),
             (repeated, f"row {data_row + 2}: duplicate hour "),
         ):
-            for content in ("\n".join(variant) + "\n", _quote_header("\n".join(variant) + "\n")):
+            for parse in (parse_hourly_csv, _parse_by_reader):
                 with pytest.raises(MarketDataError) as excinfo:
-                    parse_hourly_csv(io.StringIO(content))
+                    parse(io.StringIO("\n".join(variant) + "\n"))
                 assert str(excinfo.value).startswith(expected)
 
 
-# The differential property: a file and the same file with a quoted header
-# cell (so every line goes through csv.reader) parse alike. The mutations
-# sit anywhere, and often next to the block edges of the plain path.
+def _data_blocks(text: str) -> list[list[str]]:
+    """The blocks of data lines that the plain path reads from ``text``."""
+    lines = io.StringIO(text).readlines()[1:]
+    return [lines[k : k + market_data._CHUNK_ROWS] for k in range(0, len(lines), market_data._CHUNK_ROWS)]
+
+
+def test_crlf_file_takes_the_plain_path():
+    text = series_to_csv(synthetic_market(12, seed=1))
+    crlf = text.replace("\n", "\r\n")
+    for block in _data_blocks(crlf):
+        assert market_data._plain_block("".join(block), block, 5, range(5)) is not None
+    for source in (io.StringIO(crlf), io.TextIOWrapper(io.BytesIO(crlf.encode()), newline="")):
+        assert parse_hourly_csv(source) == parse_hourly_csv(io.StringIO(text))
+
+    # A carriage return anywhere else is left to the reader.
+    for line_end in ("\r", "\r\r\n"):
+        lines = crlf.splitlines(keepends=True)
+        lines[5] = lines[5].replace("\r\n", line_end)
+        block = _data_blocks("".join(lines))[0]
+        assert market_data._plain_block("".join(block), block, 5, range(5)) is None
+
+
+def test_wide_block_takes_the_plain_path():
+    # Each line is within csv.field_size_limit(), the block is not.
+    wide = "x" * (csv.field_size_limit() // 200)
+    lines = series_to_csv(synthetic_market(12, seed=1)).splitlines()
+    text = "\n".join([lines[0] + ",note"] + [line + "," + wide for line in lines[1:]]) + "\n"
+    block = _data_blocks(text)[0]
+    assert len("".join(block)) > csv.field_size_limit()
+    assert market_data._plain_block("".join(block), block, 6, range(5)) is not None
+    assert parse_hourly_csv(io.StringIO(text)) == _parse_by_reader(io.StringIO(text))
+
+
+# The differential property: a file parses alike with plain blocks and with
+# every data line through csv.reader. The mutations sit anywhere, and often
+# next to the block edges of the plain path.
 _EDGE = market_data._CHUNK_ROWS
 _BASE_LINES = series_to_csv(synthetic_market(23, seed=3)).splitlines()  # 552 data rows
 _near_edge = [r for e in (1, _EDGE, 2 * _EDGE) for r in range(e - 1, e + 3) if r >= 1]
@@ -587,14 +645,14 @@ def _edit_lines(lines: list[str], edit: tuple) -> list[str]:
     return lines[:row] + [",".join(cells)] + lines[row + 1 :]
 
 
-def _outcome(text: str, strict: bool, as_file: bool):
-    """The parsed series (as its CSV and filled hours), or the error."""
+def _outcome(parse, text: str, strict: bool, as_file: bool):
+    """The series ``parse`` makes (as its CSV and filled hours), or its error."""
     if as_file:  # as parse_hourly_csv opens a path, which also ends lines at a lone \r
         source = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8-sig", newline="")
     else:
         source = io.StringIO(text)
     try:
-        series = parse_hourly_csv(source, strict=strict)
+        series = parse(source, strict=strict)
     except MarketDataError as exc:
         return type(exc), str(exc)
     return series_to_csv(series), series.filled.tolist()
@@ -607,12 +665,15 @@ def _outcome(text: str, strict: bool, as_file: bool):
     crlf=st.booleans(),
     final_newline=st.booleans(),
     as_file=st.booleans(),
+    quoted_header=st.booleans(),
 )
-def test_plain_path_matches_csv_reader_path(edits, note, crlf, final_newline, as_file):
+def test_plain_path_matches_csv_reader_path(edits, note, crlf, final_newline, as_file, quoted_header):
     lines = [line + ",note" if k == 0 else line + "," for k, line in enumerate(_BASE_LINES)] if note else _BASE_LINES
     for edit in edits:
         lines = _edit_lines(lines, edit)
+    if quoted_header:  # read alike by csv.reader
+        lines = ['"' + lines[0].replace(",", '",', 1)] + lines[1:]
     ending = "\r\n" if crlf else "\n"
     text = ending.join(lines) + (ending if final_newline else "")
     for strict in (True, False):
-        assert _outcome(text, strict, as_file) == _outcome(_quote_header(text), strict, as_file)
+        assert _outcome(parse_hourly_csv, text, strict, as_file) == _outcome(_parse_by_reader, text, strict, as_file)
