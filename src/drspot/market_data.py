@@ -99,6 +99,14 @@ def _convert(raws: Sequence[str], convert: Callable[[str], object]) -> tuple[lis
         return values, len(values)
 
 
+def _ascii_float(cell: str) -> float:
+    """``float`` of a cell of ASCII characters without an underscore; Python's
+    ``float`` also reads ``1_000`` and non-ASCII digits such as ``٢٥``."""
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(cell)
+    return float(cell)
+
+
 def _first(mask: np.ndarray) -> int:
     """Index of the first true entry, or ``len(mask)``."""
     return int(mask.argmax()) if mask.any() else len(mask)
@@ -214,7 +222,8 @@ def _convert_columns(
 
     values: dict[str, np.ndarray] = {}
     for rank, (column, raw) in enumerate(zip(REQUIRED_COLUMNS[1:], cells), start=1):
-        parsed, bad = _convert(raw, float)
+        text = "".join(raw)  # one scan of the column; cell by cell only when it fails
+        parsed, bad = _convert(raw, float if text.isascii() and "_" not in text else _ascii_float)
         values[column] = np.array(parsed, dtype=float)
         non_finite = _first(~np.isfinite(values[column]))
         reason = "non-numeric value"

@@ -206,8 +206,7 @@ def fit_ols(X: np.ndarray, y: np.ndarray, spec: Sequence[str] | None = None) -> 
     threshold of ``RANK_TOLERANCE`` and reported with the offending column
     name. Requires strictly more observations than features.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise DimensionMismatchError(f"X is {X.shape}, y is {y.shape}")
     n, m = X.shape
@@ -222,27 +221,25 @@ def fit_ols(X: np.ndarray, y: np.ndarray, spec: Sequence[str] | None = None) -> 
     if diag.min() <= RANK_TOLERANCE * diag.max():
         bad = int(np.argmax(diag <= RANK_TOLERANCE * diag.max()))
         raise RankDeficientError(names[bad])
+    return _fitted_model(names, X, y, r, q.T @ y)
 
-    coefficients = np.linalg.solve(r, q.T @ y)
+
+def _fitted_model(
+    spec: tuple[str, ...], X: np.ndarray, y: np.ndarray, r: np.ndarray, qty: np.ndarray
+) -> RegressionModel:
+    """OLS coefficients and statistics of ``y`` on ``X`` from the R factor
+    ``r`` of ``X`` and ``qty == Q.T @ y`` (standard errors from R^-1)."""
+    n, m = X.shape
+    coefficients = np.linalg.solve(r, qty)
     residuals = y - X @ coefficients
-    rss = float(residuals @ residuals)
-    residual_variance = rss / (n - m)
-
+    residual_variance = float(residuals @ residuals) / (n - m)
     r_inv = np.linalg.solve(r, np.eye(m))
     xtx_inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
     std_errors = np.sqrt(np.maximum(residual_variance * xtx_inv_diag, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_values = coefficients / std_errors
     t_values = np.where(np.isnan(t_values), 0.0, t_values)
-
-    return RegressionModel(
-        spec=names,
-        coefficients=coefficients,
-        std_errors=std_errors,
-        t_values=t_values,
-        n_obs=n,
-        residual_variance=residual_variance,
-    )
+    return RegressionModel(spec, coefficients, std_errors, t_values, n, residual_variance)
 
 
 def predict(model: RegressionModel, rows: np.ndarray) -> np.ndarray:
@@ -277,11 +274,10 @@ class SelectionStep:
     """One step of :func:`forward_select`, as scored during the search.
 
     ``added`` is the candidate the step added, or ``None`` on the last step
-    when no candidate lowered the holdout ferms;
-    ``ferms`` is the holdout ferms after the step. ``runner_up`` is the
-    best-scoring candidate not added (``None`` when no other candidate was
-    scored), and ``disqualified`` lists the candidates the rank rule
-    removed at this step.
+    when no candidate lowered the holdout ferms; ``ferms`` is the holdout
+    ferms after the step. ``runner_up`` is the best-scoring candidate not
+    added (``None`` when no other candidate was scored), and
+    ``disqualified`` lists the candidates the rank rule removed at this step.
     """
 
     added: str | None
@@ -311,54 +307,60 @@ class _PoolResiduals:
     """Least-squares fits of ``y`` on the selected columns plus any one
     candidate column, for every candidate at once.
 
-    The selected columns are a thin QR factorization kept as ``r`` and
-    ``qty == Q.T @ y``; Q itself is not stored. Candidate column j is kept
-    as ``Q @ c[:k, j] + v[j]``, where the residual ``v[j]`` (a row, so that
-    the per-step update runs along contiguous memory) is orthogonal to Q.
-    The factorization starts empty (``k == 0``, ``v[j]`` the column itself).
-    Appending column j takes ``q_x = v[j] / |v[j]|`` as the next Q column
-    and removes it from every residual with one rank-1 update, as in
-    modified Gram-Schmidt (Björck, Numerical Methods for Least Squares
-    Problems, 1996, §2.4), so a step costs O(n m) for m candidates.
+    The selected columns are a thin QR factorization kept as ``r``; Q itself
+    is not stored. Row i of ``v`` is the residual against Q of candidate
+    column ``cols[i]``, which is ``Q @ c[:k, i] + v[i]`` (rows, so that the
+    per-step update runs along contiguous memory). The last row is the
+    residual of ``y``, and ``c[:k, -1] == Q.T @ y``. The factorization starts
+    empty (``k == 0``, each row its column). Appending the column of row i
+    takes ``q_x = v[i] / |v[i]|`` as the next Q column and removes it from
+    every row, ``y``'s too, with one rank-1 update: modified Gram-Schmidt on
+    ``[X y]`` (Björck, Numerical Methods for Least Squares Problems, 1996,
+    §2.4), whose least-squares solution is backward stable (Björck and
+    Paige, SIAM J. Matrix Anal. Appl. 13, 1992). A step costs O(n p) for p
+    rows; :meth:`retain` drops rows, and ``cols`` stays sorted.
     """
 
     def __init__(self, columns: np.ndarray, y: np.ndarray):
         m = columns.shape[1]
-        self.y = y
-        self.k = 0
-        self.r = np.zeros((m, m))
-        self.qty = np.empty(m)
-        self.c = np.empty((m, m))
-        self.v = np.ascontiguousarray(columns.T, dtype=float)
+        self.k, self.cols = 0, np.arange(m)
+        self.r, self.c = np.zeros((m, m)), np.empty((m, m + 1))
+        self.v = np.empty((m + 1, len(y)))
+        self.v[:m], self.v[m] = columns.T, y
 
     def trials(self) -> tuple[np.ndarray, np.ndarray]:
-        """The trial fit of every candidate column once at least one column
-        is selected: ``ok[j]`` is False when appending column j gives an R
-        diagonal that fails the ``RANK_TOLERANCE`` rule of :func:`fit_ols`,
-        and ``beta[:, j]`` holds the k + 1 coefficients (the selected
-        columns, then column j). A column that fails the rule gets
-        coefficient 0 and the fit without it."""
-        k = self.k
-        norms = np.sqrt(np.einsum("ij,ij->i", self.v, self.v))
+        """The trial fit of every candidate row once k >= 1: ``ok[i]`` is False
+        when appending row i gives an R diagonal that fails the rank rule of
+        :func:`fit_ols` (then its coefficient is 0, the fit without it), and
+        ``beta[:, i]`` holds the selected columns' coefficients, then row i's."""
+        k, v, y = self.k, self.v[:-1], self.v[-1]
+        norms = np.sqrt(np.einsum("ij,ij->i", v, v))
         diag = np.abs(np.diag(self.r)[:k])
         ok = np.minimum(norms, diag.min()) > RANK_TOLERANCE * np.maximum(norms, diag.max())
         beta = np.empty((k + 1, len(norms)))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            beta[k] = np.where(ok, (self.v @ self.y) / norms / norms, 0.0)
-        beta[:k] = np.linalg.solve(self.r[:k, :k], self.qty[:k, None] - self.c[:k] * beta[k])
+            beta[k] = np.where(ok, (v @ y) / norms / norms, 0.0)
+        beta[:k] = np.linalg.solve(self.r[:k, :k], self.c[:k, -1:] - self.c[:k, :-1] * beta[k])
         return ok, beta
 
-    def append(self, j: int) -> None:
-        """Add candidate column j to the factorization."""
-        k, v_j = self.k, self.v[j]
-        r_xx = float(np.sqrt(v_j @ v_j))
-        q_x = v_j / r_xx
-        self.r[:k, k] = self.c[:k, j]
+    def append(self, i: int) -> None:
+        """Add the column of row i to the factorization."""
+        k, v_i = self.k, self.v[i]
+        r_xx = float(np.sqrt(v_i @ v_i))
+        q_x = v_i / r_xx
+        self.r[:k, k] = self.c[:k, i]
         self.r[k, k] = r_xx
-        self.qty[k] = q_x @ self.y
         self.c[k] = self.v @ q_x
         self.v -= self.c[k, :, None] * q_x
         self.k = k + 1
+
+    def retain(self, keep: np.ndarray) -> np.ndarray:
+        """Drop the candidate rows that ``keep`` leaves out once they are a
+        quarter of the rows or more; returns ``keep`` for the rows left."""
+        if 4 * keep.sum() <= 3 * len(keep):
+            self.cols, rows = self.cols[keep], np.append(keep, True)  # and y's row
+            self.v, self.c, keep = self.v[rows], self.c[:, rows], keep[keep]
+        return keep
 
 
 def forward_select(
@@ -375,23 +377,23 @@ def forward_select(
     whose trial fit is rank deficient is disqualified for the rest of the
     search. Ties go to the earlier candidate in list order.
 
-    Only the base spec and the returned model go through :func:`fit_ols`,
-    which rejects a rank deficient or too wide base. Every step scores all
-    remaining candidates at once from their residuals against the selected
-    columns (:class:`_PoolResiduals`, started with the base columns). When
-    ``trace`` is a list, one :class:`SelectionStep` per step is appended.
+    Only the base spec goes through :func:`fit_ols`, which rejects a rank
+    deficient or too wide base. One factorization (:class:`_PoolResiduals`,
+    started with the base columns) does the rest: each step scores all
+    remaining candidates from their residuals against the selected columns,
+    and the model is solved from its R and ``Q.T @ y``. Selected and
+    disqualified candidates leave it once they are a quarter of its rows.
+    When ``trace`` is a list, one :class:`SelectionStep` per step is added.
 
     Returns the selected spec and the model fitted on ``train`` with it.
     """
-    candidates = validate_feature_spec(candidates)
-    base = validate_feature_spec(base)
+    candidates, base = validate_feature_spec(candidates), validate_feature_spec(base)
     if not set(base) <= set(candidates):
         raise ValueError("base features must be a subset of the candidate pool")
 
     train_full = design_matrix(train, candidates)
     holdout_full = design_matrix(holdout, candidates)
-    y_train = train.spot_price
-    y_holdout = holdout.spot_price
+    y_train, y_holdout = train.spot_price, holdout.spot_price
 
     idx = [candidates.index(name) for name in base]
     model = fit_ols(train_full[:, idx], y_train, spec=base)
@@ -401,14 +403,15 @@ def forward_select(
     for j in idx:
         residuals.append(j)
     mean_actual = float(y_holdout.mean())
-    active = np.array([name not in base for name in candidates])
+    active = residuals.retain(np.array([name not in base for name in candidates]))
 
     while active.any():
         if len(y_train) <= residuals.k + 1:
             raise InsufficientDataError(len(y_train), residuals.k + 1)
         ok, beta = residuals.trials()
         ok &= active
-        error = holdout_full[:, idx] @ beta[:-1] + holdout_full * beta[-1] - y_holdout[:, None]
+        cols = residuals.cols
+        error = holdout_full[:, idx] @ beta[:-1] + holdout_full[:, cols] * beta[-1] - y_holdout[:, None]
         scores = 100.0 * np.sqrt(np.mean(error**2, axis=0)) / mean_actual
         ranked = np.where(ok & np.isfinite(scores), scores, np.inf)
         best = int(np.argmin(ranked))  # the first minimum: ties go to the earlier candidate
@@ -419,23 +422,20 @@ def forward_select(
         runner_up = int(np.argmin(ranked))
         if trace is not None:
             scored = ranked[runner_up] < np.inf
-            trace.append(
-                SelectionStep(
-                    added=candidates[best] if added else None,
-                    ferms=best_score,
-                    runner_up=candidates[runner_up] if scored else None,
-                    runner_up_ferms=float(ranked[runner_up]) if scored else None,
-                    disqualified=tuple(candidates[j] for j in np.flatnonzero(active & ~ok)),
-                )
-            )
+            trace.append(SelectionStep(
+                added=candidates[cols[best]] if added else None,
+                ferms=best_score,
+                runner_up=candidates[cols[runner_up]] if scored else None,
+                runner_up_ferms=float(ranked[runner_up]) if scored else None,
+                disqualified=tuple(candidates[j] for j in cols[active & ~ok]),
+            ))
         active = ok
         if not added:
             break
         residuals.append(best)
-        idx.append(best)
+        idx.append(int(cols[best]))
         active[best] = False
+        active = residuals.retain(active)
 
-    spec = tuple(candidates[j] for j in idx)
-    if len(spec) > len(base):
-        model = fit_ols(train_full[:, idx], y_train, spec=spec)
-    return spec, model
+    spec, k = tuple(candidates[j] for j in idx), residuals.k
+    return spec, _fitted_model(spec, train_full[:, idx], y_train, residuals.r[:k, :k], residuals.c[:k, -1])

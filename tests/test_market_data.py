@@ -90,6 +90,16 @@ def test_parse_non_finite_value_rejected(raw):
     assert "non-finite value" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("raw", ["1_000", "٢٥", "１２", " 9_5 "])
+def test_parse_non_ascii_or_underscore_value_rejected_on_both_paths(raw):
+    # Python's float reads all of these (as 1000.0, 25.0, 12.0 and 95.0).
+    bad = CSV_3ROWS.replace("24.0", raw)
+    for parse in (parse_hourly_csv, _parse_by_reader):
+        with pytest.raises(ParseError) as excinfo:
+            parse(io.StringIO(bad))
+        assert str(excinfo.value) == f"row 3, column 'spot_price': non-numeric value: {raw.strip()!r}"
+
+
 def test_parse_missing_column():
     bad = CSV_3ROWS.replace("spot_price", "price_usd")
     with pytest.raises(MissingColumnError) as excinfo:
@@ -592,6 +602,7 @@ _row = st.one_of(st.sampled_from(_near_edge), st.integers(1, len(_BASE_LINES) - 
 _LIMIT = csv.field_size_limit()
 _cell = st.sampled_from(
     ['"950.0"', '"9\n50"', '"a\n\nb"', '"', '""', "9\x000", "abc", "nan", "inf", " 1.5 ", "1_0", ""]
+    + ["1_000", "٢٥", "１２", "1e3"]
     + ["9" * _LIMIT, "9" * (_LIMIT + 1), '"' + "9" * (_LIMIT + 1) + '"']
 )
 _STAMP_EDITS = {
