@@ -535,6 +535,13 @@ def _bundled_split():
     return split_train_holdout(series.between(series.times[0], datetime(2021, 8, 9)), cfg.scenario.holdout_days)
 
 
+def _moved(last, first=None):
+    """All features, with ``last`` moved to the end and ``first``, if given,
+    just after the intercept."""
+    middle = (name for name in FULL_FEATURES[1:] if name not in (first, last))
+    return ("intercept", *([first] if first else []), *middle, last)
+
+
 class TestSelectionMatchesRefit:
     def _check(self, candidates, train, holdout, base):
         trace = []
@@ -601,6 +608,56 @@ class TestSelectionMatchesRefit:
         assert (trace[0].added, trace[0].runner_up, trace[0].margin) == ("temperature", "dew_point", 0.0)
         assert trace[1].disqualified == ("dew_point",)
 
+    @pytest.mark.parametrize(
+        "pair, candidates",
+        [
+            (("temperature", "dew_point"), FULL_FEATURES),
+            (("temperature", "dew_point"), _moved("dew_point")),
+            (("dew_point", "temperature"), _moved("temperature", first="dew_point")),
+            (("holiday", "saturday"), FULL_FEATURES),
+            (("saturday", "holiday"), _moved("holiday", first="saturday")),
+        ],
+        ids=["adjacent", "later_last", "first_and_last", "calendar_adjacent", "calendar_first_and_last"],
+    )
+    def test_bit_identical_columns_tie_at_any_position(self, pair, candidates):
+        # Two candidates with the same bytes, in and out of the holdout: the
+        # copy of dew_point is temperature, and with every Saturday a holiday
+        # the holiday column is the Saturday column. Householder QR would
+        # round the two differently, and BLAS may round a row's sums by its
+        # position; the pool gives the later one the earlier one's compressed
+        # row and sums, so they tie exactly wherever they stand.
+        market = synthetic_market(21, seed=4)
+        saturdays = {day.item() for day in np.unique(market.times.astype("datetime64[D]"))
+                     if day.item().weekday() == 5}
+        dew, holidays = (market.dry_bulb_temp.copy(), ()) if "dew_point" in pair else (market.dew_point, saturdays)
+        series = RecordSeries(market.times, market.demand, market.spot_price, market.dry_bulb_temp, dew,
+                              holidays=holidays)
+        train, holdout = series[: 14 * 24], series[14 * 24 :]
+        earlier, later = (candidates.index(name) for name in pair)
+        rows, errors = [], []
+
+        class Recorded(_PoolResiduals):
+            def __init__(self, *args):
+                super().__init__(*args)
+                rows.append(self.v.copy())
+
+            def trials(self):
+                ok, error = super().trials()
+                errors.append(error[[earlier, later]])
+                return ok, error
+
+        trace = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(regression, "_PoolResiduals", Recorded)
+            spec, _ = forward_select(candidates, train, holdout, trace=trace)
+        assert np.array_equal(rows[0][earlier], rows[0][later])
+        assert all(np.array_equal(*pair_errors) for pair_errors in errors)
+        step = next(i for i, s in enumerate(trace) if s.added == pair[0])
+        assert (trace[step].runner_up, trace[step].margin) == (pair[1], 0.0)
+        assert pair[1] in trace[step + 1].disqualified
+        assert pair[0] in spec and pair[1] not in spec
+        self._check(candidates, train, holdout, DEFAULT_BASE_FEATURES)
+
     def test_insufficient_data_raised_like_refit(self):
         train = build_series([1000.0, 1200.0, 900.0], [30.0, 35.0, 28.0], temp=[70.0, 75.0, 71.0])
         holdout = build_series([1100.0, 950.0], [32.0, 29.0], temp=[72.0, 69.0])
@@ -627,8 +684,9 @@ def test_appended_trial_rank_rule_matches_fit_ols(make_x, deficient):
     y = rng.normal(size=50)
     x = make_x(X, rng)
     # x as a candidate column against both columns of X, appended one at a
-    # time from the empty factorization.
-    residuals = _PoolResiduals(np.column_stack([X, x]), y)
+    # time from the empty factorization. The rank rule reads only the
+    # training rows; the holdout block is random.
+    residuals = _PoolResiduals(np.column_stack([X, x, y]), rng.normal(size=(10, 3)), rng.normal(size=10))
     residuals.append(0)
     residuals.append(1)
     assert (not residuals.trials()[0][2]) == deficient
@@ -653,15 +711,25 @@ def test_appended_trial_matches_fit_ols(seed, k, extra_rows):
     X[:, 0] = 1.0
     beta_true = rng.uniform(0.5, 5.0, k + 1) * rng.choice([-1.0, 1.0], k + 1) / scales
     y = X @ beta_true + rng.normal(0.0, 1e-3, n)
-    expected = fit_ols(X, y).coefficients
+    # A random holdout block whose y sits about 1 off the true model, so that
+    # every expected error is far from 0 and a relative tolerance means
+    # something.
+    h = int(rng.integers(1, 48))
+    H = rng.normal(size=(h, k + 1)) * scales
+    H[:, 0] = 1.0
+    y_holdout = H @ beta_true + rng.choice([-1.0, 1.0]) + rng.normal(0.0, 1e-3, h)
+    expected = predict(fit_ols(X, y), H) - y_holdout
     # The last column as a candidate column against the first k, appended one
-    # at a time from the empty factorization.
-    residuals = _PoolResiduals(X, y)
+    # at a time from the empty factorization; blocks of any size, down to one
+    # row, compress [X y] to the same fits.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regression, "_QR_BLOCK_ROWS", int(rng.integers(1, n + 1)))
+        residuals = _PoolResiduals(np.column_stack([X, y]), H, y_holdout)
     for j in range(k):
         residuals.append(j)
-    ok, beta = residuals.trials()
+    ok, error = residuals.trials()
     assert ok[k]
-    np.testing.assert_allclose(beta[:, k], expected, rtol=1e-9)
+    np.testing.assert_allclose(error[k], expected, rtol=1e-9)
 
 
 @settings(max_examples=20, deadline=None)
@@ -687,26 +755,3 @@ def test_selection_matches_refit_on_random_markets(days, december, compact, seed
     assert_model_from_pool(model, pool, candidates, train)
     assert tuple(step.added for step in trace if step.added) == spec[len(DEFAULT_BASE_FEATURES) :]
     assert [name for step in trace for name in step.disqualified] == disqualified
-
-
-@pytest.mark.parametrize("market", ["bundled", "collinear"])
-def test_compaction_changes_no_choice(market, monkeypatch):
-    if market == "bundled":
-        train, holdout = _bundled_split()
-    else:  # month constant and no holidays: two candidates disqualified
-        series = synthetic_market(21, seed=3)
-        train, holdout = series[: 14 * 24], series[14 * 24 :]
-    trace = []
-    spec, _, pool = select_with_pool(FULL_FEATURES, train, holdout, trace=trace)
-    assert len(pool.cols) < len(FULL_FEATURES)  # some rows were dropped
-    monkeypatch.setattr(_PoolResiduals, "retain", lambda self, keep: keep)
-    kept_trace = []
-    kept_spec, _, kept_pool = select_with_pool(FULL_FEATURES, train, holdout, trace=kept_trace)
-    assert len(kept_pool.cols) == len(FULL_FEATURES)
-    assert spec == kept_spec
-    assert [(s.added, s.runner_up, s.disqualified) for s in trace] == [
-        (s.added, s.runner_up, s.disqualified) for s in kept_trace
-    ]
-    for step, kept in zip(trace, kept_trace):
-        assert step.ferms == pytest.approx(kept.ferms, rel=1e-12)
-        assert step.runner_up_ferms == pytest.approx(kept.runner_up_ferms, rel=1e-12)
