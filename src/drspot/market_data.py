@@ -15,6 +15,9 @@ Timestamps are hour-beginning: the record stamped 00:00 covers the
 from __future__ import annotations
 
 import csv
+import io
+import math
+from bisect import bisect_right
 from datetime import date, datetime
 from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
@@ -22,6 +25,10 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+
+from .plain_blocks import canonical_times as _canonical_times
+from .plain_blocks import cell_texts, decimal_column
+from .plain_blocks import plain_block as _plain_block
 
 # The series types are re-exported: they are part of this module's interface.
 from .series import (  # noqa: F401
@@ -158,106 +165,61 @@ def _records(reader, offset: int, malformed: list[ParseError]) -> Iterator[tuple
         malformed.append(ParseError(offset + reader.line_num, None, "", f"malformed CSV: {exc}"))
 
 
-# Rows parsed or written at a time: bounds the cell strings held at once.
+# Rows converted at a time on the csv.reader path, and written at a time.
 _CHUNK_ROWS = 256
-# Canonical stamps, ``YYYY-MM-DDTHH:MM``: the only ones numpy's ISO parser
-# converts here, since on them it agrees with datetime.fromisoformat from year
-# 1 on. Each byte lies between these bounds: a digit, or the separator itself.
-_STAMP_LOW = np.frombuffer(b"0000-00-00T00:00", dtype=np.uint8)
-_STAMP_HIGH = np.frombuffer(b"9999-99-99T99:99", dtype=np.uint8)
-_YEAR_ONE = np.datetime64("0001-01-01", "us")
+# Characters read at a time after the header. Each read is cut after its last
+# line end, so a block holds whole lines and is converted as one array of
+# bytes; large blocks spread numpy's fixed cost per call over many rows.
+_BLOCK_CHARS = 1 << 17
 
 
-def _canonical_times(stamps: Sequence[str]) -> np.ndarray | None:
-    """The times of stripped stamps by numpy's ISO parser, or None unless
-    every stamp is canonical (``YYYY-MM-DDTHH:MM``, from year 1). The layout
-    is checked first, on the bytes of all the stamps at once, so numpy never
-    sees (and never warns about) a ``Z`` or an offset."""
-    text = "".join(stamps)
-    if not text.isascii() or set(map(len, stamps)) != {len(_STAMP_LOW)}:
-        return None
-    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, len(_STAMP_LOW))
-    if ((chars < _STAMP_LOW) | (chars > _STAMP_HIGH)).any():
-        return None
-    try:
-        times = np.array(stamps, dtype=TIME_DTYPE)
-    except ValueError:  # a month, day, hour or minute out of range
-        return None
-    return None if (times < _YEAR_ONE).any() else times
-
-
-def _plain_block(
-    text: str, block: list[str], width: int, indices: Sequence[int]
-) -> tuple[list[str], np.ndarray, list[list[str]]] | None:
-    """The stripped stamps, their times and the raw cells of each value
-    column of a block of data lines without a quote, joined as ``text``, or
-    None unless ``csv.reader`` would split every line at each of its commas
-    into ``width`` cells and every stamp is canonical (``YYYY-MM-DDTHH:MM``,
-    from year 1).
-
-    A plain block has no carriage return but in a ``\r\n`` line end, no NUL
-    (which the reader treats specially) and no line longer than
-    ``csv.field_size_limit()`` (so no cell the reader rejects). It has no
-    blank row either: each row has a stamp."""
-    if (
-        "\0" in text
-        or ("\r" in text and text.count("\r") != text.count("\r\n"))
-        or max(map(len, block)) > csv.field_size_limit()
-        or set(map(str.count, block, repeat(","))) != {width - 1}
-    ):
-        return None
-    n = len(block)
-    cells = text.replace("\r\n", ",").replace("\n", ",").split(",")
-    raw_stamps, *values = (cells[i : n * width : width] for i in indices)
-    stamps = list(map(str.strip, raw_stamps))
-    times = _canonical_times(stamps)
-    return None if times is None else (stamps, times, values)
-
-
-def _convert_columns(
-    stamps: Sequence[str],
-    times: np.ndarray,
-    cells: Sequence[Sequence[str]],
-    row_nums: Sequence[int],
-    reason: str = "",
-) -> tuple[np.ndarray, dict[str, np.ndarray], list[tuple[int, int, MarketDataError]]]:
-    """Checked columns of a chunk of non-blank data rows on file rows
-    ``row_nums``. ``stamps`` holds the stripped stamps, ``times`` converts
-    them up to the first one rejected (for ``reason``), and ``cells`` holds
-    the raw cells of each value column of ``REQUIRED_COLUMNS``. Returns the
-    times up to the first bad stamp, the value columns, and the (row within
-    the chunk, check rank within the row, error) of each check's first
-    failure."""
+def _check_values(
+    columns: Sequence[tuple[np.ndarray, int, Sequence[str] | None]], row_nums: Sequence[int]
+) -> tuple[dict[str, np.ndarray], list[tuple[int, int, MarketDataError]]]:
+    """The value columns of a chunk of data rows on file rows ``row_nums``,
+    and the (row within the chunk, check rank within the row, error) of each
+    column's first bad cell. Each column is given as its values up to the
+    first cell rejected as non-numeric, that cell's index, and the raw cells
+    (needed only when one is bad)."""
     failures: list[tuple[int, int, MarketDataError]] = []
-    n = len(stamps)
-    bad = len(times)
-    off_hour = _first(times != times.astype("datetime64[h]"))
-    if off_hour < bad:
-        bad, reason = off_hour, "timestamp not on an hour boundary"
-    if bad < n:
-        failures.append((bad, 0, ParseError(row_nums[bad], "timestamp", stamps[bad], reason)))
-        times = times[:bad]
-
     values: dict[str, np.ndarray] = {}
-    for rank, (column, raw) in enumerate(zip(REQUIRED_COLUMNS[1:], cells), start=1):
-        values[column], bad = _float_column(raw)
-        non_finite = _first(~np.isfinite(values[column]))
+    for rank, (column, (parsed, bad, raw)) in enumerate(zip(REQUIRED_COLUMNS[1:], columns), start=1):
+        values[column] = parsed
+        # A finite sum rules out nan and inf in one pass; an overflowing one
+        # sends the column to the cell-by-cell search.
+        non_finite = len(parsed) if math.isfinite(parsed.sum()) else _first(~np.isfinite(parsed))
         reason = "non-numeric value"
         if non_finite < bad:
             bad, reason = non_finite, "non-finite value"
-        if bad < n:
+        if bad < len(row_nums):
             failures.append((bad, rank, ParseError(row_nums[bad], column, raw[bad].strip(), reason)))
-    return times, values, failures
+    return values, failures
+
+
+def _plain_columns(
+    times: np.ndarray, data: np.ndarray, starts: np.ndarray, ends: np.ndarray, row_nums: Sequence[int]
+) -> tuple[np.ndarray, dict[str, np.ndarray], list[tuple[int, int, MarketDataError]]]:
+    """The checked columns of a plain block (see :func:`_plain_block`) on
+    file rows ``row_nums``. A value column of decimal cells is converted
+    arithmetically; any other goes through :func:`_float_column`, from its
+    cells cut out of the block."""
+    parsed = [decimal_column(data, *bounds) for bounds in zip(starts, ends)]
+    raws = cell_texts(data, starts, ends) if any(p is None for p in parsed) else [None] * len(parsed)
+    columns = [(p, len(p), None) if p is not None else (*_float_column(raw), raw) for p, raw in zip(parsed, raws)]
+    return (times, *_check_values(columns, row_nums))
 
 
 def _convert_rows(
     rows: Sequence[list[str]], row_nums: Sequence[int], indices: Sequence[int]
 ) -> tuple[np.ndarray, dict[str, np.ndarray], list[tuple[int, int, MarketDataError]]]:
-    """:func:`_convert_columns` of a chunk of non-blank records that
-    ``csv.reader`` split, converting the stamps with numpy when all are
-    canonical and with ``datetime.fromisoformat`` otherwise. ``indices``
-    holds the file column of each of ``REQUIRED_COLUMNS``, the order in
-    which a row's cells are checked. A short row is the chunk's last row."""
+    """The checked columns of a chunk of non-blank records that
+    ``csv.reader`` split, on file rows ``row_nums``: the times up to the
+    first bad stamp, the value columns, and the (row within the chunk, check
+    rank within the row, error) of each check's first failure. Stripped
+    stamps are converted by :func:`_canonical_times` when all are canonical
+    and by ``datetime.fromisoformat`` otherwise. ``indices`` holds the file
+    column of each of ``REQUIRED_COLUMNS``, the order in which a row's cells
+    are checked. A short row is the chunk's last row."""
     failures: list[tuple[int, int, MarketDataError]] = []
     width = max(indices) + 1
     if min(map(len, rows)) < width:
@@ -266,10 +228,14 @@ def _convert_rows(
         rank = min(k for k, i in enumerate(indices) if i >= len(row))
         failures.append((short, rank, ParseError(row_nums[short], REQUIRED_COLUMNS[rank], "", "row too short")))
         rows = [*rows[:short], row + [""] * (width - len(row))]
-    raw_stamps, *cells = zip(*map(itemgetter(*indices), rows))
+    columns = list(islice(zip(*rows), width))  # every row has at least width cells
+    raw_stamps, *cells = (columns[i] for i in indices)
 
-    stamps = list(map(str.strip, raw_stamps))
-    times, reason = _canonical_times(stamps), ""
+    # Stamps are stripped only when they are not all canonical as they stand.
+    times = _canonical_times(raw_stamps)
+    if times is None:
+        stamps = list(map(str.strip, raw_stamps))
+        times = _canonical_times(stamps)
     if times is None:
         parsed, bad = _convert(stamps, datetime.fromisoformat)
         reason = "bad timestamp"
@@ -277,7 +243,13 @@ def _convert_rows(
             bad = next(i for i, ts in enumerate(parsed) if ts.tzinfo is not None)
             reason = "timestamp has a UTC offset; local time expected"
         times = datetime64_column(parsed[:bad])
-    times, values, checked = _convert_columns(stamps, times, cells, row_nums, reason)
+        off_hour = _first(times != times.astype("datetime64[h]"))
+        if off_hour < bad:
+            bad, reason = off_hour, "timestamp not on an hour boundary"
+        if bad < len(stamps):
+            failures.append((bad, 0, ParseError(row_nums[bad], "timestamp", stamps[bad], reason)))
+            times = times[:bad]
+    values, checked = _check_values([(*_float_column(raw), raw) for raw in cells], row_nums[: len(raw_stamps)])
     return times, values, failures + checked
 
 
@@ -292,37 +264,70 @@ def _record_chunks(
     file (see :func:`_records`)."""
     records = _records(csv.reader(lines), offset, malformed)
     while batch := list(islice(records, _CHUNK_ROWS)):
-        # A row is blank when the text of all its cells is whitespace.
-        kept = [(num, row) for num, row in batch if "".join(row).strip()]
+        # A row is blank when the text of all its cells is whitespace; one
+        # whose first cell has other text is kept without joining its cells.
+        kept = [
+            record
+            for record in batch
+            if (row := record[1]) and ((row[0] and not row[0].isspace()) or "".join(row).strip())
+        ]
         if kept:
             nums, rows = zip(*kept)
             nums = tuple(map((offset + 1).__add__, nums))
             yield (nums, *_convert_rows(rows, nums, indices))
 
 
+def _text_blocks(read: Callable[[int], str]) -> Iterator[str]:
+    """The rest of a text source in blocks of whole lines: each read of
+    ``_BLOCK_CHARS`` characters is cut after its last ``\\n``, and the rest
+    starts the next block. The last block holds what follows the last
+    ``\\n``, if anything."""
+    tail: list[str] = []
+    while chunk := read(_BLOCK_CHARS):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield "".join([*tail, chunk[:cut]])
+            tail = [chunk[cut:]]
+        else:
+            tail.append(chunk)
+    if last := "".join(tail):
+        yield last
+
+
 def _chunks(
-    lines: Iterator[str], offset: int, width: int, indices: Sequence[int], malformed: list[ParseError]
+    source: IO[str], offset: int, width: int, indices: Sequence[int], malformed: list[ParseError]
 ) -> Iterator[_Chunk]:
     """The file rows and checked columns of each chunk of the non-blank data
-    rows on the lines after line ``offset``, read a block of lines at a
-    time. A plain block (see :func:`_plain_block`) is split without
-    ``csv.reader`` and gives the same chunk; any other block goes through
-    the reader, and from a block with a quote on, so does the rest of the
-    file, since a quoted cell can span lines."""
-    while block := list(islice(lines, _CHUNK_ROWS)):
-        text = "".join(block)
+    rows of the rest of ``source``, which follows line ``offset``, read a
+    block at a time (see :func:`_text_blocks`). A plain block (see
+    :func:`_plain_block`) is converted from its bytes and gives the same
+    chunks as ``csv.reader``; any other block goes through the reader, and
+    from a block with a quote on, so does the rest of the file, since a
+    quoted cell can span lines."""
+
+    def lines(text: str) -> io.StringIO:
+        # The lines as the source yields them: a lone \r ends one too when
+        # the source reads universal newlines, as a path is opened here,
+        # which its ``newlines`` shows once it has read one.
+        return io.StringIO(text, newline="" if getattr(source, "newlines", None) else "\n")
+
+    blocks = _text_blocks(source.read)
+    for text in blocks:
         if '"' in text:
-            yield from _record_chunks(chain(block, lines), offset, indices, malformed)
+            yield from _record_chunks(chain.from_iterable(map(lines, chain([text], blocks))), offset, indices, malformed)
             return
-        plain = _plain_block(text, block, width, indices)
+        plain = _plain_block(text, width, indices)
         if plain is not None:
-            nums = range(offset + 1, offset + len(block) + 1)
-            yield (nums, *_convert_columns(*plain, nums))
+            rows = len(plain[0])
+            nums = range(offset + 1, offset + rows + 1)
+            yield (nums, *_plain_columns(*plain, nums))
         else:
+            block = list(lines(text))
+            rows = len(block)
             yield from _record_chunks(block, offset, indices, malformed)
             if malformed:
                 return
-        offset += len(block)
+        offset += rows
 
 
 def parse_hourly_csv(
@@ -371,13 +376,16 @@ def parse_hourly_csv(
             raise MissingColumnError(actual, canonical)
         indices.append(header.index(actual))
 
-    row_nums: list[int] = []
+    # The file rows of each chunk, and the data rows before it.
+    chunk_rows: list[Sequence[int]] = []
+    rows_before = [0]
     chunks: list[tuple[np.ndarray, dict[str, np.ndarray]]] = []
     failures: list[tuple[int, int, MarketDataError]] = []
-    for nums, times, values, chunk_failures in _chunks(lines, reader.line_num, len(header), indices, malformed):
+    for nums, times, values, chunk_failures in _chunks(source, reader.line_num, len(header), indices, malformed):
         # Failures are ordered by data row across chunks, then by check rank.
-        failures = [(len(row_nums) + i, rank, error) for i, rank, error in chunk_failures]
-        row_nums.extend(nums)
+        failures = [(rows_before[-1] + i, rank, error) for i, rank, error in chunk_failures]
+        chunk_rows.append(nums)
+        rows_before.append(rows_before[-1] + len(nums))
         chunks.append((times, values))
         if failures:
             break
@@ -389,12 +397,16 @@ def parse_hourly_csv(
     times = np.concatenate([chunk_times for chunk_times, _ in chunks])
     step = np.diff(times)
     bad = _first((step <= np.timedelta64(0)) | ((step > HOUR64) if strict else False)) + 1
+    gaps = bool((step > HOUR64).any())
+    del step
     if bad < len(times):
         expected, found = times[bad - 1].item() + HOUR, times[bad].item()
-        error = GapError(expected) if found > expected else GapError(expected, found, row_nums[bad])
+        k = bisect_right(rows_before, bad) - 1
+        row = chunk_rows[k][bad - rows_before[k]]
+        error = GapError(expected) if found > expected else GapError(expected, found, row)
         failures.append((bad, len(REQUIRED_COLUMNS), error))
     if malformed:  # it follows every row read
-        failures.append((len(row_nums), 0, malformed[0]))
+        failures.append((rows_before[-1], 0, malformed[0]))
     if failures:
         raise min(failures, key=itemgetter(0, 1))[2]
 
@@ -407,8 +419,11 @@ def parse_hourly_csv(
         "dry_bulb_temp": column("dry_bulb_f"),
         "dew_point": column("dew_point_f"),
     }
+    # The series copies its columns: the chunks go first, so that the copies
+    # can take their memory.
+    chunks.clear()
     filled = times[:0]
-    if (step > HOUR64).any():
+    if gaps:
         times, columns, synthesized = _fill_gaps(times, columns)
         filled = times[synthesized]
     return RecordSeries(times, **columns, holidays=holidays, filled=filled)

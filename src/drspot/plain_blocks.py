@@ -1,0 +1,201 @@
+"""Conversion of plain CSV blocks from their bytes.
+
+A block of data lines that ``csv.reader`` would split at every comma is
+converted from one ``uint8`` view of its bytes: the cell boundaries come
+from the positions of its commas and line ends, canonical stamps and
+decimal cells are read arithmetically, and no Python string is made per
+cell. :mod:`drspot.market_data` decides which blocks are plain and sends
+any other block, and any column these converters decline, through the
+reader or Python's ``float``, which give the same values.
+"""
+
+from __future__ import annotations
+
+import csv
+from functools import lru_cache
+from typing import Sequence
+
+import numpy as np
+
+from .series import TIME_DTYPE
+
+# Canonical stamps, ``YYYY-MM-DDTHH:MM``, one per column, and the byte
+# after a stamp when stamps are joined: each byte lies between these bounds,
+# a digit or the separator itself.
+_STAMP_LOW = np.frombuffer(b"0000-00-00T00:00/", dtype=np.uint8)[:, None]
+_STAMP_HIGH = np.frombuffer(b"9999-99-99T99:99/", dtype=np.uint8)[:, None]
+_STAMP_CHARS = len(_STAMP_LOW) - 1
+# The places of the tens and the units of a stamp's two-digit numbers: the
+# year's hundreds, the year's units, month, day, hour and minute, and the
+# bounds of each.
+_TENS, _UNITS = [0, 2, 5, 8, 11, 14], [1, 3, 6, 9, 12, 15]
+_PAIR_LOW = np.array([[0], [0], [1], [1], [0], [0]])
+_PAIR_HIGH = np.array([[99], [99], [12], [31], [23], [0]])
+# Decimal cells converted arithmetically: ``[-]digits[.digits]`` with at most
+# this many digits, so that the digits as an integer are exact in a double.
+_DECIMAL_DIGITS = 15
+DECIMAL_WIDTH = _DECIMAL_DIGITS + 2  # with a sign and a point
+# Exact powers of ten, 10**0 .. 10**16.
+_POW10 = np.array([float(10**e) for e in range(DECIMAL_WIDTH)])
+_PLACES = np.arange(DECIMAL_WIDTH)
+
+
+@lru_cache(maxsize=64)
+def _months(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """The start, in microseconds since 1970-01-01, and the number of days of
+    each month from ``first`` to ``last``, counted in months since 1970-01:
+    numpy's proleptic Gregorian calendar, as Python's. Read-only."""
+    days = np.arange(first, last + 2).astype("datetime64[M]").astype("datetime64[D]").view(np.int64)
+    starts, lengths = days[:-1] * (24 * 3_600_000_000), np.diff(days)
+    starts.flags.writeable = lengths.flags.writeable = False
+    return starts, lengths
+
+
+def stamp_times(chars: np.ndarray) -> np.ndarray | None:
+    """The times of canonical stamps, one per column of a ``(16, n)`` uint8
+    array, or None unless every stamp is ``YYYY-MM-DDTHH:00`` with a year
+    from 1, a month 1-12, a day within its month and an hour below 24: the
+    stamps that ``datetime.fromisoformat`` reads as a whole hour. A 17th row,
+    if given, must be all ``/``."""
+    if ((chars < _STAMP_LOW[: len(chars)]) | (chars > _STAMP_HIGH[: len(chars)])).any():
+        return None
+    # The two-digit numbers: year's hundreds and units, month, day, hour, minute.
+    pairs = chars[_TENS].astype(np.int64) * 10 + chars[_UNITS] - 11 * ord("0")
+    if ((pairs < _PAIR_LOW) | (pairs > _PAIR_HIGH)).any():
+        return None
+    year = pairs[0] * 100 + pairs[1]
+    if not year.all():
+        return None
+    months = year * 12 + pairs[2] - (1970 * 12 + 1)  # since 1970-01
+    first = int(months.min())
+    starts, lengths = _months(first, int(months.max()))
+    months -= first
+    if (pairs[3] > lengths[months]).any():
+        return None
+    hours = pairs[3] * 24 + pairs[4] - 24  # since the start of the month
+    return (starts[months] + hours * 3_600_000_000).view(TIME_DTYPE)
+
+
+def canonical_times(stamps: Sequence[str]) -> np.ndarray | None:
+    """:func:`stamp_times` of stripped stamps, or None unless every stamp
+    is 16 ASCII characters. The stamps are joined, each followed by a ``/``,
+    which no place of a canonical stamp holds: the ``/`` fall every 17
+    bytes, as the check of their places requires, only when each stamp is
+    16 characters long."""
+    text = "/".join(stamps) + "/"
+    if not text.isascii() or len(text) != len(_STAMP_LOW) * len(stamps):
+        return None
+    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, len(_STAMP_LOW))
+    return stamp_times(chars.T.copy())  # one row per place, contiguous
+
+
+def _gather(data: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
+    """``data[first[i] + k]`` at ``[k, i]``: the ``width`` bytes from each
+    of ``first``, one column each, so that a byte place is one row."""
+    return data[first + _PLACES[:width, None]]
+
+
+def decimal_column(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The values of the cells ``data[starts[i]:ends[i]]``, or None unless
+    each is ``[-]digits[.digits]`` with 1 to ``_DECIMAL_DIGITS`` digits.
+    Needs ``DECIMAL_WIDTH`` bytes of ``data`` before the first cell.
+
+    A cell is read as ``m / 10**f`` for its digits ``m`` as an integer and
+    its ``f`` digits after the point. Both are exact doubles below 2**53,
+    and IEEE division rounds correctly, so the value is the correctly
+    rounded decimal, which is Python's ``float`` of the cell (Clinger, PLDI
+    1990)."""
+    lengths = ends - starts
+    width = int(lengths.max())
+    if width > DECIMAL_WIDTH or lengths.min() < 1:
+        return None
+    # Each cell right-aligned in a column of `width` bytes; the bytes above
+    # it belong to earlier cells and are masked out.
+    cells = _gather(data, ends - width, width)
+    place = _PLACES[:width, None]
+    lead = width - lengths
+    inside = place >= lead
+    digit = (cells >= ord("0")) & (cells <= ord("9")) & inside
+    point = (cells == ord(".")) & inside
+    minus = (cells == ord("-")) & (place == lead)
+    points, count = point.sum(axis=0), digit.sum(axis=0)
+    if (
+        ((digit | point | minus) != inside).any()
+        or points.max() > 1
+        or count.min() < 1
+        or count.max() > _DECIMAL_DIGITS
+    ):
+        return None
+    at = (point * place).sum(axis=0)  # the point's place, or 0
+    # Each digit times its place value, a place lower before the point: the
+    # terms and their sums are integers below 2**53, so exact.
+    terms = (cells - float(ord("0"))) * digit
+    terms *= _POW10[width - 1 :: -1, None]
+    terms /= np.where(place < at, 10.0, 1.0)
+    values = terms.sum(axis=0) / _POW10[np.where(points, width - 1 - at, 0)]
+    values *= np.where(minus.any(axis=0), -1.0, 1.0)
+    return values
+
+
+def cell_texts(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[list[str]]:
+    """The text of the cells ``data[starts[j, i]:ends[j, i]]``, one list per
+    row j. Each cell is followed by a separator byte, and a row's cells lie
+    in file order, one per line. The cells are cut out of the block's bytes
+    together, by a mask of their bytes and separators, and split as one text."""
+    order = np.argsort(starts[:, 0])  # the columns in file order
+    first, last = starts[order].T.ravel(), ends[order].T.ravel()
+    runs = np.empty(2 * len(first), dtype=np.int64)
+    runs[0::2] = first - np.append(0, last[:-1] + 1)  # the bytes up to a cell
+    runs[1::2] = last + 1 - first  # the cell and its separator
+    keep = np.repeat(np.tile([False, True], len(first)), runs)
+    cells = data[: len(keep)][keep].tobytes().decode("utf-8", "surrogatepass").replace("\n", ",").split(",")
+    texts: list[list[str]] = [[]] * len(order)
+    for j, row in enumerate(order.tolist()):
+        texts[row] = cells[j : len(first) : len(order)]
+    return texts
+
+
+def plain_block(
+    text: str, width: int, indices: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The times and the value cells of a block of whole data lines without
+    a quote, or None unless ``csv.reader`` would split every line at each of
+    its commas into ``width`` cells and every stamp is canonical (see
+    :func:`stamp_times`, unpadded).
+
+    A plain block has no carriage return but in a ``\\r\\n`` line end, no NUL
+    (which the reader treats specially) and no cell longer than
+    ``csv.field_size_limit()`` (which the reader rejects). It has no blank
+    row either: each row has a stamp. The value cells are given as the bytes
+    ``data`` of the block, after ``DECIMAL_WIDTH`` spaces, and the ``starts``
+    and ``ends`` of the cells of each value column of ``indices``, one row
+    per column."""
+    if "\0" in text:
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    pad = DECIMAL_WIDTH
+    data = np.frombuffer((" " * pad + text).encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    separator = data == ord(",")
+    separator |= data == ord("\n")
+    ends = np.flatnonzero(separator)
+    del separator
+    newline = data[ends] == ord("\n")
+    n = int(np.count_nonzero(newline))
+    if len(ends) != n * width or not newline[width - 1 :: width].all():
+        return None
+    # The cell i ends at ends[i] and starts after ends[i - 1].
+    if max(ends[0] - pad, int(np.diff(ends).max(initial=0)) - 1) > csv.field_size_limit():
+        return None
+    ends = ends.reshape(n, width)
+    line_starts = np.insert(ends[:-1, -1] + 1, 0, pad)
+    starts = np.array([ends[:, i - 1] + 1 if i else line_starts for i in indices])
+    ends = ends.T[indices]
+    if ((ends[0] - starts[0]) != _STAMP_CHARS).any():
+        return None
+    times = stamp_times(_gather(data, starts[0], _STAMP_CHARS))
+    return None if times is None else (times, data, starts[1:], ends[1:])

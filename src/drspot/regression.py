@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -225,18 +225,21 @@ def fit_ols(X: np.ndarray, y: np.ndarray, spec: Sequence[str] | None = None) -> 
     if diag.min() <= RANK_TOLERANCE * diag.max():
         bad = int(np.argmax(diag <= RANK_TOLERANCE * diag.max()))
         raise RankDeficientError(names[bad])
-    return _fitted_model(names, X, y, r, q.T @ y)
+    return _fitted_model(names, r, q.T @ y, lambda coefficients: y - X @ coefficients)
 
 
 def _fitted_model(
-    spec: tuple[str, ...], X: np.ndarray, y: np.ndarray, r: np.ndarray, qty: np.ndarray
+    spec: tuple[str, ...], r: np.ndarray, qty: np.ndarray, residuals: Callable[[np.ndarray], np.ndarray]
 ) -> RegressionModel:
-    """OLS coefficients and statistics of ``y`` on ``X`` from the R factor
-    ``r`` of ``X`` and ``qty == Q.T @ y`` (standard errors from R^-1)."""
-    n, m = X.shape
+    """OLS coefficients and statistics of ``y`` on a design ``X`` from the R
+    factor ``r`` of ``X``, ``qty == Q.T @ y`` and ``residuals``, which maps
+    the coefficients to ``y - X @ coefficients`` (standard errors from
+    R^-1)."""
+    m = len(spec)
     coefficients = np.linalg.solve(r, qty)
-    residuals = y - X @ coefficients
-    residual_variance = float(residuals @ residuals) / (n - m)
+    residual = residuals(coefficients)
+    n = len(residual)
+    residual_variance = float(residual @ residual) / (n - m)
     r_inv = np.linalg.solve(r, np.eye(m))
     xtx_inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
     std_errors = np.sqrt(np.maximum(residual_variance * xtx_inv_diag, 0.0))
@@ -404,6 +407,21 @@ def _first_copies(columns: np.ndarray) -> np.ndarray:
     return first
 
 
+def _xy_residual(xy: np.ndarray, idx: Sequence[int], coefficients: np.ndarray) -> np.ndarray:
+    """``y - X[:, idx] @ coefficients`` for ``xy == [X y]``, a block of rows
+    at a time, so that the columns ``idx`` are never gathered into one
+    n x k array. The last block takes the rows left over: BLAS can round a
+    product of a few rows differently, and blocks of at least
+    ``_QR_BLOCK_ROWS`` rows give the bits of one product over all rows."""
+    n = len(xy)
+    edges = [*range(0, n, _QR_BLOCK_ROWS)][: max(1, n // _QR_BLOCK_ROWS)] + [n]
+    out = np.empty(n)
+    for start, stop in zip(edges, edges[1:]):
+        rows = xy[start:stop]
+        out[start:stop] = rows[:, -1] - rows[:, idx] @ coefficients
+    return out
+
+
 def forward_select(
     candidates: Sequence[str],
     train: RecordSeries,
@@ -487,4 +505,6 @@ def forward_select(
         active[best] = False
 
     spec, k = tuple(candidates[j] for j in idx), residuals.k
-    return spec, _fitted_model(spec, train_full[:, idx], y_train, residuals.r[:k, :k], residuals.c[:k, -1])
+    return spec, _fitted_model(
+        spec, residuals.r[:k, :k], residuals.c[:k, -1], lambda coefficients: _xy_residual(xy, idx, coefficients)
+    )

@@ -18,12 +18,13 @@ DATA_DIR = REPO_ROOT / "data"
 MONDAY = datetime(2021, 6, 7)
 
 # HYPOTHESIS_PROFILE=ci gives the properties that fix no example count
-# 1,000 examples instead of 100: the differential parser property and the
-# str -> float cast property (test_market_data), and the inverse-consistency
-# and OLS-recovery properties (test_acceptance). Each checks numpy against an
-# independent computation (its ISO stamp parser, its float cast, its linear
-# algebra), and CI runs them on numpy versions that cannot be installed
-# offline, numpy 1.23 among them.
+# 1,000 examples instead of 100: the stamp and decimal converter properties,
+# the differential parser property and the str -> float cast property
+# (test_market_data), and the inverse-consistency and OLS-recovery
+# properties (test_acceptance). Each checks numpy against an independent
+# computation (the converters' integer, float and calendar arithmetic, its
+# float cast, its linear algebra), and CI runs them on numpy versions that
+# cannot be installed offline, numpy 1.23 among them.
 settings.register_profile("ci", max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 

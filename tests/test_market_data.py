@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import series_to_csv, synthetic_market
-from drspot import market_data
+from drspot import market_data, plain_blocks
 from drspot.market_data import (
     GapError,
     MarketDataError,
@@ -199,27 +199,29 @@ def test_parse_keeps_rows_and_gaps_across_chunks():
     records = [_record(start + timedelta(hours=h), demand=float(h)) for h in range(2 * edge + 100)]
     series = series_from_records(records)
     lines = series_to_csv(series).splitlines()  # lines[k] is file row k + 1
-    assert parse_hourly_csv(io.StringIO("\n".join(lines))) == series
+    # Plain blocks of the characters of `edge` data lines end there too.
+    with mock.patch.object(market_data, "_BLOCK_CHARS", sum(len(line) + 1 for line in lines[1 : edge + 1])):
+        assert parse_hourly_csv(io.StringIO("\n".join(lines))) == series
 
-    holed = lines[:edge] + lines[edge + 2 :]  # data rows edge - 1 and edge, across the chunk edge
-    with pytest.raises(GapError) as excinfo:
-        parse_hourly_csv(io.StringIO("\n".join(holed)))
-    assert excinfo.value.missing == records[edge - 1].timestamp
-    filled = parse_hourly_csv(io.StringIO("\n".join(holed)), strict=False)
-    assert filled == series
-    assert filled.filled.tolist() == [records[edge - 1].timestamp, records[edge].timestamp]
+        holed = lines[:edge] + lines[edge + 2 :]  # data rows edge - 1 and edge, across the chunk edge
+        with pytest.raises(GapError) as excinfo:
+            parse_hourly_csv(io.StringIO("\n".join(holed)))
+        assert excinfo.value.missing == records[edge - 1].timestamp
+        filled = parse_hourly_csv(io.StringIO("\n".join(holed)), strict=False)
+        assert filled == series
+        assert filled.filled.tolist() == [records[edge - 1].timestamp, records[edge].timestamp]
 
-    repeated = lines[: edge + 1] + [lines[edge]] + lines[edge + 1 :]
-    with pytest.raises(GapError, match=f"row {edge + 2}: duplicate hour "):
-        parse_hourly_csv(io.StringIO("\n".join(repeated)))
+        repeated = lines[: edge + 1] + [lines[edge]] + lines[edge + 1 :]
+        with pytest.raises(GapError, match=f"row {edge + 2}: duplicate hour "):
+            parse_hourly_csv(io.StringIO("\n".join(repeated)))
 
-    bad = lines[:10] + [""] + lines[10:]  # a blank line shifts later file rows by one
-    fields = bad[2 * edge + 5].split(",")
-    fields[1] = "abc"
-    bad[2 * edge + 5] = ",".join(fields)
-    with pytest.raises(ParseError) as excinfo:
-        parse_hourly_csv(io.StringIO("\n".join(bad)))
-    assert (excinfo.value.row, excinfo.value.column) == (2 * edge + 6, "demand_mwh")
+        bad = lines[:10] + [""] + lines[10:]  # a blank line shifts later file rows by one
+        fields = bad[2 * edge + 5].split(",")
+        fields[1] = "abc"
+        bad[2 * edge + 5] = ",".join(fields)
+        with pytest.raises(ParseError) as excinfo:
+            parse_hourly_csv(io.StringIO("\n".join(bad)))
+        assert (excinfo.value.row, excinfo.value.column) == (2 * edge + 6, "demand_mwh")
 
 
 def _checked_calendar(ts, holidays=frozenset()):
@@ -540,36 +542,40 @@ def test_plain_blocks_number_rows_like_the_csv_reader_across_block_edge():
     blocks = text.splitlines(keepends=True)[1:]
     for first in range(0, len(blocks), edge):  # every block of the canonical file is plain
         block = blocks[first : first + edge]
-        assert market_data._plain_block("".join(block), block, 5, range(5)) is not None
+        assert market_data._plain_block("".join(block), 5, range(5)) is not None
 
-    for data_row in (edge - 1, edge, edge + 1, edge + 2):
-        lines = text.splitlines()  # lines[k] is file row k + 1
-        cells = lines[data_row].split(",")
-        cells[1] = "abc"
-        lines[data_row] = ",".join(cells)
-        repeated = text.splitlines()
-        repeated.insert(data_row + 1, repeated[data_row])
-        for variant, expected in (
-            (lines, f"row {data_row + 1}, column 'demand_mwh': non-numeric value: 'abc'"),
-            (repeated, f"row {data_row + 2}: duplicate hour "),
-        ):
-            for parse in (parse_hourly_csv, _parse_by_reader):
-                with pytest.raises(MarketDataError) as excinfo:
-                    parse(io.StringIO("\n".join(variant) + "\n"))
-                assert str(excinfo.value).startswith(expected)
+    # Blocks of the characters of `edge` data lines: the first plain block
+    # ends after data row `edge`.
+    with mock.patch.object(market_data, "_BLOCK_CHARS", len("".join(blocks[:edge]))):
+        for data_row in (edge - 1, edge, edge + 1, edge + 2):
+            lines = text.splitlines()  # lines[k] is file row k + 1
+            cells = lines[data_row].split(",")
+            cells[1] = "abc"
+            lines[data_row] = ",".join(cells)
+            repeated = text.splitlines()
+            repeated.insert(data_row + 1, repeated[data_row])
+            for variant, expected in (
+                (lines, f"row {data_row + 1}, column 'demand_mwh': non-numeric value: 'abc'"),
+                (repeated, f"row {data_row + 2}: duplicate hour "),
+            ):
+                for parse in (parse_hourly_csv, _parse_by_reader):
+                    with pytest.raises(MarketDataError) as excinfo:
+                        parse(io.StringIO("\n".join(variant) + "\n"))
+                    assert str(excinfo.value).startswith(expected)
 
 
 def _data_blocks(text: str) -> list[list[str]]:
     """The blocks of data lines that the plain path reads from ``text``."""
-    lines = io.StringIO(text).readlines()[1:]
-    return [lines[k : k + market_data._CHUNK_ROWS] for k in range(0, len(lines), market_data._CHUNK_ROWS)]
+    source = io.StringIO(text)
+    next(source)  # the header
+    return [io.StringIO(block).readlines() for block in market_data._text_blocks(source.read)]
 
 
 def test_crlf_file_takes_the_plain_path():
     text = series_to_csv(synthetic_market(12, seed=1))
     crlf = text.replace("\n", "\r\n")
     for block in _data_blocks(crlf):
-        assert market_data._plain_block("".join(block), block, 5, range(5)) is not None
+        assert market_data._plain_block("".join(block), 5, range(5)) is not None
     for source in (io.StringIO(crlf), io.TextIOWrapper(io.BytesIO(crlf.encode()), newline="")):
         assert parse_hourly_csv(source) == parse_hourly_csv(io.StringIO(text))
 
@@ -578,9 +584,10 @@ def test_crlf_file_takes_the_plain_path():
         lines = crlf.splitlines(keepends=True)
         lines[5] = lines[5].replace("\r\n", line_end)
         block = _data_blocks("".join(lines))[0]
-        assert market_data._plain_block("".join(block), block, 5, range(5)) is None
+        assert market_data._plain_block("".join(block), 5, range(5)) is None
 
 
+@mock.patch.object(market_data, "_BLOCK_CHARS", 2 * csv.field_size_limit())
 def test_wide_block_takes_the_plain_path():
     # Each line is within csv.field_size_limit(), the block is not.
     wide = "x" * (csv.field_size_limit() // 200)
@@ -588,7 +595,7 @@ def test_wide_block_takes_the_plain_path():
     text = "\n".join([lines[0] + ",note"] + [line + "," + wide for line in lines[1:]]) + "\n"
     block = _data_blocks(text)[0]
     assert len("".join(block)) > csv.field_size_limit()
-    assert market_data._plain_block("".join(block), block, 6, range(5)) is not None
+    assert market_data._plain_block("".join(block), 6, range(5)) is not None
     assert parse_hourly_csv(io.StringIO(text)) == _parse_by_reader(io.StringIO(text))
 
 
@@ -677,7 +684,9 @@ def _outcome(parse, text: str, strict: bool, as_file: bool):
 
 
 def _stamp_example(*edits):
-    return example(edits=list(edits), note=False, crlf=False, final_newline=True, as_file=False, quoted_header=False)
+    return example(
+        edits=list(edits), note=False, crlf=False, final_newline=True, as_file=False, quoted_header=False, block_chars=2000
+    )
 
 
 @settings(deadline=None)
@@ -699,8 +708,10 @@ def _stamp_example(*edits):
     final_newline=st.booleans(),
     as_file=st.booleans(),
     quoted_header=st.booleans(),
+    # Blocks of a few dozen lines: every row is near a plain-block edge.
+    block_chars=st.integers(500, 4000),
 )
-def test_plain_path_matches_csv_reader_path(edits, note, crlf, final_newline, as_file, quoted_header):
+def test_plain_path_matches_csv_reader_path(edits, note, crlf, final_newline, as_file, quoted_header, block_chars):
     lines = [line + ",note" if k == 0 else line + "," for k, line in enumerate(_BASE_LINES)] if note else _BASE_LINES
     for edit in edits:
         lines = _edit_lines(lines, edit)
@@ -708,8 +719,9 @@ def test_plain_path_matches_csv_reader_path(edits, note, crlf, final_newline, as
         lines = ['"' + lines[0].replace(",", '",', 1)] + lines[1:]
     ending = "\r\n" if crlf else "\n"
     text = ending.join(lines) + (ending if final_newline else "")
-    for strict in (True, False):
-        assert _outcome(parse_hourly_csv, text, strict, as_file) == _outcome(_parse_by_reader, text, strict, as_file)
+    with mock.patch.object(market_data, "_BLOCK_CHARS", block_chars):
+        for strict in (True, False):
+            assert _outcome(parse_hourly_csv, text, strict, as_file) == _outcome(_parse_by_reader, text, strict, as_file)
 
 
 # Text that Python's float reads or rejects for many reasons: any ASCII
@@ -742,3 +754,90 @@ def test_numpy_float_cast_matches_python_float(cells):
     nan = np.isnan(expected)
     assert np.array_equal(np.isnan(actual), nan)
     assert np.array_equal(actual[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+
+# The arithmetic converters of canonical blocks. A decimal cell of 1 to 15
+# digits is read as float reads it, bit for bit; any other column is left to
+# float (the converter declines it).
+_DECIMAL_FORM = re.compile(r"-?[0-9]*\.?[0-9]*")
+_decimal_cell = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["", "-"]),
+        st.text("0123456789", max_size=10),
+        st.sampled_from(["", "."]),
+        st.text("0123456789", max_size=10),
+    ),
+)
+
+
+def _converts_as_decimal(cell: str) -> bool:
+    return _DECIMAL_FORM.fullmatch(cell) is not None and 1 <= sum(map(str.isdigit, cell)) <= 15
+
+
+@example(["-0.0", ".5", "5.", "007.50", "-.5", "0", "-0", "999999999999999", "0.000000000000001"])
+@example(["0.3", "1.1", "-2.675", "0.1234567890123"])  # m * 10**-f would round these differently
+@example(["1234567890123456", "1.5"])
+@example(["1.5", "-", "2"])
+@example(["1.5", ".", "2"])
+@example(["", "1"])
+@given(st.lists(_decimal_cell, min_size=1, max_size=8))
+def test_decimal_converter_matches_float(cells):
+    text = " " * plain_blocks.DECIMAL_WIDTH + ",".join(cells) + "\n"
+    data = np.frombuffer(text.encode(), dtype=np.uint8)
+    ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    starts = np.append(plain_blocks.DECIMAL_WIDTH, ends[:-1] + 1)
+    values = plain_blocks.decimal_column(data, starts, ends)
+    if not all(map(_converts_as_decimal, cells)):
+        assert values is None
+        return
+    assert values is not None
+    assert np.array_equal(values.view(np.uint64), np.array([float(cell) for cell in cells]).view(np.uint64))
+
+
+_stamp_fields = st.tuples(
+    st.one_of(st.sampled_from([0, 1, 1900, 1970, 2000, 2021, 2100, 9999]), st.integers(0, 9999)),
+    st.integers(0, 13),
+    st.integers(0, 32),
+    st.integers(0, 25),
+    st.sampled_from([0, 0, 0, 30, 59, 60]),
+)
+
+
+def _stamp_fields_example(*fields):
+    return example(list(fields))
+
+
+@_stamp_fields_example((1900, 2, 29, 0, 0), (2000, 2, 29, 0, 0), (2021, 2, 28, 23, 0))
+@_stamp_fields_example((2021, 2, 29, 0, 0))
+@_stamp_fields_example((2100, 2, 29, 0, 0))
+@_stamp_fields_example((2021, 4, 31, 0, 0))
+@_stamp_fields_example((2021, 6, 31, 0, 0))
+@_stamp_fields_example((2021, 9, 31, 0, 0))
+@_stamp_fields_example((2021, 11, 31, 0, 0))
+@_stamp_fields_example((2021, 0, 1, 0, 0))
+@_stamp_fields_example((2021, 13, 1, 0, 0))
+@_stamp_fields_example((0, 12, 31, 23, 0))
+@_stamp_fields_example((2021, 6, 7, 24, 0))
+@_stamp_fields_example((2021, 6, 7, 5, 30))
+@_stamp_fields_example((1, 1, 1, 0, 0), (9999, 12, 31, 23, 0), (1969, 12, 31, 23, 0))
+@given(st.lists(_stamp_fields, min_size=1, max_size=6))
+def test_stamp_converter_matches_fromisoformat(fields):
+    # Stamps in the canonical digit layout. The converter reads a column of
+    # them when fromisoformat reads each as a whole hour, to the same time;
+    # it declines any other column. Both callers: the csv.reader path's
+    # stamp strings, and a plain block's bytes.
+    stamps = ["{:04d}-{:02d}-{:02d}T{:02d}:{:02d}".format(*f) for f in fields]
+    try:
+        expected = [datetime.fromisoformat(stamp) for stamp in stamps]
+    except ValueError:
+        expected = None
+    if expected is not None and any(ts.minute for ts in expected):
+        expected = None
+    block = "".join(stamp + ",1.0,2.0,3.0,4.0\n" for stamp in stamps)
+    plain = market_data._plain_block(block, 5, range(5))
+    for times in (market_data._canonical_times(stamps), None if plain is None else plain[0]):
+        if expected is None:
+            assert times is None
+        else:
+            assert times is not None and times.tolist() == expected

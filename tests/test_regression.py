@@ -522,12 +522,51 @@ def assert_model_from_pool(model: RegressionModel, pool: _PoolResiduals, candida
     r, qty = pool.r[:k, :k], pool.c[:k, -1]
     assert k == len(model.spec)
     assert np.array_equal(model.coefficients, np.linalg.solve(r, qty))
-    expected = regression._fitted_model(model.spec, X, y, r, qty)
+    expected = regression._fitted_model(model.spec, r, qty, lambda coefficients: y - X @ coefficients)
     for field in ("coefficients", "std_errors", "t_values", "residual_variance"):
         assert np.array_equal(getattr(model, field), getattr(expected, field)), field
     norms = np.linalg.norm(X, axis=0)
     assert np.all(np.abs(r.T @ r - X.T @ X) <= 1e-13 * np.outer(norms, norms))
     assert np.all(np.abs(r.T @ qty - X.T @ y) <= 1e-13 * norms * np.linalg.norm(y))
+
+
+def _bits(value) -> np.ndarray:
+    return np.asarray(value, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("hours", [1024 + 1, 2 * 1024 + 3, 6384])
+def test_selected_model_residual_is_one_product_bit_for_bit(hours):
+    # forward_select forms the model's residual a block of [X y] rows at a
+    # time. Its floats are those of the residual from one product over all
+    # rows of the selected columns of the Fortran-order [X y], the
+    # expression the blocks replace.
+    series = synthetic_market(hours // 24 + 9, seed=7)
+    train, holdout = series[:hours], series[hours : hours + 7 * 24]
+    spec, model, pool = select_with_pool(FULL_FEATURES, train, holdout)
+    m, k = len(FULL_FEATURES), pool.k
+    xy = np.empty((hours, m + 1), order="F")
+    design_matrix(train, FULL_FEATURES, out=xy[:, :m])
+    X = xy[:, :m][:, [FULL_FEATURES.index(name) for name in spec]]
+    expected = regression._fitted_model(
+        spec, pool.r[:k, :k], pool.c[:k, -1], lambda coefficients: train.spot_price - X @ coefficients
+    )
+    for field in ("coefficients", "std_errors", "t_values", "residual_variance"):
+        assert np.array_equal(_bits(getattr(model, field)), _bits(getattr(expected, field))), field
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2, 3, 5, 8, 17])
+@pytest.mark.parametrize("blocks", [0, 1, 2])
+def test_block_residual_is_one_product_bit_for_bit(blocks, extra):
+    # Row counts just past whole blocks leave a short remainder, which the
+    # last block takes; any subset of the columns, in any order.
+    rng = np.random.default_rng(blocks * 100 + extra)
+    n = max(blocks * regression._QR_BLOCK_ROWS + extra, 2)
+    xy = np.asfortranarray(rng.normal(size=(n, 32)) * 10.0 ** rng.integers(-3, 4, size=32))
+    for _ in range(40):
+        idx = list(rng.choice(31, size=int(rng.integers(1, 26)), replace=False))
+        coefficients = rng.normal(size=len(idx))
+        expected = xy[:, -1] - xy[:, :-1][:, idx] @ coefficients
+        assert np.array_equal(_bits(regression._xy_residual(xy, idx, coefficients)), _bits(expected))
 
 
 def assert_same_trace(steps, ref_steps):
