@@ -180,11 +180,9 @@ class ImpactSummary:
         return asdict(self)
 
 
-def customer_bill(demand: Sequence[float], prices: float | Sequence[float]) -> float:
-    """Total cost of a demand series at hourly prices or a flat rate."""
+def customer_bill(demand: Sequence[float], prices: Sequence[float]) -> float:
+    """Total cost of a demand series at hourly prices."""
     demand = np.asarray(demand, dtype=float)
-    if np.isscalar(prices) or isinstance(prices, (int, float)):
-        return float(demand.sum() * float(prices))
     prices = np.asarray(prices, dtype=float)
     if prices.shape != demand.shape:
         raise LengthMismatchError(

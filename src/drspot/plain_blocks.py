@@ -12,7 +12,6 @@ reader or Python's ``float``, which give the same values.
 from __future__ import annotations
 
 import csv
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -40,15 +39,12 @@ _POW10 = np.array([float(10**e) for e in range(DECIMAL_WIDTH)])
 _PLACES = np.arange(DECIMAL_WIDTH)
 
 
-@lru_cache(maxsize=64)
 def _months(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
     """The start, in microseconds since 1970-01-01, and the number of days of
     each month from ``first`` to ``last``, counted in months since 1970-01:
-    numpy's proleptic Gregorian calendar, as Python's. Read-only."""
+    numpy's proleptic Gregorian calendar, as Python's."""
     days = np.arange(first, last + 2).astype("datetime64[M]").astype("datetime64[D]").view(np.int64)
-    starts, lengths = days[:-1] * (24 * 3_600_000_000), np.diff(days)
-    starts.flags.writeable = lengths.flags.writeable = False
-    return starts, lengths
+    return days[:-1] * (24 * 3_600_000_000), np.diff(days)
 
 
 def stamp_times(chars: np.ndarray) -> np.ndarray | None:

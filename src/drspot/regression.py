@@ -69,7 +69,7 @@ class LengthMismatchError(RegressionError):
 
 
 class ZeroMeanActualError(RegressionError):
-    pass
+    """The actual series of :func:`ferms` has a mean of zero or below."""
 
 
 class SignificanceLevel(Enum):
@@ -225,20 +225,24 @@ def fit_ols(X: np.ndarray, y: np.ndarray, spec: Sequence[str] | None = None) -> 
     if diag.min() <= RANK_TOLERANCE * diag.max():
         bad = int(np.argmax(diag <= RANK_TOLERANCE * diag.max()))
         raise RankDeficientError(names[bad])
-    return _fitted_model(names, r, q.T @ y, lambda coefficients: y - X @ coefficients)
+    return _fitted_model(names, r, q.T @ y, lambda coefficients: y - X @ coefficients, n)
 
 
 def _fitted_model(
-    spec: tuple[str, ...], r: np.ndarray, qty: np.ndarray, residuals: Callable[[np.ndarray], np.ndarray]
+    spec: tuple[str, ...],
+    r: np.ndarray,
+    qty: np.ndarray,
+    residuals: Callable[[np.ndarray], np.ndarray],
+    n: int,
 ) -> RegressionModel:
-    """OLS coefficients and statistics of ``y`` on a design ``X`` from the R
-    factor ``r`` of ``X``, ``qty == Q.T @ y`` and ``residuals``, which maps
-    the coefficients to ``y - X @ coefficients`` (standard errors from
-    R^-1)."""
+    """OLS coefficients and statistics of ``y`` on an n-row design ``X``
+    from the R factor ``r`` of ``X``, ``qty == Q.T @ y`` and ``residuals``,
+    which maps the coefficients to a vector with the sum of squares of
+    ``y - X @ coefficients``: that residual itself, or the same residual on
+    the R factor of ``[X y]`` (standard errors from R^-1)."""
     m = len(spec)
     coefficients = np.linalg.solve(r, qty)
     residual = residuals(coefficients)
-    n = len(residual)
     residual_variance = float(residual @ residual) / (n - m)
     r_inv = np.linalg.solve(r, np.eye(m))
     xtx_inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
@@ -263,7 +267,8 @@ def predict(model: RegressionModel, rows: np.ndarray) -> np.ndarray:
 
 def ferms(forecast: np.ndarray, actual: np.ndarray) -> float:
     """Forecast error as root mean square of (forecast - actual),
-    normalized by the mean of the actual series, in percent."""
+    normalized by the mean of the actual series, in percent. The mean must
+    be positive: at a negative mean a larger error would score lower."""
     forecast = np.asarray(forecast, dtype=float)
     actual = np.asarray(actual, dtype=float)
     if forecast.shape != actual.shape or forecast.ndim != 1 or len(forecast) == 0:
@@ -271,8 +276,8 @@ def ferms(forecast: np.ndarray, actual: np.ndarray) -> float:
             f"forecast and actual must be equal-length non-empty vectors, got {forecast.shape} and {actual.shape}"
         )
     mean_actual = float(actual.mean())
-    if mean_actual == 0.0:
-        raise ZeroMeanActualError("mean of actual series is zero")
+    if not mean_actual > 0.0:
+        raise ZeroMeanActualError(f"mean of actual series must be positive, got {mean_actual}")
     return float(100.0 * np.sqrt(np.mean((forecast - actual) ** 2)) / mean_actual)
 
 
@@ -325,7 +330,10 @@ class _PoolResiduals:
     19.4), in one level or two, so the rank rule still sees a small column
     next to a large one. Each row of ``v`` is one column of that R,
     ``t == min(n, m + 1)`` values, followed by the same column's holdout
-    values; the last row is ``y``'s, with the holdout ``y``. Householder rounds two bit-identical columns differently, so a
+    values; the last row is ``y``'s, with the holdout ``y``. Before the
+    first :meth:`append`, ``v[:, :t].T`` is the compressed ``[X y]``, which
+    :func:`forward_select` keeps for its base fit and the model's residual.
+    Householder rounds two bit-identical columns differently, so a
     training column with the same bytes as an earlier one gets the earlier
     one's row of R (``first[i]`` is that earlier row, or i), and every
     per-row sum of the later row (its norm, its products with ``q_x`` and
@@ -352,7 +360,7 @@ class _PoolResiduals:
 
     def __init__(self, xy: np.ndarray, holdout: np.ndarray, y_holdout: np.ndarray):
         m = xy.shape[1] - 1
-        starts = range(0, len(xy), _QR_BLOCK_ROWS)
+        starts = range(0, max(len(xy), 1), _QR_BLOCK_ROWS)  # one empty block when n == 0
         blocks = [np.linalg.qr(xy[i : i + _QR_BLOCK_ROWS], mode="r") for i in starts]
         compressed = np.linalg.qr(np.vstack(blocks), mode="r")
         self.t = t = compressed.shape[0]
@@ -407,21 +415,6 @@ def _first_copies(columns: np.ndarray) -> np.ndarray:
     return first
 
 
-def _xy_residual(xy: np.ndarray, idx: Sequence[int], coefficients: np.ndarray) -> np.ndarray:
-    """``y - X[:, idx] @ coefficients`` for ``xy == [X y]``, a block of rows
-    at a time, so that the columns ``idx`` are never gathered into one
-    n x k array. The last block takes the rows left over: BLAS can round a
-    product of a few rows differently, and blocks of at least
-    ``_QR_BLOCK_ROWS`` rows give the bits of one product over all rows."""
-    n = len(xy)
-    edges = [*range(0, n, _QR_BLOCK_ROWS)][: max(1, n // _QR_BLOCK_ROWS)] + [n]
-    out = np.empty(n)
-    for start, stop in zip(edges, edges[1:]):
-        rows = xy[start:stop]
-        out[start:stop] = rows[:, -1] - rows[:, idx] @ coefficients
-    return out
-
-
 def forward_select(
     candidates: Sequence[str],
     train: RecordSeries,
@@ -436,16 +429,18 @@ def forward_select(
     whose trial fit is rank deficient is disqualified for the rest of the
     search. Ties go to the earlier candidate in list order.
 
-    Only the base spec goes through :func:`fit_ols`, which rejects a rank
-    deficient or too wide base. One factorization (:class:`_PoolResiduals`,
-    started with the base columns) does the rest. It works on the training
-    ``[X y]`` compressed once by blocked Householder QR to ``min(n, m + 1)``
-    rows for m candidates, with each column's holdout values carried in the
-    same rows, so that a step's cost does not grow with the n training
-    hours: each step
-    scores all remaining candidates from their residuals against the
-    selected columns, and the model is solved from its R and ``Q.T @ y``
-    (the residual variance from the explicit residual on all n rows).
+    The training ``[X y]`` is compressed once by blocked Householder QR to
+    its R factor, ``min(n, m + 1)`` rows for m candidates
+    (:class:`_PoolResiduals`), and no fit reads the n training rows after
+    that. The base spec goes through :func:`fit_ols` on the compressed
+    rows, which rejects a rank deficient or too wide base as it would on
+    the training rows (too wide: n <= k). One factorization, started with the base columns, does
+    the rest, with each column's holdout values carried in the same rows,
+    so that a step's cost does not grow with n: each step scores all
+    remaining candidates from their residuals against the selected
+    columns, and the model is solved from its R and ``Q.T @ y``, with the
+    residual variance from the explicit residual on the compressed rows,
+    whose sum of squares is that on the n training rows.
     Candidates whose columns have the same bytes, in training and in the
     holdout, tie exactly: when one of them is added it is the earlier, and
     the later one is disqualified at the next step. When ``trace`` is a
@@ -459,25 +454,29 @@ def forward_select(
 
     # One Fortran-order [X y]: its columns are contiguous for the QR that
     # compresses it, and the training design is written into it in place.
-    m = len(candidates)
-    xy = np.empty((len(train), m + 1), order="F")
-    train_full, y_train = design_matrix(train, candidates, out=xy[:, :m]), train.spot_price
-    xy[:, m] = y_train
+    # The pool's rows before any append are the compressed [X y] that every
+    # fit below reads; the training rows are not read again.
+    n, m = len(train), len(candidates)
+    xy = np.empty((n, m + 1), order="F")
+    design_matrix(train, candidates, out=xy[:, :m])
+    xy[:, m] = train.spot_price
     holdout_full, y_holdout = design_matrix(holdout, candidates), holdout.spot_price
+    residuals = _PoolResiduals(xy, holdout_full, y_holdout)
+    rxy = residuals.v[:, : residuals.t].T.copy()
+    del xy
 
     idx = [candidates.index(name) for name in base]
-    model = fit_ols(train_full[:, idx], y_train, spec=base)
+    model = fit_ols(rxy[:, idx], rxy[:, m], spec=base)
     best_score = ferms(predict(model, holdout_full[:, idx]), y_holdout)
 
-    residuals = _PoolResiduals(xy, holdout_full, y_holdout)
     for j in idx:
         residuals.append(j)
     mean_actual = float(y_holdout.mean())
     active = np.array([name not in base for name in candidates])
 
     while active.any():
-        if len(y_train) <= residuals.k + 1:
-            raise InsufficientDataError(len(y_train), residuals.k + 1)
+        if n <= residuals.k + 1:
+            raise InsufficientDataError(n, residuals.k + 1)
         ok, error = residuals.trials()
         ok &= active
         scores = 100.0 * np.sqrt(np.mean(error**2, axis=1)) / mean_actual
@@ -506,5 +505,5 @@ def forward_select(
 
     spec, k = tuple(candidates[j] for j in idx), residuals.k
     return spec, _fitted_model(
-        spec, residuals.r[:k, :k], residuals.c[:k, -1], lambda coefficients: _xy_residual(xy, idx, coefficients)
+        spec, residuals.r[:k, :k], residuals.c[:k, -1], lambda b: rxy[:, m] - rxy[:, idx] @ b, n
     )

@@ -97,5 +97,11 @@ def synthetic_market(
     return build_series(demand, price, temp, dew, start=start, holidays=holidays)
 
 
+def shifted_market(days: int, seed: int, shift: float) -> RecordSeries:
+    """``synthetic_market`` with every price moved by ``shift`` $/MWh."""
+    market = synthetic_market(days, seed=seed)
+    return RecordSeries(market.times, market.demand, market.spot_price + shift, market.dry_bulb_temp, market.dew_point)
+
+
 # Compact candidate pool matching the synthetic generator's true model.
 SYNTHETIC_CANDIDATES = ("intercept", "demand", "temperature", "dew_point", "saturday", "sunday")

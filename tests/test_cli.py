@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import DATA_DIR, synthetic_market
+from conftest import DATA_DIR, shifted_market, synthetic_market
 from drspot import pipeline
 from drspot.cli import main
 from drspot.config import load_settings
@@ -441,6 +441,13 @@ class TestBadValues:
         rc = run_simulate(path, compact_config, tmp_path / "out")
         assert rc == 1
         assert "baseline energy" in capsys.readouterr().err
+
+    def test_negative_mean_price_exits_1(self, compact_config, tmp_path, capsys):
+        path = tmp_path / "negative.csv"
+        write_hourly_csv(shifted_market(35, seed=1, shift=-1000.0), path)
+        assert run_simulate(path, compact_config, tmp_path / "out", "2021-07-05") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: simulate: mean of actual series must be positive, got -")
 
 
 class TestFlagRanges:

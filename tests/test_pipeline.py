@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import MONDAY, SYNTHETIC_CANDIDATES, build_series, synthetic_market
+from conftest import MONDAY, SYNTHETIC_CANDIDATES, build_series, shifted_market, synthetic_market
 from drspot.elasticity import ElasticityTable
 from drspot.market_data import RecordSeries
 from drspot.pipeline import (
@@ -20,12 +20,13 @@ from drspot.pipeline import (
     ScenarioResult,
     ZeroBaselineError,
     customer_bill,
+    fit_price_model,
     impact_summary,
     run_scenario,
     split_train_holdout,
     write_result_csv,
 )
-from drspot.regression import LengthMismatchError, fit_ols
+from drspot.regression import LengthMismatchError, ZeroMeanActualError, fit_ols
 
 
 def fast_config(**overrides) -> ScenarioConfig:
@@ -62,9 +63,6 @@ def make_result(baseline_demand, forecast, dr_demand, updated, clamps=None):
 
 
 class TestCustomerBill:
-    def test_flat_rate(self):
-        assert customer_bill([10.0, 10.0], 30.0) == 600.0
-
     def test_zero_prices(self):
         assert customer_bill([123.0, 456.0, 789.0], [0.0, 0.0, 0.0]) == 0.0
 
@@ -246,6 +244,13 @@ class TestRunScenario:
         broken = [np.delete(column, hole) for column in reference.columns(history)]
         with pytest.raises(ValueError):
             run_scenario(RecordSeries(*broken), study, fast_config())
+
+
+def test_fit_price_model_rejects_negative_mean_price():
+    # Prices 1,000 $/MWh lower keep the same model up to its intercept, but
+    # their mean is negative, which ferms cannot score.
+    with pytest.raises(ZeroMeanActualError, match="mean of actual series must be positive"):
+        fit_price_model(shifted_market(35, seed=1, shift=-1000.0))
 
 
 class TestSplitTrainHoldout:

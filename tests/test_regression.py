@@ -223,6 +223,11 @@ class TestFerms:
         with pytest.raises(ZeroMeanActualError):
             ferms([1.0, -1.0], [1.0, -1.0])
 
+    def test_negative_mean_actual(self):
+        # Dividing by a negative mean would score a larger error lower.
+        with pytest.raises(ZeroMeanActualError, match=r"got -2\.0$"):
+            ferms([-1.0, -2.0], [-1.5, -2.5])
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(12)
         actual = rng.uniform(10, 100, 50)
@@ -333,6 +338,12 @@ class TestForwardSelect:
         with pytest.raises(InsufficientDataError) as info:
             forward_select(FULL_FEATURES, train, holdout, base=base)
         assert (info.value.n_obs, info.value.n_features) == (20, 25)
+
+    def test_empty_train(self):
+        series = synthetic_market(3, seed=3)
+        with pytest.raises(InsufficientDataError) as info:
+            forward_select(FULL_FEATURES, series[:0], series[24:])
+        assert (info.value.n_obs, info.value.n_features) == (0, 2)
 
     def test_never_worse_than_base(self):
         for seed in range(4):
@@ -496,12 +507,14 @@ def assert_close_model(a: RegressionModel, b: RegressionModel):
 
 
 def select_with_pool(candidates, train, holdout, base=DEFAULT_BASE_FEATURES, trace=None):
-    """``forward_select`` and the factorization it selected with."""
+    """``forward_select`` and the factorization it selected with; the
+    factorization's ``rxy`` is its compressed ``[X y]`` before any append."""
     pools = []
 
     class Recorded(_PoolResiduals):
         def __init__(self, *args):
             super().__init__(*args)
+            self.rxy = self.v[:, : self.t].T.copy()
             pools.append(self)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -510,63 +523,60 @@ def select_with_pool(candidates, train, holdout, base=DEFAULT_BASE_FEATURES, tra
     return spec, model, pools[0]
 
 
-def assert_model_from_pool(model: RegressionModel, pool: _PoolResiduals, candidates, train: RecordSeries):
-    """The model is the solve and the statistics on the pool's own R and
-    ``Q.T @ y``, bit for bit, and that R and ``Q.T @ y`` belong to the
-    selected columns: ``R.T @ R == X.T @ X`` and ``R.T @ Q.T @ y == X.T @ y``
-    up to rounding."""
-    k = pool.k
-    # The selected columns of the candidates' design, as forward_select takes them
-    X = design_matrix(train, candidates)[:, [candidates.index(name) for name in model.spec]]
-    y = train.spot_price
-    r, qty = pool.r[:k, :k], pool.c[:k, -1]
-    assert k == len(model.spec)
-    assert np.array_equal(model.coefficients, np.linalg.solve(r, qty))
-    expected = regression._fitted_model(model.spec, r, qty, lambda coefficients: y - X @ coefficients)
-    for field in ("coefficients", "std_errors", "t_values", "residual_variance"):
-        assert np.array_equal(getattr(model, field), getattr(expected, field)), field
-    norms = np.linalg.norm(X, axis=0)
-    assert np.all(np.abs(r.T @ r - X.T @ X) <= 1e-13 * np.outer(norms, norms))
-    assert np.all(np.abs(r.T @ qty - X.T @ y) <= 1e-13 * norms * np.linalg.norm(y))
-
-
 def _bits(value) -> np.ndarray:
     return np.asarray(value, dtype=float).view(np.uint64)
 
 
-@pytest.mark.parametrize("hours", [1024 + 1, 2 * 1024 + 3, 6384])
-def test_selected_model_residual_is_one_product_bit_for_bit(hours):
-    # forward_select forms the model's residual a block of [X y] rows at a
-    # time. Its floats are those of the residual from one product over all
-    # rows of the selected columns of the Fortran-order [X y], the
-    # expression the blocks replace.
-    series = synthetic_market(hours // 24 + 9, seed=7)
-    train, holdout = series[:hours], series[hours : hours + 7 * 24]
-    spec, model, pool = select_with_pool(FULL_FEATURES, train, holdout)
-    m, k = len(FULL_FEATURES), pool.k
-    xy = np.empty((hours, m + 1), order="F")
-    design_matrix(train, FULL_FEATURES, out=xy[:, :m])
-    X = xy[:, :m][:, [FULL_FEATURES.index(name) for name in spec]]
-    expected = regression._fitted_model(
-        spec, pool.r[:k, :k], pool.c[:k, -1], lambda coefficients: train.spot_price - X @ coefficients
-    )
+def assert_model_from_pool(model: RegressionModel, pool: _PoolResiduals, candidates, train: RecordSeries):
+    """The model is the solve and the statistics on the pool's own R and
+    ``Q.T @ y``, with the residual taken on the compressed ``[X y]``, bit for
+    bit; that R and ``Q.T @ y`` belong to the selected columns,
+    ``R.T @ R == X.T @ X`` and ``R.T @ Q.T @ y == X.T @ y``, and the
+    compressed ``[X y]`` to the training rows, up to rounding."""
+    k, m = pool.k, len(candidates)
+    idx = [candidates.index(name) for name in model.spec]
+    # The candidates' design and price, as forward_select takes them
+    xy = np.column_stack([design_matrix(train, candidates), train.spot_price])
+    X, y, rxy = xy[:, idx], xy[:, m], pool.rxy
+    r, qty = pool.r[:k, :k], pool.c[:k, -1]
+    assert k == len(model.spec)
+    assert np.array_equal(model.coefficients, np.linalg.solve(r, qty))
+    expected = regression._fitted_model(model.spec, r, qty, lambda b: rxy[:, m] - rxy[:, idx] @ b, len(train))
+    assert model.n_obs == len(train)
     for field in ("coefficients", "std_errors", "t_values", "residual_variance"):
         assert np.array_equal(_bits(getattr(model, field)), _bits(getattr(expected, field))), field
+    norms = np.linalg.norm(X, axis=0)
+    assert np.all(np.abs(r.T @ r - X.T @ X) <= 1e-13 * np.outer(norms, norms))
+    assert np.all(np.abs(r.T @ qty - X.T @ y) <= 1e-13 * norms * np.linalg.norm(y))
+    norms = np.linalg.norm(xy, axis=0)
+    assert np.all(np.abs(rxy.T @ rxy - xy.T @ xy) <= 1e-13 * np.outer(norms, norms))
 
 
-@pytest.mark.parametrize("extra", [0, 1, 2, 3, 5, 8, 17])
-@pytest.mark.parametrize("blocks", [0, 1, 2])
-def test_block_residual_is_one_product_bit_for_bit(blocks, extra):
-    # Row counts just past whole blocks leave a short remainder, which the
-    # last block takes; any subset of the columns, in any order.
-    rng = np.random.default_rng(blocks * 100 + extra)
-    n = max(blocks * regression._QR_BLOCK_ROWS + extra, 2)
-    xy = np.asfortranarray(rng.normal(size=(n, 32)) * 10.0 ** rng.integers(-3, 4, size=32))
-    for _ in range(40):
-        idx = list(rng.choice(31, size=int(rng.integers(1, 26)), replace=False))
-        coefficients = rng.normal(size=len(idx))
-        expected = xy[:, -1] - xy[:, :-1][:, idx] @ coefficients
-        assert np.array_equal(_bits(regression._xy_residual(xy, idx, coefficients)), _bits(expected))
+def _long_double_residual_variance(train: RecordSeries, spec) -> np.longdouble:
+    """The residual variance of ``train``'s price on ``spec``, with the
+    residual in long double at coefficients refined in long double."""
+    X64 = design_matrix(train, spec)
+    X, y = X64.astype(np.longdouble), train.spot_price.astype(np.longdouble)
+    b = np.linalg.lstsq(X64, train.spot_price, rcond=None)[0].astype(np.longdouble)
+    for _ in range(3):
+        b += np.linalg.lstsq(X64, (y - X @ b).astype(float), rcond=None)[0]
+    residual = y - X @ b
+    return residual @ residual / (len(y) - len(spec))
+
+
+@pytest.mark.parametrize("noise_sd", [1.0, 1e-2])
+def test_residual_variance_matches_extended_precision(noise_sd):
+    # The residual on the compressed [X y] cancels terms of the size of |y|
+    # to leave one of the size of the noise, so its relative error grows as
+    # the noise shrinks (worst over these markets: 3.1e-15 at sd 1, 5.1e-13
+    # at sd 1e-2, 6.4e-11 at 1e-4, 3.7e-9 at 1e-6).
+    for days in (21, 63):
+        for seed in range(5):
+            series = synthetic_market(days, seed=seed, noise_sd=noise_sd)
+            train, holdout = split_train_holdout(series, 7)
+            spec, model = forward_select(FULL_FEATURES, train, holdout)
+            expected = _long_double_residual_variance(train, spec)
+            assert abs(np.longdouble(model.residual_variance) - expected) <= 1e-12 * expected, (days, seed)
 
 
 def assert_same_trace(steps, ref_steps):
