@@ -20,16 +20,10 @@ from pathlib import Path
 
 from . import pipeline
 from .config import ConfigError, Settings, load_settings, resolve_config_path
-from .market_data import (
-    MarketDataError,
-    RecordSeries,
-    float_strings,
-    parse_hourly_csv,
-    stamp_strings,
-    write_csv_columns,
-)
+from .csv_text import float_grids, stamp_grid, stamp_strings, write_csv
+from .market_data import MarketDataError, RecordSeries, parse_hourly_csv
 from .pipeline import EmptyWindowError, ModelRejectedError, RESULT_COLUMNS
-from .regression import RegressionError, design_matrix, ferms, predict
+from .regression import RegressionError, ZeroMeanActualError, design_matrix, ferms, predict
 
 
 class CommandError(Exception):
@@ -119,13 +113,16 @@ def cmd_forecast(args) -> int:
         spec, model, holdout_ferms = pipeline.fit_price_model(history, settings.scenario)
     with _stage("forecast"):
         forecast = predict(model, design_matrix(study, spec))
-        window_ferms = ferms(forecast, study.spot_price)
     with _stage("write"):
-        columns = [stamp_strings(study.times), float_strings(study.spot_price), float_strings(forecast)]
-        with Path(args.out).open("w") as handle:
-            write_csv_columns(handle, ("timestamp", "spot_price", "forecast_price"), columns)
+        columns = [stamp_grid(study.times), *float_grids(study.spot_price, forecast)]
+        write_csv(args.out, ("timestamp", "spot_price", "forecast_price"), columns)
     print(f"holdout ferms: {holdout_ferms:.2f}%")
-    print(f"window ferms: {window_ferms:.2f}%")
+    # The window's ferms is only reported: a window whose mean price is not
+    # positive has none, and the forecast stands.
+    try:
+        print(f"window ferms: {ferms(forecast, study.spot_price):.2f}%")
+    except ZeroMeanActualError:
+        print("window ferms: undefined (mean price <= 0)")
     print(f"forecast written to {args.out}")
     return 0
 
@@ -149,11 +146,11 @@ def cmd_simulate(args) -> int:
         doc["filled_hours"] = stamp_strings(series.filled)
         doc["selection"] = [step.to_json_dict() for step in result.selection]
         (out_dir / "summary.json").write_text(_json_text(doc))
-        cells = result.csv_columns
+        cells = result.csv_grids
         plots = {
             "plot_price_forecast.csv": {
                 "timestamp": cells["timestamp"],
-                "actual_price": float_strings(study.spot_price),
+                "actual_price": cells["actual_price"],
                 "forecast_price": cells["forecast_price"],
             },
             "plot_demand.csv": {
@@ -168,8 +165,7 @@ def cmd_simulate(args) -> int:
             },
         }
         for name, columns in plots.items():
-            with (out_dir / name).open("w") as handle:
-                write_csv_columns(handle, list(columns), list(columns.values()))
+            write_csv(out_dir / name, list(columns), list(columns.values()))
     print(f"simulated {len(result)} hours, outputs in {out_dir}")
     print(
         f"energy delta: {summary.delta_energy_mwh:.1f} MWh ({summary.delta_energy_pct:+.2f}%), "

@@ -26,6 +26,7 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .csv_text import float_grids, stamp_grid, write_csv
 from .plain_blocks import canonical_times as _canonical_times
 from .plain_blocks import cell_texts, decimal_column
 from .plain_blocks import plain_block as _plain_block
@@ -165,7 +166,7 @@ def _records(reader, offset: int, malformed: list[ParseError]) -> Iterator[tuple
         malformed.append(ParseError(offset + reader.line_num, None, "", f"malformed CSV: {exc}"))
 
 
-# Rows converted at a time on the csv.reader path, and written at a time.
+# Rows converted at a time on the csv.reader path.
 _CHUNK_ROWS = 256
 # Characters read at a time after the header. Each read is cut after its last
 # line end, so a block holds whole lines and is converted as one array of
@@ -419,49 +420,21 @@ def parse_hourly_csv(
         "dry_bulb_temp": column("dry_bulb_f"),
         "dew_point": column("dew_point_f"),
     }
-    # The series copies its columns: the chunks go first, so that the copies
-    # can take their memory.
+    # The chunks go first, so that the calendar columns can take their memory.
     chunks.clear()
     filled = times[:0]
     if gaps:
         times, columns, synthesized = _fill_gaps(times, columns)
         filled = times[synthesized]
-    return RecordSeries(times, **columns, holidays=holidays, filled=filled)
-
-
-def stamp_strings(times: np.ndarray) -> list[str]:
-    """``YYYY-MM-DDTHH:MM`` text of each stamp of a datetime64 column."""
-    return times.astype("datetime64[m]").astype("U16").tolist()
-
-
-def float_strings(values: Sequence[float] | np.ndarray) -> list[str]:
-    # repr round-trips floats exactly, keeping CSV serialization lossless.
-    return list(map(repr, np.asarray(values, dtype=float).tolist()))
-
-
-def write_csv_columns(dest: IO[str], header: Sequence[str], columns: Sequence[Sequence[str]]) -> None:
-    """Write formatted cells that need no quoting as CSV, one line per row:
-    the bytes ``csv.writer`` makes with ``lineterminator="\\n"``. Lines are
-    joined and written a chunk at a time."""
-    dest.write(",".join(header) + "\n")
-    lines = map(",".join, zip(*columns))
-    while chunk := list(islice(lines, _CHUNK_ROWS)):
-        dest.write("\n".join(chunk) + "\n")
+    # The columns are this function's own: the series takes them without a copy.
+    return RecordSeries._adopt([times, *columns.values()], holidays=holidays, filled=filled)
 
 
 def write_hourly_csv(series: RecordSeries, dest: str | Path | IO[str]) -> None:
     """Write a RecordSeries in the canonical CSV layout. Parsing the output
     reproduces the series exactly."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", newline="") as handle:
-            write_hourly_csv(series, handle)
-        return
-
-    columns = [
-        stamp_strings(series.times),
-        *map(float_strings, (series.demand, series.spot_price, series.dry_bulb_temp, series.dew_point)),
-    ]
-    write_csv_columns(dest, REQUIRED_COLUMNS, columns)
+    values = float_grids(series.demand, series.spot_price, series.dry_bulb_temp, series.dew_point)
+    write_csv(dest, REQUIRED_COLUMNS, [stamp_grid(series.times), *values])
 
 
 def read_holidays(path: str | Path) -> frozenset[date]:

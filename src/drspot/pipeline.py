@@ -14,6 +14,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from .csv_text import flag_grid, float_grids, stamp_grid, stamp_strings, write_csv
 from .elasticity import (
     HOURS_PER_DAY,
     DayVectors,
@@ -22,7 +23,7 @@ from .elasticity import (
     build_elasticity_matrix,
     multi_hour_response,
 )
-from .market_data import RecordSeries, float_strings, stamp_strings, validate_series, write_csv_columns
+from .market_data import RecordSeries, validate_series
 from .regression import (
     DEFAULT_BASE_FEATURES,
     DEFAULT_THRESHOLDS,
@@ -107,13 +108,15 @@ class ScenarioResult:
     baseline_spot_price is the model at baseline demand, which is the
     forecast itself, and updated_spot_price the model at the responded
     demand, so a null response leaves the market exactly unchanged.
-    ``selection`` is the trace of the forward selection that chose the
-    model's features.
+    ``actual_price`` is the spot price recorded in the window, which the
+    forecast is plotted against. ``selection`` is the trace of the forward
+    selection that chose the model's features.
     """
 
     times: np.ndarray
     baseline_demand: np.ndarray
     forecast_price: np.ndarray
+    actual_price: np.ndarray
     dr_demand: np.ndarray
     updated_spot_price: np.ndarray
     clamp_flags: np.ndarray
@@ -126,6 +129,7 @@ class ScenarioResult:
         series = (
             self.baseline_demand,
             self.forecast_price,
+            self.actual_price,
             self.dr_demand,
             self.updated_spot_price,
             self.clamp_flags,
@@ -147,19 +151,24 @@ class ScenarioResult:
         return int(np.count_nonzero(self.clamp_flags))
 
     @cached_property
-    def csv_columns(self) -> dict[str, list[str]]:
-        """The RESULT_COLUMNS as CSV cells, formatted once for every writer:
-        ``YYYY-MM-DDTHH:MM`` stamps, floats by repr (lossless), clamp flags
-        as 0/1. The baseline_spot_price cells are the forecast_price cells."""
-        forecast = float_strings(self.forecast_price)
+    def csv_grids(self) -> dict[str, np.ndarray]:
+        """The RESULT_COLUMNS and ``actual_price`` as CSV cells, rendered
+        once for every writer, as the grids of :mod:`drspot.csv_text`:
+        ``YYYY-MM-DDTHH:MM`` stamps, floats as ``repr`` writes them
+        (lossless), clamp flags as 0/1. The baseline_spot_price cells are
+        the forecast_price cells."""
+        demand, forecast, actual, dr_demand, updated = float_grids(
+            self.baseline_demand, self.forecast_price, self.actual_price, self.dr_demand, self.updated_spot_price
+        )
         return {
-            "timestamp": stamp_strings(self.times),
-            "baseline_demand": float_strings(self.baseline_demand),
+            "timestamp": stamp_grid(self.times),
+            "baseline_demand": demand,
             "forecast_price": forecast,
-            "dr_demand": float_strings(self.dr_demand),
+            "dr_demand": dr_demand,
             "baseline_spot_price": forecast,
-            "updated_spot_price": float_strings(self.updated_spot_price),
-            "clamped": np.where(self.clamp_flags, "1", "0").tolist(),
+            "updated_spot_price": updated,
+            "clamped": flag_grid(self.clamp_flags),
+            "actual_price": actual,
         }
 
 
@@ -275,6 +284,7 @@ def run_scenario(
         times=study_window.times,
         baseline_demand=study_window.demand,
         forecast_price=forecast,
+        actual_price=study_window.spot_price,
         dr_demand=dr_demand,
         updated_spot_price=updated,
         clamp_flags=clamp_flags,
@@ -324,10 +334,10 @@ def impact_summary(result: ScenarioResult) -> ImpactSummary:
 
 
 def write_result_csv(result: ScenarioResult, dest: str | Path | IO[str]) -> None:
-    """One row per hour in RESULT_COLUMNS order, from ``result.csv_columns``; floats
-    use repr so output is byte-deterministic and lossless."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", newline="") as handle:
-            write_result_csv(result, handle)
-        return
-    write_csv_columns(dest, RESULT_COLUMNS, [result.csv_columns[name] for name in RESULT_COLUMNS])
+    """One row per hour in RESULT_COLUMNS order, from ``result.csv_grids``.
+    Floats are written as ``repr`` writes them, so the output is
+    byte-deterministic and lossless. Their decimals come from exact
+    arithmetic in numpy for 0 and finite 1e-4 <= |x| < 1e15 (see
+    :mod:`drspot.csv_text`); ``repr`` itself writes any other value and the
+    rare ones that arithmetic leaves undecided, such as exact ties."""
+    write_csv(dest, RESULT_COLUMNS, [result.csv_grids[name] for name in RESULT_COLUMNS])

@@ -87,17 +87,33 @@ class RecordSeries:
     ):
         if not isinstance(times, np.ndarray) and any(getattr(t, "tzinfo", None) is not None for t in times):
             raise ValueError("timestamps must be naive local time")
+        values = (demand, spot_price, dry_bulb_temp, dew_point)
+        columns = [np.array(times, dtype=TIME_DTYPE).reshape(-1)]
+        columns += [np.array(column, dtype=float).reshape(-1) for column in values]
+        self._own(columns, holidays, filled)
+
+    @classmethod
+    def _adopt(cls, columns: Sequence[np.ndarray], *, holidays: Iterable[date], filled: np.ndarray) -> "RecordSeries":
+        """A series that takes ``columns``, the times (``datetime64[us]``) and
+        the value columns (float) in constructor order, as they are, without
+        the constructor's copies: for a caller that made them and keeps no
+        reference to them."""
+        series = object.__new__(cls)
+        series._own(columns, holidays, filled)
+        return series
+
+    def _own(self, columns: Sequence[np.ndarray], holidays: Iterable[date], filled) -> None:
+        """Take ``columns`` as the series' own, derive the calendar columns
+        and make all of them read-only."""
         self.holidays: frozenset[date] = frozenset(holidays)
         self.filled = np.sort(np.array(filled, dtype=TIME_DTYPE).reshape(-1))
         self.filled.flags.writeable = False
-        columns = {"times": np.array(times, dtype=TIME_DTYPE).reshape(-1)}
-        values = (demand, spot_price, dry_bulb_temp, dew_point)
-        for name, column in zip(_VALUE_COLUMNS, values):
-            columns[name] = np.array(column, dtype=float).reshape(-1)
-            if len(columns[name]) != len(columns["times"]):
-                raise ValueError(f"{len(columns[name])} {name} values for {len(columns['times'])} times")
-        columns.update(_calendar_columns(columns["times"], self.holidays))
-        for name, column in columns.items():
+        named = dict(zip(("times", *_VALUE_COLUMNS), columns))
+        for name in _VALUE_COLUMNS:
+            if len(named[name]) != len(named["times"]):
+                raise ValueError(f"{len(named[name])} {name} values for {len(named['times'])} times")
+        named.update(_calendar_columns(named["times"], self.holidays))
+        for name, column in named.items():
             column.flags.writeable = False
             setattr(self, name, column)
 

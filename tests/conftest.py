@@ -20,11 +20,13 @@ MONDAY = datetime(2021, 6, 7)
 # HYPOTHESIS_PROFILE=ci gives the properties that fix no example count
 # 1,000 examples instead of 100: the stamp and decimal converter properties,
 # the differential parser property and the str -> float cast property
-# (test_market_data), and the inverse-consistency and OLS-recovery
-# properties (test_acceptance). Each checks numpy against an independent
-# computation (the converters' integer, float and calendar arithmetic, its
-# float cast, its linear algebra), and CI runs them on numpy versions that
-# cannot be installed offline, numpy 1.23 among them.
+# (test_market_data), the float and stamp writer properties (test_csv_text,
+# whose bulk test draws 10,000 values per example), and the
+# inverse-consistency and OLS-recovery properties (test_acceptance). Each
+# checks numpy against an independent computation (the converters' and the
+# writer's integer, float and calendar arithmetic, its float cast, its linear
+# algebra), and CI runs them on numpy versions that cannot be installed
+# offline, numpy 1.23 among them.
 settings.register_profile("ci", max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
@@ -97,10 +99,13 @@ def synthetic_market(
     return build_series(demand, price, temp, dew, start=start, holidays=holidays)
 
 
-def shifted_market(days: int, seed: int, shift: float) -> RecordSeries:
-    """``synthetic_market`` with every price moved by ``shift`` $/MWh."""
+def shifted_market(days: int, seed: int, shift: float, first_day: int = 0) -> RecordSeries:
+    """``synthetic_market`` with every price from day ``first_day`` on moved
+    by ``shift`` $/MWh."""
     market = synthetic_market(days, seed=seed)
-    return RecordSeries(market.times, market.demand, market.spot_price + shift, market.dry_bulb_temp, market.dew_point)
+    price = market.spot_price.copy()
+    price[first_day * 24 :] += shift
+    return RecordSeries(market.times, market.demand, price, market.dry_bulb_temp, market.dew_point)
 
 
 # Compact candidate pool matching the synthetic generator's true model.

@@ -164,6 +164,23 @@ class TestForecast:
         assert len(lines) == 7 * 24 + 1
         assert "window ferms" in capsys.readouterr().out
 
+    def test_window_with_negative_mean_price_writes_forecast(self, compact_config, tmp_path, capsys):
+        """The window's ferms is undefined when its mean price is not
+        positive; the forecast is written all the same, and the command
+        succeeds."""
+        market = shifted_market(35, seed=1, shift=-1000.0, first_day=28)
+        data, out = tmp_path / "window_shifted.csv", tmp_path / "forecast.csv"
+        write_hourly_csv(market, data)
+        argv = ["forecast", "--data", str(data), "--config", str(compact_config), "--out", str(out)]
+        assert main(argv + ["--window-start", "2021-07-05", "--days", "7"]) == 0
+        assert "window ferms: undefined (mean price <= 0)" in capsys.readouterr().out.splitlines()
+        settings = load_settings(compact_config)
+        history, study = market[: 28 * 24], market[28 * 24 :]
+        spec, model, _ = pipeline.fit_price_model(history, settings.scenario)
+        forecast = predict(model, design_matrix(study, spec))
+        header = ("timestamp", "spot_price", "forecast_price")
+        assert out.read_text() == reference_csv(header, study.times.tolist(), study.spot_price, forecast)
+
 
 class TestSimulate:
     def test_zero_elasticity_gives_zero_deltas(self, market_csv, tmp_path):

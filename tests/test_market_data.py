@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from datetime import date, datetime, timedelta, timezone
 from unittest import mock
@@ -14,16 +15,15 @@ from hypothesis import strategies as st
 import reference
 from conftest import series_to_csv, synthetic_market
 from drspot import market_data, plain_blocks
+from drspot.csv_text import cell_strings, float_grid, stamp_strings
 from drspot.market_data import (
     GapError,
     MarketDataError,
     MissingColumnError,
     ParseError,
     RecordSeries,
-    float_strings,
     parse_hourly_csv,
     read_holidays,
-    stamp_strings,
     validate_series,
     write_hourly_csv,
 )
@@ -411,8 +411,11 @@ def test_columnar_calendar_slices_and_between_match_per_record_reference(
 
 def test_column_formatters_match_per_value_reference():
     values = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 123456789.125]
-    assert float_strings(np.array(values)) == [repr(float(v)) for v in values]
+    values += [1e-4, 9.999999999999999e-05, 1e15, 999999999999999.9, 98738719860821.375, 2.0**52, 0.5**14]
+    values += [math.nan, math.inf, -math.inf, 1600.25, -30.123456789012345]
+    assert cell_strings(float_grid(np.array(values))) == [repr(float(v)) for v in values]
     stamps = [datetime(1900, 3, 1, 5), datetime(1969, 12, 31, 23), datetime(2024, 2, 29, 0)]
+    stamps += [datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59), datetime(1969, 12, 31, 23, 59, 1, 5)]
     expected = [ts.isoformat(timespec="minutes") for ts in stamps]
     assert stamp_strings(np.array(stamps, dtype="datetime64[us]")) == expected
 

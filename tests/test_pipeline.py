@@ -48,12 +48,14 @@ def dummy_model():
 
 
 def make_result(baseline_demand, forecast, dr_demand, updated, clamps=None):
-    """A result whose baseline spot price is, as in run_scenario, the forecast."""
+    """A result whose baseline spot price is, as in run_scenario, the
+    forecast; the actual price is the forecast too."""
     n = len(baseline_demand)
     return ScenarioResult(
         times=np.datetime64(MONDAY, "us") + np.arange(n) * np.timedelta64(1, "h"),
         baseline_demand=np.asarray(baseline_demand, float),
         forecast_price=np.asarray(forecast, float),
+        actual_price=np.asarray(forecast, float),
         dr_demand=np.asarray(dr_demand, float),
         updated_spot_price=np.asarray(updated, float),
         clamp_flags=np.zeros(n, bool) if clamps is None else np.asarray(clamps, bool),
