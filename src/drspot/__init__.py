@@ -52,4 +52,4 @@ from .regression import (
     significance_level,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

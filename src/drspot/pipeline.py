@@ -32,7 +32,6 @@ from .regression import (
     RegressionModel,
     SelectionStep,
     design_matrix,
-    ferms,
     forward_select,
     predict,
     validate_feature_spec,
@@ -223,12 +222,11 @@ def fit_price_model(
 ) -> tuple[tuple[str, ...], RegressionModel, float]:
     """Select and fit the price model on the history with the last
     ``holdout_days`` held out; returns the spec, the model and its holdout
-    ferms. The ferms gate is left to the caller. ``trace`` collects the
-    selection steps (see :func:`forward_select`)."""
+    ferms, as the selection scored it. The ferms gate is left to the
+    caller. ``trace`` collects the selection steps (see
+    :func:`forward_select`)."""
     train, holdout = split_train_holdout(history, cfg.holdout_days)
-    spec, model = forward_select(cfg.feature_candidates, train, holdout, cfg.base_features, trace=trace)
-    holdout_ferms = ferms(predict(model, design_matrix(holdout, spec)), holdout.spot_price)
-    return spec, model, holdout_ferms
+    return forward_select(cfg.feature_candidates, train, holdout, cfg.base_features, trace=trace)
 
 
 def run_scenario(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -204,11 +204,13 @@ class RegressionModel:
 
 
 def fit_ols(X: np.ndarray, y: np.ndarray, spec: Sequence[str] | None = None) -> RegressionModel:
-    """Ordinary least squares via QR, with classical standard errors.
+    """Ordinary least squares with classical standard errors: the
+    factorization of :class:`_PoolResiduals` with no holdout rows, every
+    column appended in order.
 
-    Rank deficiency is detected from the QR diagonal at a relative
-    threshold of ``RANK_TOLERANCE`` and reported with the offending column
-    name. Requires strictly more observations than features.
+    Rank deficiency is detected from the R diagonal at a relative
+    threshold of ``RANK_TOLERANCE`` and reported with the name of the first
+    offending column. Requires strictly more observations than features.
     """
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -220,37 +222,14 @@ def fit_ols(X: np.ndarray, y: np.ndarray, spec: Sequence[str] | None = None) -> 
     if n <= m:
         raise InsufficientDataError(n, m)
 
-    q, r = np.linalg.qr(X)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= RANK_TOLERANCE * diag.max():
-        bad = int(np.argmax(diag <= RANK_TOLERANCE * diag.max()))
-        raise RankDeficientError(names[bad])
-    return _fitted_model(names, r, q.T @ y, lambda coefficients: y - X @ coefficients, n)
-
-
-def _fitted_model(
-    spec: tuple[str, ...],
-    r: np.ndarray,
-    qty: np.ndarray,
-    residuals: Callable[[np.ndarray], np.ndarray],
-    n: int,
-) -> RegressionModel:
-    """OLS coefficients and statistics of ``y`` on an n-row design ``X``
-    from the R factor ``r`` of ``X``, ``qty == Q.T @ y`` and ``residuals``,
-    which maps the coefficients to a vector with the sum of squares of
-    ``y - X @ coefficients``: that residual itself, or the same residual on
-    the R factor of ``[X y]`` (standard errors from R^-1)."""
-    m = len(spec)
-    coefficients = np.linalg.solve(r, qty)
-    residual = residuals(coefficients)
-    residual_variance = float(residual @ residual) / (n - m)
-    r_inv = np.linalg.solve(r, np.eye(m))
-    xtx_inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
-    std_errors = np.sqrt(np.maximum(residual_variance * xtx_inv_diag, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_values = coefficients / std_errors
-    t_values = np.where(np.isnan(t_values), 0.0, t_values)
-    return RegressionModel(spec, coefficients, std_errors, t_values, n, residual_variance)
+    pool = _PoolResiduals(np.column_stack([X, y]), X[:0], y[:0])
+    for j in range(m):
+        pool.append(j)
+    diag = np.diag(pool.r)
+    deficient = diag <= RANK_TOLERANCE * diag.max()
+    if deficient.any():
+        raise RankDeficientError(names[int(np.argmax(deficient))])
+    return pool.model(names)
 
 
 def predict(model: RegressionModel, rows: np.ndarray) -> np.ndarray:
@@ -318,7 +297,8 @@ class SelectionStep:
 class _PoolResiduals:
     """Least-squares fits of ``y`` on the selected columns plus any one
     candidate column, for every candidate at once, and each fit's error on
-    the holdout rows.
+    the holdout rows: the one least-squares routine of drspot.
+    :func:`fit_ols` is this factorization with no holdout rows.
 
     The training ``[X y]`` is compressed once: a least-squares fit on any
     subset of its columns is unchanged when ``[X y]`` is replaced by its R
@@ -332,7 +312,7 @@ class _PoolResiduals:
     ``t == min(n, m + 1)`` values, followed by the same column's holdout
     values; the last row is ``y``'s, with the holdout ``y``. Before the
     first :meth:`append`, ``v[:, :t].T`` is the compressed ``[X y]``, which
-    :func:`forward_select` keeps for its base fit and the model's residual.
+    the base fit of :func:`forward_select` reads.
     Householder rounds two bit-identical columns differently, so a
     training column with the same bytes as an earlier one gets the earlier
     one's row of R (``first[i]`` is that earlier row, or i), and every
@@ -349,13 +329,18 @@ class _PoolResiduals:
     contiguous memory), and ``c[:k, -1] == Q.T @ y``. The factorization
     starts empty (``k == 0``, each row its column). Appending the column of
     row i takes ``q_x = v[i] / |v[i, :t]|`` and removes it from every row,
-    ``y``'s too, with one rank-1 update: on the training part, modified
+    ``y``'s too, with one rank-1 update (a column whose training part is
+    zero, exactly dependent on the selected ones, removes nothing and
+    leaves a zero on R's diagonal): on the training part, modified
     Gram-Schmidt on ``[X y]`` (Björck, Numerical Methods for Least Squares
     Problems, 1996, §2.4), whose least-squares solution is backward stable
     (Björck and Paige, SIAM J. Matrix Anal. Appl. 13, 1992). The holdout part
     takes the same combination of rows, so it holds each column's holdout
-    values minus their prediction from the selected columns' fit. A step
-    costs O((t + h) m) for h holdout rows, against O(n m) on the full rows.
+    values minus their prediction from the selected columns' fit, and
+    ``y``'s training part is the residual of the selected columns' fit on
+    the compressed rows, whose sum of squares is that on the n training
+    rows. A step costs O((t + h) m) for h holdout rows, against O(n m) on
+    the full rows.
     """
 
     def __init__(self, xy: np.ndarray, holdout: np.ndarray, y_holdout: np.ndarray):
@@ -364,7 +349,7 @@ class _PoolResiduals:
         blocks = [np.linalg.qr(xy[i : i + _QR_BLOCK_ROWS], mode="r") for i in starts]
         compressed = np.linalg.qr(np.vstack(blocks), mode="r")
         self.t = t = compressed.shape[0]
-        self.k = 0
+        self.n, self.k = len(xy), 0
         self.r, self.c = np.zeros((m, m)), np.empty((m, m + 1))
         self.v = np.empty((m + 1, t + len(y_holdout)))
         self.first = np.append(_first_copies(xy[:, :m]), m)  # y's row is its own
@@ -392,12 +377,29 @@ class _PoolResiduals:
         """Add the column of row i to the factorization."""
         k, t, v_i = self.k, self.t, self.v[i]
         r_xx = float(np.sqrt(v_i[:t] @ v_i[:t]))
-        q_x = v_i / r_xx
+        q_x = v_i / (r_xx or 1.0)  # a zero column removes nothing
         self.r[:k, k] = self.c[:k, i]
         self.r[k, k] = r_xx
         self.c[k] = (self.v[:, :t] @ q_x[:t])[self.first]
         self.v -= self.c[k, :, None] * q_x
         self.k = k + 1
+
+    def model(self, spec: tuple[str, ...]) -> RegressionModel:
+        """The OLS model of ``y`` on the appended columns, named ``spec``:
+        the coefficients solved from R and ``Q.T @ y``, the residual sum of
+        squares from ``y``'s training row and the standard errors from
+        R^-1."""
+        k, y = self.k, self.v[-1, : self.t]
+        r = self.r[:k, :k]
+        coefficients = np.linalg.solve(r, self.c[:k, -1])
+        residual_variance = float(y @ y) / (self.n - k)
+        r_inv = np.linalg.solve(r, np.eye(k))
+        xtx_inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
+        std_errors = np.sqrt(np.maximum(residual_variance * xtx_inv_diag, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_values = coefficients / std_errors
+        t_values = np.where(np.isnan(t_values), 0.0, t_values)
+        return RegressionModel(spec, coefficients, std_errors, t_values, self.n, residual_variance)
 
 
 def _first_copies(columns: np.ndarray) -> np.ndarray:
@@ -421,7 +423,7 @@ def forward_select(
     holdout: RecordSeries,
     base: Sequence[str] = DEFAULT_BASE_FEATURES,
     trace: list[SelectionStep] | None = None,
-) -> tuple[tuple[str, ...], RegressionModel]:
+) -> tuple[tuple[str, ...], RegressionModel, float]:
     """Greedy forward selection on out-of-sample forecast error.
 
     Starting from ``base``, repeatedly adds the candidate that most reduces
@@ -434,19 +436,19 @@ def forward_select(
     (:class:`_PoolResiduals`), and no fit reads the n training rows after
     that. The base spec goes through :func:`fit_ols` on the compressed
     rows, which rejects a rank deficient or too wide base as it would on
-    the training rows (too wide: n <= k). One factorization, started with the base columns, does
-    the rest, with each column's holdout values carried in the same rows,
-    so that a step's cost does not grow with n: each step scores all
-    remaining candidates from their residuals against the selected
-    columns, and the model is solved from its R and ``Q.T @ y``, with the
-    residual variance from the explicit residual on the compressed rows,
-    whose sum of squares is that on the n training rows.
+    the training rows (too wide: n <= k). One factorization, started with
+    the base columns, does the rest, with each column's holdout values
+    carried in the same rows, so that a step's cost does not grow with n:
+    each step scores all remaining candidates from their residuals against
+    the selected columns, and the model comes from the factorization's own
+    rows (:meth:`_PoolResiduals.model`).
     Candidates whose columns have the same bytes, in training and in the
     holdout, tie exactly: when one of them is added it is the earlier, and
     the later one is disqualified at the next step. When ``trace`` is a
     list, one :class:`SelectionStep` per step is added.
 
-    Returns the selected spec and the model fitted on ``train`` with it.
+    Returns the selected spec, the model fitted on ``train`` with it and
+    its holdout ferms, the score that selected it.
     """
     candidates, base = validate_feature_spec(candidates), validate_feature_spec(base)
     if not set(base) <= set(candidates):
@@ -454,19 +456,19 @@ def forward_select(
 
     # One Fortran-order [X y]: its columns are contiguous for the QR that
     # compresses it, and the training design is written into it in place.
-    # The pool's rows before any append are the compressed [X y] that every
-    # fit below reads; the training rows are not read again.
+    # The pool's rows are the compressed [X y] that every fit below reads;
+    # the training rows are not read again.
     n, m = len(train), len(candidates)
     xy = np.empty((n, m + 1), order="F")
     design_matrix(train, candidates, out=xy[:, :m])
     xy[:, m] = train.spot_price
     holdout_full, y_holdout = design_matrix(holdout, candidates), holdout.spot_price
     residuals = _PoolResiduals(xy, holdout_full, y_holdout)
-    rxy = residuals.v[:, : residuals.t].T.copy()
     del xy
 
     idx = [candidates.index(name) for name in base]
-    model = fit_ols(rxy[:, idx], rxy[:, m], spec=base)
+    compressed = residuals.v[:, : residuals.t]  # read before the first append
+    model = fit_ols(compressed[idx].T, compressed[m], spec=base)
     best_score = ferms(predict(model, holdout_full[:, idx]), y_holdout)
 
     for j in idx:
@@ -503,7 +505,5 @@ def forward_select(
         idx.append(best)
         active[best] = False
 
-    spec, k = tuple(candidates[j] for j in idx), residuals.k
-    return spec, _fitted_model(
-        spec, residuals.r[:k, :k], residuals.c[:k, -1], lambda b: rxy[:, m] - rxy[:, idx] @ b, n
-    )
+    spec = tuple(candidates[j] for j in idx)
+    return spec, residuals.model(spec), best_score

@@ -1,6 +1,9 @@
-"""Per-record reference implementations: the record and calendar types, the
-calendar rules and a cell-by-cell design row, written one hour at a time.
-The columnar code in drspot is checked against them."""
+"""Reference implementations: the record and calendar types, the calendar
+rules and a cell-by-cell design row, written one hour at a time, and an
+ordinary least-squares fit by full Householder QR on the n rows, with the
+explicit residual. The columnar code in drspot, and its one least-squares
+routine (the selection's compressed factorization, updated by modified
+Gram-Schmidt), are checked against them."""
 
 from __future__ import annotations
 
@@ -11,6 +14,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from drspot.market_data import RecordSeries
+from drspot.regression import (
+    RANK_TOLERANCE,
+    DimensionMismatchError,
+    InsufficientDataError,
+    RankDeficientError,
+    RegressionModel,
+)
 
 
 @dataclass(frozen=True)
@@ -120,3 +130,38 @@ def hours(series: RecordSeries) -> list[tuple[HourlyRecord, CalendarFeatures]]:
 def columns(series: RecordSeries) -> list[np.ndarray]:
     """The constructor's five columns of ``series``, in argument order."""
     return [series.times, series.demand, series.spot_price, series.dry_bulb_temp, series.dew_point]
+
+
+def fit_ols(X: np.ndarray, y: np.ndarray, spec: Sequence[str] | None = None) -> RegressionModel:
+    """Ordinary least squares via Householder QR of the n rows, with
+    classical standard errors and the residual taken on the n rows.
+
+    Rank deficiency is detected from the QR diagonal at a relative
+    threshold of ``RANK_TOLERANCE`` and reported with the offending column
+    name. Requires strictly more observations than features.
+    """
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise DimensionMismatchError(f"X is {X.shape}, y is {y.shape}")
+    n, m = X.shape
+    names = tuple(spec) if spec is not None else tuple(f"x{j}" for j in range(m))
+    if len(names) != m:
+        raise DimensionMismatchError(f"{len(names)} feature names for {m} columns")
+    if n <= m:
+        raise InsufficientDataError(n, m)
+
+    q, r = np.linalg.qr(X)
+    diag = np.abs(np.diag(r))
+    if diag.min() <= RANK_TOLERANCE * diag.max():
+        bad = int(np.argmax(diag <= RANK_TOLERANCE * diag.max()))
+        raise RankDeficientError(names[bad])
+    coefficients = np.linalg.solve(r, q.T @ y)
+    residual = y - X @ coefficients
+    residual_variance = float(residual @ residual) / (n - m)
+    r_inv = np.linalg.solve(r, np.eye(m))
+    xtx_inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
+    std_errors = np.sqrt(np.maximum(residual_variance * xtx_inv_diag, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_values = coefficients / std_errors
+    t_values = np.where(np.isnan(t_values), 0.0, t_values)
+    return RegressionModel(names, coefficients, std_errors, t_values, n, residual_variance)

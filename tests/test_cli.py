@@ -265,6 +265,16 @@ class TestSimulate:
         assert summary["baseline_cost"] == pytest.approx(base_cost, rel=1e-12)
         assert summary["delta_cost"] == pytest.approx(dr_cost - base_cost, rel=1e-9)
 
+    def test_holdout_ferms_is_the_final_selection_score(self, tmp_path):
+        # The selection scores the holdout ferms of every step; the reported
+        # holdout ferms is the score it stopped at, not a second evaluation.
+        assert run_simulate(BUNDLED_DATA, BUNDLED_CONFIG, tmp_path / "out", start="2021-08-09", days=7) == 0
+        model_json = tmp_path / "model.json"
+        assert main(["fit", "--data", str(BUNDLED_DATA), "--config", str(BUNDLED_CONFIG), "--out", str(model_json)]) == 0
+        for doc in (json.loads((tmp_path / "out" / "summary.json").read_text()), json.loads(model_json.read_text())):
+            assert doc["selection"]
+            assert doc["holdout_ferms"] == doc["selection"][-1]["ferms"]  # both positive: equal bits
+
     def test_byte_deterministic_outputs(self, market_csv, compact_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_simulate(market_csv, compact_config, out1) == 0
@@ -572,7 +582,8 @@ def _all_finite(value) -> bool:
 
 
 def _assert_finite_outputs(out_dir: str) -> None:
-    rows = [line.split(",") for line in open(f"{out_dir}/result.csv").read().splitlines()[1:]]
+    with open(f"{out_dir}/result.csv") as handle:
+        rows = [line.split(",") for line in handle.read().splitlines()[1:]]
     assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
     with open(f"{out_dir}/summary.json") as handle:
         assert _all_finite(json.load(handle))
