@@ -8,6 +8,7 @@ month, and holiday/Saturday/Sunday indicators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -305,17 +306,18 @@ class _PoolResiduals:
     factor (Miller, Subset Selection in Regression, 2002, ch. 2). R is the
     Householder QR factor of the stacked R factors of blocks of
     ``_QR_BLOCK_ROWS`` rows (TSQR; Demmel, Grigori, Hoemmen and Langou, SIAM
-    J. Sci. Comput. 34, 2012). Householder QR is columnwise backward stable
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, Thm
-    19.4), in one level or two, so the rank rule still sees a small column
-    next to a large one. Each row of ``v`` is one column of that R,
+    J. Sci. Comput. 34, 2012), or the one block's own R. Householder QR is
+    columnwise backward stable (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, Thm 19.4), in one level or two, so the rank rule still
+    sees a small column next to a large one. Each row of ``v`` is one column of that R,
     ``t == min(n, m + 1)`` values, followed by the same column's holdout
     values; the last row is ``y``'s, with the holdout ``y``. Before the
     first :meth:`append`, ``v[:, :t].T`` is the compressed ``[X y]``, which
     the base fit of :func:`forward_select` reads.
     Householder rounds two bit-identical columns differently, so a
     training column with the same bytes as an earlier one gets the earlier
-    one's row of R (``first[i]`` is that earlier row, or i), and every
+    one's row of R (``first[i]`` is that earlier row, or i; ``first`` is a
+    slice, and its gathers views, when no column repeats), and every
     per-row sum of the later row (its norm, its products with ``q_x`` and
     ``y``) is taken from the earlier row, since BLAS may round the same sum
     differently at another row position. Their training parts then stay
@@ -344,44 +346,67 @@ class _PoolResiduals:
     """
 
     def __init__(self, xy: np.ndarray, holdout: np.ndarray, y_holdout: np.ndarray):
-        m = xy.shape[1] - 1
+        m, h = xy.shape[1] - 1, len(y_holdout)
         starts = range(0, max(len(xy), 1), _QR_BLOCK_ROWS)  # one empty block when n == 0
         blocks = [np.linalg.qr(xy[i : i + _QR_BLOCK_ROWS], mode="r") for i in starts]
-        compressed = np.linalg.qr(np.vstack(blocks), mode="r")
+        # Householder QR returns an upper triangular matrix as it is (each
+        # reflector is the identity), so one block is its own R.
+        compressed = blocks[0] if len(blocks) == 1 else np.linalg.qr(np.vstack(blocks), mode="r")
         self.t = t = compressed.shape[0]
         self.n, self.k = len(xy), 0
         self.r, self.c = np.zeros((m, m)), np.empty((m, m + 1))
-        self.v = np.empty((m + 1, t + len(y_holdout)))
-        self.first = np.append(_first_copies(xy[:, :m]), m)  # y's row is its own
-        self.v[:, :t] = compressed[:, self.first].T
-        self.v[:m, t:], self.v[m, t:] = holdout.T, y_holdout
+        self.diag_min, self.diag_max = np.inf, 0.0  # of R's diagonal, updated by append
+        self.v = v = np.empty((m + 1, t + h))
+        first = _first_copies(xy[:, :m])
+        if (first == np.arange(m)).all():
+            self.first = self.first_xy = slice(None)
+        else:
+            self.first, self.first_xy = first, np.append(first, m)  # y's row is its own
+        v[:, :t] = compressed[:, self.first_xy].T
+        v[:m, t:], v[m, t:] = holdout.T, y_holdout
+        # Views of v and work buffers, so that a step allocates almost nothing.
+        self.train = v[:, :t]
+        self.x_train, self.y_train = v[:-1, :t], v[-1, :t]
+        self.x_holdout, self.y_holdout = v[:-1, t:], v[-1, t:]
+        self.sums, self.lo, self.hi, self.b = np.empty((4, m))
+        self.dots, self.q_x = np.empty(m + 1), np.empty(t + h)
+        # One buffer for the trials' holdout errors and the update's outer
+        # product, which append writes after the errors have been scored.
+        work = np.empty(max(m * h, v.size))
+        self.error, self.outer = work[: m * h].reshape(m, h), work[: v.size].reshape(v.shape)
 
     def trials(self) -> tuple[np.ndarray, np.ndarray]:
         """The trial fit of every candidate row once k >= 1: ``ok[i]`` is False
         when appending row i gives an R diagonal that fails the rank rule of
         :func:`fit_ols` (then the trial is the fit without it), and
         ``error[i]`` is the trial's holdout forecast minus the holdout ``y``.
+        ``error`` is a buffer that the next call, or :meth:`append`,
+        overwrites.
 
         Row i's coefficient is ``b = v[i, :t] @ v[-1, :t] / |v[i, :t]|**2``;
         the forecast adds ``b`` times row i's holdout part to the selected
         columns' forecast, which is the holdout ``y`` minus ``y``'s."""
-        t, v, y, first = self.t, self.v[:-1], self.v[-1], self.first[:-1]
-        norms = np.sqrt(np.einsum("ij,ij->i", v[:, :t], v[:, :t]))[first]
-        diag = np.abs(np.diag(self.r)[: self.k])
-        ok = np.minimum(norms, diag.min()) > RANK_TOLERANCE * np.maximum(norms, diag.max())
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            b = np.where(ok, (v[:, :t] @ y[:t])[first] / norms / norms, 0.0)
-        return ok, b[:, None] * v[:, t:] - y[t:]
+        x, b, error = self.x_train, self.b, self.error
+        norms = np.sqrt(np.einsum("ij,ij->i", x, x, out=self.sums), out=self.sums)[self.first]
+        np.minimum(norms, self.diag_min, out=self.lo)
+        np.multiply(RANK_TOLERANCE, np.maximum(norms, self.diag_max, out=self.hi), out=self.hi)
+        ok = self.lo > self.hi
+        b.fill(0.0)
+        np.divide(np.matmul(x, self.y_train, out=self.dots[:-1])[self.first], norms, out=b, where=ok)
+        np.divide(b, norms, out=b, where=ok)
+        np.multiply(b[:, None], self.x_holdout, out=error)
+        return ok, np.subtract(error, self.y_holdout, out=error)
 
     def append(self, i: int) -> None:
         """Add the column of row i to the factorization."""
-        k, t, v_i = self.k, self.t, self.v[i]
-        r_xx = float(np.sqrt(v_i[:t] @ v_i[:t]))
-        q_x = v_i / (r_xx or 1.0)  # a zero column removes nothing
+        k, t, v_i, q_x = self.k, self.t, self.v[i], self.q_x
+        r_xx = math.sqrt(v_i[:t] @ v_i[:t])
+        np.divide(v_i, r_xx or 1.0, out=q_x)  # a zero column removes nothing
         self.r[:k, k] = self.c[:k, i]
         self.r[k, k] = r_xx
-        self.c[k] = (self.v[:, :t] @ q_x[:t])[self.first]
-        self.v -= self.c[k, :, None] * q_x
+        self.diag_min, self.diag_max = min(self.diag_min, r_xx), max(self.diag_max, r_xx)
+        self.c[k] = np.matmul(self.train, q_x[:t], out=self.dots)[self.first_xy]
+        np.subtract(self.v, np.multiply(self.c[k, :, None], q_x, out=self.outer), out=self.v)
         self.k = k + 1
 
     def model(self, spec: tuple[str, ...]) -> RegressionModel:
@@ -473,37 +498,42 @@ def forward_select(
 
     for j in idx:
         residuals.append(j)
-    mean_actual = float(y_holdout.mean())
+    mean_actual, hours = float(y_holdout.mean()), len(y_holdout)
     active = np.array([name not in base for name in candidates])
+    scores = np.empty(m)
 
-    while active.any():
-        if n <= residuals.k + 1:
-            raise InsufficientDataError(n, residuals.k + 1)
-        ok, error = residuals.trials()
-        ok &= active
-        scores = 100.0 * np.sqrt(np.mean(error**2, axis=1)) / mean_actual
-        ranked = np.where(ok & np.isfinite(scores), scores, np.inf)
-        best = int(np.argmin(ranked))  # the first minimum: ties go to the earlier candidate
-        added = ranked[best] < best_score
-        if added:
-            best_score = float(ranked[best])
-            ranked[best] = np.inf
-        runner_up = int(np.argmin(ranked))
-        if trace is not None:
-            scored = ranked[runner_up] < np.inf
-            trace.append(SelectionStep(
-                added=candidates[best] if added else None,
-                ferms=best_score,
-                runner_up=candidates[runner_up] if scored else None,
-                runner_up_ferms=float(ranked[runner_up]) if scored else None,
-                disqualified=tuple(candidates[j] for j in np.flatnonzero(active & ~ok)),
-            ))
-        active = ok
-        if not added:
-            break
-        residuals.append(best)
-        idx.append(best)
-        active[best] = False
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while active.any():
+            if n <= residuals.k + 1:
+                raise InsufficientDataError(n, residuals.k + 1)
+            ok, error = residuals.trials()
+            ok &= active
+            # The holdout ferms of every trial: np.mean's sum and division, in place.
+            np.add.reduce(np.square(error, out=error), axis=1, out=scores)
+            np.sqrt(np.divide(scores, hours, out=scores), out=scores)
+            np.divide(np.multiply(100.0, scores, out=scores), mean_actual, out=scores)
+            ranked = np.where(ok & np.isfinite(scores), scores, np.inf)
+            best = int(ranked.argmin())  # the first minimum: ties go to the earlier candidate
+            added = ranked[best] < best_score
+            if added:
+                best_score = float(ranked[best])
+                ranked[best] = np.inf
+            runner_up = int(ranked.argmin())
+            if trace is not None:
+                scored = ranked[runner_up] < np.inf
+                trace.append(SelectionStep(
+                    added=candidates[best] if added else None,
+                    ferms=best_score,
+                    runner_up=candidates[runner_up] if scored else None,
+                    runner_up_ferms=float(ranked[runner_up]) if scored else None,
+                    disqualified=tuple(candidates[j] for j in (active & ~ok).nonzero()[0]),
+                ))
+            active = ok
+            if not added:
+                break
+            residuals.append(best)
+            idx.append(best)
+            active[best] = False
 
     spec = tuple(candidates[j] for j in idx)
     return spec, residuals.model(spec), best_score

@@ -21,12 +21,13 @@ MONDAY = datetime(2021, 6, 7)
 # 1,000 examples instead of 100: the stamp and decimal converter properties,
 # the differential parser property and the str -> float cast property
 # (test_market_data), the float and stamp writer properties (test_csv_text,
-# whose bulk test draws 10,000 values per example), and the
-# inverse-consistency and OLS-recovery properties (test_acceptance). Each
-# checks numpy against an independent computation (the converters' and the
-# writer's integer, float and calendar arithmetic, its float cast, its linear
-# algebra), and CI runs them on numpy versions that cannot be installed
-# offline, numpy 1.23 among them.
+# whose bulk test draws 10,000 values per example), the inverse-consistency
+# and OLS-recovery properties (test_acceptance), and the selection step
+# against the reference loop and the one-block QR property (test_regression).
+# Each checks numpy against an independent computation (the converters' and
+# the writer's integer, float and calendar arithmetic, its float cast, its
+# linear algebra, its in-place ufunc calls), and CI runs them on numpy
+# versions that cannot be installed offline, numpy 1.23 among them.
 settings.register_profile("ci", max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 

@@ -1,9 +1,10 @@
 """Reference implementations: the record and calendar types, the calendar
-rules and a cell-by-cell design row, written one hour at a time, and an
+rules and a cell-by-cell design row, written one hour at a time; an
 ordinary least-squares fit by full Householder QR on the n rows, with the
-explicit residual. The columnar code in drspot, and its one least-squares
-routine (the selection's compressed factorization, updated by modified
-Gram-Schmidt), are checked against them."""
+explicit residual; and forward selection with a fresh temporary for every
+vector operation of a step. The columnar code in drspot, and its one
+least-squares routine (the selection's compressed factorization, updated by
+modified Gram-Schmidt), are checked against them."""
 
 from __future__ import annotations
 
@@ -14,12 +15,19 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from drspot.market_data import RecordSeries
+from drspot import regression
 from drspot.regression import (
     RANK_TOLERANCE,
     DimensionMismatchError,
     InsufficientDataError,
     RankDeficientError,
     RegressionModel,
+    SelectionStep,
+    design_matrix,
+    ferms,
+    fit_ols as pool_fit_ols,
+    predict,
+    validate_feature_spec,
 )
 
 
@@ -165,3 +173,119 @@ def fit_ols(X: np.ndarray, y: np.ndarray, spec: Sequence[str] | None = None) -> 
         t_values = coefficients / std_errors
     t_values = np.where(np.isnan(t_values), 0.0, t_values)
     return RegressionModel(names, coefficients, std_errors, t_values, n, residual_variance)
+
+
+class PoolResiduals:
+    """The factorization of ``drspot.regression._PoolResiduals``, with every
+    vector operation of a step on fresh temporaries: the diagonal of R
+    re-read at each trial, and the compressed ``[X y]`` always taken from a
+    second QR of the stacked block factors."""
+
+    def __init__(self, xy: np.ndarray, holdout: np.ndarray, y_holdout: np.ndarray):
+        m = xy.shape[1] - 1
+        starts = range(0, max(len(xy), 1), regression._QR_BLOCK_ROWS)  # one empty block when n == 0
+        blocks = [np.linalg.qr(xy[i : i + regression._QR_BLOCK_ROWS], mode="r") for i in starts]
+        compressed = np.linalg.qr(np.vstack(blocks), mode="r")
+        self.t = t = compressed.shape[0]
+        self.n, self.k = len(xy), 0
+        self.r, self.c = np.zeros((m, m)), np.empty((m, m + 1))
+        self.v = np.empty((m + 1, t + len(y_holdout)))
+        self.first = np.append(regression._first_copies(xy[:, :m]), m)  # y's row is its own
+        self.v[:, :t] = compressed[:, self.first].T
+        self.v[:m, t:], self.v[m, t:] = holdout.T, y_holdout
+
+    def trials(self) -> tuple[np.ndarray, np.ndarray]:
+        t, v, y, first = self.t, self.v[:-1], self.v[-1], self.first[:-1]
+        norms = np.sqrt(np.einsum("ij,ij->i", v[:, :t], v[:, :t]))[first]
+        diag = np.abs(np.diag(self.r)[: self.k])
+        ok = np.minimum(norms, diag.min()) > RANK_TOLERANCE * np.maximum(norms, diag.max())
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            b = np.where(ok, (v[:, :t] @ y[:t])[first] / norms / norms, 0.0)
+        return ok, b[:, None] * v[:, t:] - y[t:]
+
+    def append(self, i: int) -> None:
+        k, t, v_i = self.k, self.t, self.v[i]
+        r_xx = float(np.sqrt(v_i[:t] @ v_i[:t]))
+        q_x = v_i / (r_xx or 1.0)  # a zero column removes nothing
+        self.r[:k, k] = self.c[:k, i]
+        self.r[k, k] = r_xx
+        self.c[k] = (self.v[:, :t] @ q_x[:t])[self.first]
+        self.v -= self.c[k, :, None] * q_x
+        self.k = k + 1
+
+    def model(self, spec: tuple[str, ...]) -> RegressionModel:
+        k, y = self.k, self.v[-1, : self.t]
+        r = self.r[:k, :k]
+        coefficients = np.linalg.solve(r, self.c[:k, -1])
+        residual_variance = float(y @ y) / (self.n - k)
+        r_inv = np.linalg.solve(r, np.eye(k))
+        xtx_inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
+        std_errors = np.sqrt(np.maximum(residual_variance * xtx_inv_diag, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_values = coefficients / std_errors
+        t_values = np.where(np.isnan(t_values), 0.0, t_values)
+        return RegressionModel(spec, coefficients, std_errors, t_values, self.n, residual_variance)
+
+
+def forward_select(
+    candidates: Sequence[str],
+    train: RecordSeries,
+    holdout: RecordSeries,
+    base: Sequence[str] = regression.DEFAULT_BASE_FEATURES,
+    trace: list[SelectionStep] | None = None,
+) -> tuple[tuple[str, ...], RegressionModel, float]:
+    """``drspot.regression.forward_select`` on :class:`PoolResiduals`, each
+    step's scores from ``np.mean`` of new arrays."""
+    candidates, base = validate_feature_spec(candidates), validate_feature_spec(base)
+    if not set(base) <= set(candidates):
+        raise ValueError("base features must be a subset of the candidate pool")
+
+    n, m = len(train), len(candidates)
+    xy = np.empty((n, m + 1), order="F")
+    design_matrix(train, candidates, out=xy[:, :m])
+    xy[:, m] = train.spot_price
+    holdout_full, y_holdout = design_matrix(holdout, candidates), holdout.spot_price
+    residuals = PoolResiduals(xy, holdout_full, y_holdout)
+    del xy
+
+    idx = [candidates.index(name) for name in base]
+    compressed = residuals.v[:, : residuals.t]  # read before the first append
+    model = pool_fit_ols(compressed[idx].T, compressed[m], spec=base)
+    best_score = ferms(predict(model, holdout_full[:, idx]), y_holdout)
+
+    for j in idx:
+        residuals.append(j)
+    mean_actual = float(y_holdout.mean())
+    active = np.array([name not in base for name in candidates])
+
+    while active.any():
+        if n <= residuals.k + 1:
+            raise InsufficientDataError(n, residuals.k + 1)
+        ok, error = residuals.trials()
+        ok &= active
+        scores = 100.0 * np.sqrt(np.mean(error**2, axis=1)) / mean_actual
+        ranked = np.where(ok & np.isfinite(scores), scores, np.inf)
+        best = int(np.argmin(ranked))  # the first minimum: ties go to the earlier candidate
+        added = ranked[best] < best_score
+        if added:
+            best_score = float(ranked[best])
+            ranked[best] = np.inf
+        runner_up = int(np.argmin(ranked))
+        if trace is not None:
+            scored = ranked[runner_up] < np.inf
+            trace.append(SelectionStep(
+                added=candidates[best] if added else None,
+                ferms=best_score,
+                runner_up=candidates[runner_up] if scored else None,
+                runner_up_ferms=float(ranked[runner_up]) if scored else None,
+                disqualified=tuple(candidates[j] for j in np.flatnonzero(active & ~ok)),
+            ))
+        active = ok
+        if not added:
+            break
+        residuals.append(best)
+        idx.append(best)
+        active[best] = False
+
+    spec = tuple(candidates[j] for j in idx)
+    return spec, residuals.model(spec), best_score

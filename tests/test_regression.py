@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
@@ -501,8 +501,11 @@ def assert_close_model(a: RegressionModel, b: RegressionModel):
     assert a.n_obs == b.n_obs
     assert a.residual_variance == pytest.approx(b.residual_variance, rel=1e-12)
     # Within rel 1e-10 wherever |t| >= 0.1; a coefficient far inside its
-    # standard error may move more.
-    assert np.all(np.abs(a.coefficients - b.coefficients) <= 1e-11 * b.std_errors)
+    # standard error may move more. Past |t| of about 1e4 the standard error
+    # bound falls below a few roundings of the coefficient itself, hence the
+    # floor of 8 eps |coefficient|.
+    bound = np.maximum(1e-11 * b.std_errors, 8 * np.finfo(float).eps * np.abs(b.coefficients))
+    assert np.all(np.abs(a.coefficients - b.coefficients) <= bound)
     np.testing.assert_allclose(a.std_errors, b.std_errors, rtol=1e-12)
     np.testing.assert_allclose(a.t_values, b.t_values, rtol=1e-12, atol=1e-11)
 
@@ -881,6 +884,17 @@ def test_fit_ols_matches_householder_reference(seed, m, extra_rows):
     assert_close_model(fit_ols(X, y), reference.fit_ols(X, y))
 
 
+def test_fit_ols_matches_householder_reference_at_large_t():
+    # O(1) coefficients on columns of size 1e3 with unit noise: |t| reaches
+    # 3.5e4, and a coefficient of 1.56 moves by 1.1e-15 (5 ulps), which is
+    # 1.4e-11 of its standard error of 7.9e-5.
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(176, 10)) * 1e3
+    X[:, 0] = 1.0
+    y = X @ rng.normal(size=10) + rng.normal(size=176)
+    assert_close_model(fit_ols(X, y), reference.fit_ols(X, y))
+
+
 @settings(deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -910,3 +924,106 @@ def test_fit_ols_names_the_dependent_column_like_the_reference(seed, m, extra_ro
         with pytest.raises(RankDeficientError) as info:
             fit(X, y, spec=names)
         assert info.value.column == names[dependent], fit
+
+
+def _outcome(select, *args):
+    """What ``select`` returns, with the trace it wrote, or the error it raised."""
+    trace = []
+    try:
+        return select(*args, trace=trace), trace
+    except (InsufficientDataError, RankDeficientError) as error:
+        return type(error), error.args
+
+
+def _float_bits(value):
+    return None if value is None else _bits(value).tobytes()
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    start_day=st.integers(0, 60),
+    pool_size=st.just(30) | st.integers(1, 29),
+    order=st.permutations(FULL_FEATURES[1:]),
+    base_size=st.integers(1, 3),
+    extra_rows=st.integers(-8, 8) | st.integers(9, 600),
+    holdout_rows=st.integers(1, 200),
+    dew=st.sampled_from(["own", "copy", "scaled"]),
+    holidays=st.sampled_from(["none", "saturdays", "some"]),
+    block_rows=st.sampled_from([regression._QR_BLOCK_ROWS, 16, 100]),
+)
+def test_selection_matches_reference_loop_bit_for_bit(
+    seed, start_day, pool_size, order, base_size, extra_rows, holdout_rows, dew, holidays, block_rows
+):
+    # forward_select against the loop of reference.forward_select, whose step
+    # takes a fresh temporary for every vector operation: the same outcome to
+    # the bit. The pools hold bit-identical columns (dew point a copy of the
+    # temperature, every Saturday a holiday: the exact-tie rule), zero columns
+    # (no holiday, no weekend in a short training span), a scaled copy (the
+    # rank rule mid-search) and training spans of around m + 1 rows, where the
+    # search may run out of rows.
+    rng = np.random.default_rng(seed)
+    candidates = ("intercept", *order[:pool_size])
+    base = candidates[:base_size]
+    train_rows = max(len(candidates) + 1 + extra_rows, 0)
+    days = -(-(train_rows + holdout_rows) // 24)
+    start = datetime(2021, 5, 3) + timedelta(days=start_day)
+    market = synthetic_market(days, seed=seed, start=start)
+    day_list = [day.item() for day in np.unique(market.times.astype("datetime64[D]"))]
+    holiday_days = {
+        "none": (),
+        "saturdays": [day for day in day_list if day.weekday() == 5],
+        "some": [day for day in day_list if rng.random() < 0.2],
+    }[holidays]
+    dew_point = {
+        "own": market.dew_point,
+        "copy": market.dry_bulb_temp.copy(),
+        "scaled": market.dry_bulb_temp * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 1.0),
+    }[dew]
+    series = RecordSeries(market.times, market.demand, market.spot_price, market.dry_bulb_temp, dew_point,
+                          holidays=holiday_days)
+    train, holdout = series[:train_rows], series[train_rows : train_rows + holdout_rows]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regression, "_QR_BLOCK_ROWS", block_rows)
+        got = _outcome(forward_select, candidates, train, holdout, base)
+        expected = _outcome(reference.forward_select, candidates, train, holdout, base)
+    if isinstance(expected[0], type):
+        assert got == expected
+        return
+    (spec, model, holdout_ferms), trace = got
+    (ref_spec, ref_model, ref_holdout_ferms), ref_trace = expected
+    assert spec == ref_spec
+    assert _float_bits(holdout_ferms) == _float_bits(ref_holdout_ferms)
+    for field in ("coefficients", "std_errors", "t_values", "residual_variance"):
+        assert _float_bits(getattr(model, field)) == _float_bits(getattr(ref_model, field)), field
+    assert (model.spec, model.n_obs) == (ref_model.spec, ref_model.n_obs)
+    assert len(trace) == len(ref_trace)
+    for step, ref in zip(trace, ref_trace):
+        assert (step.added, step.runner_up, step.disqualified) == (ref.added, ref.runner_up, ref.disqualified)
+        assert _float_bits(step.ferms) == _float_bits(ref.ferms)
+        assert _float_bits(step.runner_up_ferms) == _float_bits(ref.runner_up_ferms)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, regression._QR_BLOCK_ROWS),
+    m=st.integers(1, 31),
+    repeats=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=4),
+    zeros=st.lists(st.integers(0, 30), max_size=3),
+)
+def test_one_block_is_its_own_compressed_factor(seed, n, m, repeats, zeros):
+    # With one block of rows the pool takes the block's R as the compressed
+    # [X y]; a second Householder QR of that R, which the pool skips, returns
+    # it bit for bit, duplicate and zero columns included.
+    rng = np.random.default_rng(seed)
+    xy = rng.normal(size=(n, m + 1)) * 10.0 ** rng.uniform(-3.0, 3.0, m + 1)
+    for source, target in repeats:
+        xy[:, target % m] = xy[:, source % m]
+    for column in zeros:
+        xy[:, column % m] = 0.0
+    holdout, y_holdout = rng.normal(size=(3, m)), rng.normal(size=3)
+    pool = _PoolResiduals(xy, holdout, y_holdout)
+    two_pass = reference.PoolResiduals(xy, holdout, y_holdout)
+    assert pool.t == two_pass.t == min(n, m + 1)
+    assert np.array_equal(_bits(pool.v), _bits(two_pass.v))
