@@ -28,7 +28,7 @@ import numpy as np
 
 from .csv_text import float_grids, stamp_grid, write_csv
 from .plain_blocks import canonical_times as _canonical_times
-from .plain_blocks import cell_texts, decimal_column
+from .plain_blocks import cell_texts, decimal_columns
 from .plain_blocks import plain_block as _plain_block
 
 # The series types are re-exported: they are part of this module's interface.
@@ -170,12 +170,10 @@ def _records(reader, offset: int, malformed: list[ParseError]) -> Iterator[tuple
 _CHUNK_ROWS = 256
 # Characters read at a time after the header. Each read is cut after its last
 # line end, so a block holds whole lines and is converted as one array of
-# bytes; large blocks spread numpy's fixed cost per call over many rows, and
-# cost memory: a block's temporaries set the parse's traced peak. At 8, 32,
-# 128 and 1,024 Ki characters, one parse of a 9,408-row file took 38.0, 15.7,
-# 10.4 and 9.4 ms of CPU, at peaks of 0.85, 0.85, 1.68 and 3.75 MB
-# (tracemalloc; in-process medians, one OpenBLAS thread on a 2-vCPU x86
-# machine).
+# bytes. At 8, 32, 128 and 1,024 Ki characters, one parse of a 9,408-row file
+# took 17.0, 6.7, 4.9 and 4.7 ms of CPU, at traced peaks, set by a block's
+# temporaries, of 0.83, 0.80, 1.68 and 3.45 MB (in-process medians, 2-vCPU
+# x86 machine).
 _BLOCK_CHARS = 1 << 17
 
 
@@ -193,7 +191,9 @@ def _check_values(
         values[column] = parsed
         # A finite sum rules out nan and inf in one pass; an overflowing one
         # sends the column to the cell-by-cell search.
-        non_finite = len(parsed) if math.isfinite(parsed.sum()) else _first(~np.isfinite(parsed))
+        with np.errstate(over="ignore"):
+            total = parsed.sum()
+        non_finite = len(parsed) if math.isfinite(total) else _first(~np.isfinite(parsed))
         reason = "non-numeric value"
         if non_finite < bad:
             bad, reason = non_finite, "non-finite value"
@@ -206,10 +206,10 @@ def _plain_columns(
     times: np.ndarray, data: np.ndarray, starts: np.ndarray, ends: np.ndarray, row_nums: Sequence[int]
 ) -> tuple[np.ndarray, dict[str, np.ndarray], list[tuple[int, int, MarketDataError]]]:
     """The checked columns of a plain block (see :func:`_plain_block`) on
-    file rows ``row_nums``. A value column of decimal cells is converted
-    arithmetically; any other goes through :func:`_float_column`, from its
-    cells cut out of the block."""
-    parsed = [decimal_column(data, *bounds) for bounds in zip(starts, ends)]
+    file rows ``row_nums``. The value columns of decimal cells are converted
+    together; any other goes through :func:`_float_column`, from its cells
+    cut out of the block."""
+    parsed = decimal_columns(data, starts, ends)
     raws = cell_texts(data, starts, ends) if any(p is None for p in parsed) else [None] * len(parsed)
     columns = [(p, len(p), None) if p is not None else (*_float_column(raw), raw) for p, raw in zip(parsed, raws)]
     return (times, *_check_values(columns, row_nums))

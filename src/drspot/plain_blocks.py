@@ -1,12 +1,11 @@
 """Conversion of plain CSV blocks from their bytes.
 
-A block of data lines that ``csv.reader`` would split at every comma is
-converted from one ``uint8`` view of its bytes: the cell boundaries come
-from the positions of its commas and line ends, canonical stamps and
-decimal cells are read arithmetically, and no Python string is made per
-cell. :mod:`drspot.market_data` decides which blocks are plain and sends
-any other block, and any column these converters decline, through the
-reader or Python's ``float``, which give the same values.
+A block that ``csv.reader`` would split at every comma is read from one
+``uint8`` view of its bytes, with no Python string per cell: its commas and
+line ends bound the cells, and its stamps and value cells are gathered
+into uint8 grids, a byte place per row, and read by arithmetic.
+:mod:`drspot.market_data` sends any other block, and any column declined
+here, through the reader or ``float``, which give the same values.
 """
 
 from __future__ import annotations
@@ -30,13 +29,12 @@ _STAMP_CHARS = len(_STAMP_LOW) - 1
 _TENS, _UNITS = [0, 2, 5, 8, 11, 14], [1, 3, 6, 9, 12, 15]
 _PAIR_LOW = np.array([[0], [0], [1], [1], [0], [0]])
 _PAIR_HIGH = np.array([[99], [99], [12], [31], [23], [0]])
-# Decimal cells converted arithmetically: ``[-]digits[.digits]`` with at most
-# this many digits, so that the digits as an integer are exact in a double.
+# The most digits of a decimal cell read arithmetically: an exact double.
 _DECIMAL_DIGITS = 15
 DECIMAL_WIDTH = _DECIMAL_DIGITS + 2  # with a sign and a point
-# Exact powers of ten, 10**0 .. 10**16.
-_POW10 = np.array([float(10**e) for e in range(DECIMAL_WIDTH)])
-_PLACES = np.arange(DECIMAL_WIDTH)
+_POW10 = np.array([float(10**e) for e in range(DECIMAL_WIDTH)])  # exact
+_PLACES = np.arange(DECIMAL_WIDTH, dtype=np.uint8)
+_POINT = ord(".") - ord("0") + 256  # in uint8
 
 
 def _months(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
@@ -55,7 +53,6 @@ def stamp_times(chars: np.ndarray) -> np.ndarray | None:
     if given, must be all ``/``."""
     if ((chars < _STAMP_LOW[: len(chars)]) | (chars > _STAMP_HIGH[: len(chars)])).any():
         return None
-    # The two-digit numbers: year's hundreds and units, month, day, hour, minute.
     pairs = chars[_TENS].astype(np.int64) * 10 + chars[_UNITS] - 11 * ord("0")
     if ((pairs < _PAIR_LOW) | (pairs > _PAIR_HIGH)).any():
         return None
@@ -74,10 +71,8 @@ def stamp_times(chars: np.ndarray) -> np.ndarray | None:
 
 def canonical_times(stamps: Sequence[str]) -> np.ndarray | None:
     """:func:`stamp_times` of stripped stamps, or None unless every stamp
-    is 16 ASCII characters. The stamps are joined, each followed by a ``/``,
-    which no place of a canonical stamp holds: the ``/`` fall every 17
-    bytes, as the check of their places requires, only when each stamp is
-    16 characters long."""
+    is 16 ASCII characters. Joined, each followed by a ``/``, which no stamp
+    place holds, they have a ``/`` every 17 bytes only then."""
     text = "/".join(stamps) + "/"
     if not text.isascii() or len(text) != len(_STAMP_LOW) * len(stamps):
         return None
@@ -85,52 +80,61 @@ def canonical_times(stamps: Sequence[str]) -> np.ndarray | None:
     return stamp_times(chars.T.copy())  # one row per place, contiguous
 
 
-def _gather(data: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
-    """``data[first[i] + k]`` at ``[k, i]``: the ``width`` bytes from each
-    of ``first``, one column each, so that a byte place is one row."""
-    return data[first + _PLACES[:width, None]]
+def _take_places(data: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:
+    """``data[first + k]`` at ``[k]``, by one ``take`` per byte place."""
+    grid = np.empty((width, *first.shape), dtype=np.uint8)
+    for k in range(width):
+        data[k:].take(first, out=grid[k])
+    return grid
 
 
-def decimal_column(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """The values of the cells ``data[starts[i]:ends[i]]``, or None unless
-    each is ``[-]digits[.digits]`` with 1 to ``_DECIMAL_DIGITS`` digits.
-    Needs ``DECIMAL_WIDTH`` bytes of ``data`` before the first cell.
-
-    A cell is read as ``m / 10**f`` for its digits ``m`` as an integer and
-    its ``f`` digits after the point. Both are exact doubles below 2**53,
-    and IEEE division rounds correctly, so the value is the correctly
-    rounded decimal, which is Python's ``float`` of the cell (Clinger, PLDI
-    1990)."""
+def decimal_columns(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[np.ndarray | None]:
+    """The values of the cells ``data[starts[j, i]:ends[j, i]]``, one array
+    per column j, or None unless each cell of the column is
+    ``[-]digits[.digits]`` with 1 to ``_DECIMAL_DIGITS`` digits. Needs
+    ``DECIMAL_WIDTH`` bytes of ``data`` before the first cell. A cell is
+    ``m / 10**f`` for its digits ``m`` as an integer and its ``f`` digits
+    after the point: both exact doubles, so IEEE division gives Python's
+    ``float`` of the cell (Clinger, PLDI 1990)."""
+    converted: list[np.ndarray | None] = [None] * len(starts)
     lengths = ends - starts
+    fits = (lengths.max(axis=1) <= DECIMAL_WIDTH) & (lengths.min(axis=1) >= 1)
+    if not fits.any():
+        return converted
+    if not fits.all():
+        starts, ends, lengths = starts[fits], ends[fits], lengths[fits]
     width = int(lengths.max())
-    if width > DECIMAL_WIDTH or lengths.min() < 1:
-        return None
-    # Each cell right-aligned in a column of `width` bytes; the bytes above
-    # it belong to earlier cells and are masked out.
-    cells = _gather(data, ends - width, width)
-    place = _PLACES[:width, None]
-    lead = width - lengths
-    inside = place >= lead
-    digit = (cells >= ord("0")) & (cells <= ord("9")) & inside
-    point = (cells == ord(".")) & inside
-    minus = (cells == ord("-")) & (place == lead)
-    points, count = point.sum(axis=0), digit.sum(axis=0)
-    if (
-        ((digit | point | minus) != inside).any()
-        or points.max() > 1
-        or count.min() < 1
-        or count.max() > _DECIMAL_DIGITS
-    ):
-        return None
-    at = (point * place).sum(axis=0)  # the point's place, or 0
-    # Each digit times its place value, a place lower before the point: the
-    # terms and their sums are integers below 2**53, so exact.
-    terms = (cells - float(ord("0"))) * digit
-    terms *= _POW10[width - 1 :: -1, None]
-    terms /= np.where(place < at, 10.0, 1.0)
-    values = terms.sum(axis=0) / _POW10[np.where(points, width - 1 - at, 0)]
-    values *= np.where(minus.any(axis=0), -1.0, 1.0)
-    return values
+    grid = _take_places(data, ends - width, width)
+    grid -= ord("0")  # a digit is below 10, other bytes wrap
+    minus = data[starts] == ord("-")
+    body = lengths.astype(np.uint8) - minus  # the bytes after a sign
+    place = _PLACES[:width, None, None]
+    grid *= place >= width - body  # earlier cells' bytes: leading zeros
+    point = (grid == _POINT).view(np.uint8)
+    points = np.add.reduce(point, axis=0, dtype=np.uint8)
+    digits = body - points
+    # A cell reads if its body is 1 to 15 digits and at most one point.
+    fails = np.add.reduce(grid < 10, axis=0, dtype=np.uint8) + points != width
+    fails |= (points > 1) | (digits < 1) | (digits > _DECIMAL_DIGITS)
+    point *= place + 1
+    after = np.add.reduce(point, axis=0, dtype=np.uint8)  # the point's place + 1, or 0
+    del point
+    # The digits before a point move down over it: a cell that reads has
+    # its digits, an exact integer, in the last 15 places.
+    np.copyto(grid[1:], grid[:-1], where=place[1:] < after)
+    grid[0] *= after == 0
+    integers = np.zeros(grid.shape[1:])
+    for row in grid[-_DECIMAL_DIGITS:]:
+        integers *= 10.0
+        integers += row
+    # A cell of two points reads nothing; it indexes no power.
+    powers = _POW10.take(np.multiply(width - after, points == 1, out=after))
+    columns = zip(np.flatnonzero(fits).tolist(), fails.any(axis=1).tolist(), integers, powers, minus)
+    for j, fail, integer, power, negative in columns:
+        if not fail:
+            values = converted[j] = integer / power
+            np.negative(values, out=values, where=negative)
+    return converted
 
 
 def cell_texts(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[list[str]]:
@@ -156,16 +160,11 @@ def plain_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
     """The times and the value cells of a block of whole data lines without
     a quote, or None unless ``csv.reader`` would split every line at each of
-    its commas into ``width`` cells and every stamp is canonical (see
-    :func:`stamp_times`, unpadded).
-
-    A plain block has no carriage return but in a ``\\r\\n`` line end, no NUL
-    (which the reader treats specially) and no cell longer than
-    ``csv.field_size_limit()`` (which the reader rejects). It has no blank
-    row either: each row has a stamp. The value cells are given as the bytes
-    ``data`` of the block, after ``DECIMAL_WIDTH`` spaces, and the ``starts``
-    and ``ends`` of the cells of each value column of ``indices``, one row
-    per column."""
+    its commas into ``width`` cells (no lone carriage return, NUL, blank row
+    or cell over ``csv.field_size_limit()``) and every stamp is canonical
+    (see :func:`stamp_times`, unpadded). The value cells are the block's
+    bytes ``data``, after ``DECIMAL_WIDTH`` spaces, and the ``starts`` and
+    ``ends`` of each value column of ``indices``, one row per column."""
     if "\0" in text:
         return None
     if "\r" in text:
@@ -193,5 +192,5 @@ def plain_block(
     ends = ends.T[indices]
     if ((ends[0] - starts[0]) != _STAMP_CHARS).any():
         return None
-    times = stamp_times(_gather(data, starts[0], _STAMP_CHARS))
+    times = stamp_times(_take_places(data, starts[0], _STAMP_CHARS))
     return None if times is None else (times, data, starts[1:], ends[1:])

@@ -442,6 +442,8 @@ def _first_copies(columns: np.ndarray) -> np.ndarray:
     return first
 
 
+# Overflowing products fail the fit or lose the search, quietly.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def forward_select(
     candidates: Sequence[str],
     train: RecordSeries,
@@ -502,38 +504,37 @@ def forward_select(
     active = np.array([name not in base for name in candidates])
     scores = np.empty(m)
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while active.any():
-            if n <= residuals.k + 1:
-                raise InsufficientDataError(n, residuals.k + 1)
-            ok, error = residuals.trials()
-            ok &= active
-            # The holdout ferms of every trial: np.mean's sum and division, in place.
-            np.add.reduce(np.square(error, out=error), axis=1, out=scores)
-            np.sqrt(np.divide(scores, hours, out=scores), out=scores)
-            np.divide(np.multiply(100.0, scores, out=scores), mean_actual, out=scores)
-            ranked = np.where(ok & np.isfinite(scores), scores, np.inf)
-            best = int(ranked.argmin())  # the first minimum: ties go to the earlier candidate
-            added = ranked[best] < best_score
-            if added:
-                best_score = float(ranked[best])
-                ranked[best] = np.inf
-            runner_up = int(ranked.argmin())
-            if trace is not None:
-                scored = ranked[runner_up] < np.inf
-                trace.append(SelectionStep(
-                    added=candidates[best] if added else None,
-                    ferms=best_score,
-                    runner_up=candidates[runner_up] if scored else None,
-                    runner_up_ferms=float(ranked[runner_up]) if scored else None,
-                    disqualified=tuple(candidates[j] for j in (active & ~ok).nonzero()[0]),
-                ))
-            active = ok
-            if not added:
-                break
-            residuals.append(best)
-            idx.append(best)
-            active[best] = False
+    while active.any():
+        if n <= residuals.k + 1:
+            raise InsufficientDataError(n, residuals.k + 1)
+        ok, error = residuals.trials()
+        ok &= active
+        # The holdout ferms of every trial: np.mean's sum and division, in place.
+        np.add.reduce(np.square(error, out=error), axis=1, out=scores)
+        np.sqrt(np.divide(scores, hours, out=scores), out=scores)
+        np.divide(np.multiply(100.0, scores, out=scores), mean_actual, out=scores)
+        ranked = np.where(ok & np.isfinite(scores), scores, np.inf)
+        best = int(ranked.argmin())  # the first minimum: ties go to the earlier candidate
+        added = ranked[best] < best_score
+        if added:
+            best_score = float(ranked[best])
+            ranked[best] = np.inf
+        runner_up = int(ranked.argmin())
+        if trace is not None:
+            scored = ranked[runner_up] < np.inf
+            trace.append(SelectionStep(
+                added=candidates[best] if added else None,
+                ferms=best_score,
+                runner_up=candidates[runner_up] if scored else None,
+                runner_up_ferms=float(ranked[runner_up]) if scored else None,
+                disqualified=tuple(candidates[j] for j in (active & ~ok).nonzero()[0]),
+            ))
+        active = ok
+        if not added:
+            break
+        residuals.append(best)
+        idx.append(best)
+        active[best] = False
 
     spec = tuple(candidates[j] for j in idx)
     return spec, residuals.model(spec), best_score

@@ -11,7 +11,7 @@ from datetime import date, datetime
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -638,6 +638,7 @@ def _mutate_lines(lines: list[str], mutation: tuple) -> list[str]:
 
 @settings(max_examples=30, deadline=None)
 @given(mutations=st.lists(_csv_mutation, min_size=1, max_size=4))
+@example(mutations=[("edit", 1, 1, "1e308"), ("edit", 2, 1, "1e308")])  # the column sum and the fit overflow
 def test_mutated_csv_exits_cleanly_and_finite(mutations):
     lines = BUNDLED_DATA.read_text().splitlines()
     for mutation in mutations:

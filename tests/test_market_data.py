@@ -761,7 +761,8 @@ def test_numpy_float_cast_matches_python_float(cells):
 
 # The arithmetic converters of canonical blocks. A decimal cell of 1 to 15
 # digits is read as float reads it, bit for bit; any other column is left to
-# float (the converter declines it).
+# float (the converter declines it). The value columns of a block are read
+# together, but each column reads or declines by its own cells.
 _DECIMAL_FORM = re.compile(r"-?[0-9]*\.?[0-9]*")
 _decimal_cell = st.builds(
     "".join,
@@ -772,30 +773,51 @@ _decimal_cell = st.builds(
         st.text("0123456789", max_size=10),
     ),
 )
+# 16 to 20 digits, with a point anywhere among them or none: wider than a
+# decimal cell, up to and past DECIMAL_WIDTH characters.
+_wide_cell = st.builds(
+    lambda sign, digits, at, point: sign + digits[: at % (len(digits) + 1)] + point + digits[at % (len(digits) + 1) :],
+    st.sampled_from(["", "-"]),
+    st.text("0123456789", min_size=16, max_size=20),
+    st.integers(0, 20),
+    st.sampled_from(["", "."]),
+)
+_block_cell = st.one_of(_decimal_cell, _wide_cell, st.sampled_from(["", "-", "."]))
 
 
 def _converts_as_decimal(cell: str) -> bool:
     return _DECIMAL_FORM.fullmatch(cell) is not None and 1 <= sum(map(str.isdigit, cell)) <= 15
 
 
-@example(["-0.0", ".5", "5.", "007.50", "-.5", "0", "-0", "999999999999999", "0.000000000000001"])
-@example(["0.3", "1.1", "-2.675", "0.1234567890123"])  # m * 10**-f would round these differently
-@example(["1234567890123456", "1.5"])
-@example(["1.5", "-", "2"])
-@example(["1.5", ".", "2"])
-@example(["", "1"])
-@given(st.lists(_decimal_cell, min_size=1, max_size=8))
-def test_decimal_converter_matches_float(cells):
-    text = " " * plain_blocks.DECIMAL_WIDTH + ",".join(cells) + "\n"
+def _one_column(*cells):
+    return example([[cell] for cell in cells])
+
+
+@_one_column("-0.0", ".5", "5.", "007.50", "-.5", "0", "-0", "999999999999999", "0.000000000000001")
+@_one_column("0.3", "1.1", "-2.675", "0.1234567890123")  # m * 10**-f would round these differently
+@_one_column("1234567890123456", "1.5")
+@_one_column("1.5", "-", "2")
+@_one_column("1.5", ".", "2")
+@_one_column("", "1")
+@example([["-0", ".5", "5."], ["5.", "-0", ".5"]])
+@example([["12345678901234567", "1.5", "-2"], ["3", "-0.25", "7."]])  # a 17-digit column beside short ones
+@example([["-1234567890.12345", "1"], ["2", "-9876543210.54321"]])  # 15 digits, a sign and a point: 17 characters
+@example([["-123456789012.345", "1", "1.2.3"], ["-1.5", "-", "4"]])
+@given(st.integers(1, 5).flatmap(lambda k: st.lists(st.lists(_block_cell, min_size=k, max_size=k), min_size=1, max_size=6)))
+def test_decimal_converter_matches_float(rows):
+    text = " " * plain_blocks.DECIMAL_WIDTH + "".join(",".join(row) + "\n" for row in rows)
     data = np.frombuffer(text.encode(), dtype=np.uint8)
     ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
     starts = np.append(plain_blocks.DECIMAL_WIDTH, ends[:-1] + 1)
-    values = plain_blocks.decimal_column(data, starts, ends)
-    if not all(map(_converts_as_decimal, cells)):
-        assert values is None
-        return
-    assert values is not None
-    assert np.array_equal(values.view(np.uint64), np.array([float(cell) for cell in cells]).view(np.uint64))
+    shape = (len(rows), len(rows[0]))  # one row of starts and ends per column
+    converted = plain_blocks.decimal_columns(data, starts.reshape(shape).T, ends.reshape(shape).T)
+    assert len(converted) == shape[1]
+    for cells, values in zip(zip(*rows), converted):
+        if not all(map(_converts_as_decimal, cells)):
+            assert values is None
+            continue
+        assert values is not None
+        assert np.array_equal(values.view(np.uint64), np.array([float(cell) for cell in cells]).view(np.uint64))
 
 
 _stamp_fields = st.tuples(
