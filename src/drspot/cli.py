@@ -34,8 +34,6 @@ class CommandError(Exception):
 def _stage(name: str):
     try:
         yield
-    except (ModelRejectedError, CommandError):
-        raise
     except (MarketDataError, RegressionError, ConfigError, EmptyWindowError, ValueError, OSError) as exc:
         raise CommandError(f"{name}: {exc}") from exc
 
@@ -295,10 +293,7 @@ def main(argv=None) -> int:
     except ModelRejectedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (MarketDataError, RegressionError, ConfigError, EmptyWindowError, OSError, ValueError) as exc:
+    except (CommandError, MarketDataError, RegressionError, ConfigError, EmptyWindowError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from bisect import bisect_right
 from datetime import date, datetime
 from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
@@ -133,9 +132,7 @@ def _first(mask: np.ndarray) -> int:
     return int(mask.argmax()) if mask.any() else len(mask)
 
 
-def _fill_gaps(
-    times: np.ndarray, values: dict[str, np.ndarray]
-) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
+def _fill_gaps(times: np.ndarray, values: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Fill the holes of an increasing, hour-aligned series: demand and
     weather linearly interpolated, prices forward-filled. Returns the full
     times, the full columns and the mask of the synthesized rows."""
@@ -146,11 +143,10 @@ def _fill_gaps(
     prev = before[synthesized]
     nxt = prev + 1
     frac = (full[synthesized] - offset[prev]) / (offset[nxt] - offset[prev])
-    filled = {}
-    for name, column in values.items():
-        filled[name] = column[before]
-        if name in ("demand", "dry_bulb_temp", "dew_point"):
-            filled[name][synthesized] = column[prev] + frac * (column[nxt] - column[prev])
+    filled = [column[before] for column in values]
+    for name, column, full_column in zip(REQUIRED_COLUMNS[1:], values, filled):
+        if name != "spot_price":
+            full_column[synthesized] = column[prev] + frac * (column[nxt] - column[prev])
     return times[0] + full * HOUR64, filled, synthesized
 
 
@@ -177,21 +173,22 @@ _CHUNK_ROWS = 256
 _BLOCK_CHARS = 1 << 17
 
 
+_Failures = list[tuple[int, int, MarketDataError]]
+
+
 def _check_values(
     columns: Sequence[tuple[np.ndarray, int, Sequence[str] | None]], row_nums: Sequence[int]
-) -> tuple[dict[str, np.ndarray], list[tuple[int, int, MarketDataError]]]:
+) -> tuple[list[np.ndarray], _Failures]:
     """The value columns of a chunk of data rows on file rows ``row_nums``,
     and the (row within the chunk, check rank within the row, error) of each
     column's first bad cell. Each column is given as its values up to the
     first cell rejected as non-numeric, that cell's index, and the raw cells
     (needed only when one is bad)."""
-    failures: list[tuple[int, int, MarketDataError]] = []
-    values: dict[str, np.ndarray] = {}
+    failures: _Failures = []
     for rank, (column, (parsed, bad, raw)) in enumerate(zip(REQUIRED_COLUMNS[1:], columns), start=1):
-        values[column] = parsed
-        # A finite sum rules out nan and inf in one pass; an overflowing one
-        # sends the column to the cell-by-cell search.
-        with np.errstate(over="ignore"):
+        # A finite sum rules out nan and inf in one pass; an overflowing one,
+        # or inf plus -inf, sends the column to the cell-by-cell search.
+        with np.errstate(over="ignore", invalid="ignore"):
             total = parsed.sum()
         non_finite = len(parsed) if math.isfinite(total) else _first(~np.isfinite(parsed))
         reason = "non-numeric value"
@@ -199,12 +196,12 @@ def _check_values(
             bad, reason = non_finite, "non-finite value"
         if bad < len(row_nums):
             failures.append((bad, rank, ParseError(row_nums[bad], column, raw[bad].strip(), reason)))
-    return values, failures
+    return [parsed for parsed, _, _ in columns], failures
 
 
 def _plain_columns(
     times: np.ndarray, data: np.ndarray, starts: np.ndarray, ends: np.ndarray, row_nums: Sequence[int]
-) -> tuple[np.ndarray, dict[str, np.ndarray], list[tuple[int, int, MarketDataError]]]:
+) -> tuple[np.ndarray, list[np.ndarray], _Failures]:
     """The checked columns of a plain block (see :func:`_plain_block`) on
     file rows ``row_nums``. The value columns of decimal cells are converted
     together; any other goes through :func:`_float_column`, from its cells
@@ -217,7 +214,7 @@ def _plain_columns(
 
 def _convert_rows(
     rows: Sequence[list[str]], row_nums: Sequence[int], indices: Sequence[int]
-) -> tuple[np.ndarray, dict[str, np.ndarray], list[tuple[int, int, MarketDataError]]]:
+) -> tuple[np.ndarray, list[np.ndarray], _Failures]:
     """The checked columns of a chunk of non-blank records that
     ``csv.reader`` split, on file rows ``row_nums``: the times up to the
     first bad stamp, the value columns, and the (row within the chunk, check
@@ -226,7 +223,7 @@ def _convert_rows(
     and by ``datetime.fromisoformat`` otherwise. ``indices`` holds the file
     column of each of ``REQUIRED_COLUMNS``, the order in which a row's cells
     are checked. A short row is the chunk's last row."""
-    failures: list[tuple[int, int, MarketDataError]] = []
+    failures: _Failures = []
     width = max(indices) + 1
     if min(map(len, rows)) < width:
         short = next(i for i, row in enumerate(rows) if len(row) < width)
@@ -259,15 +256,15 @@ def _convert_rows(
     return times, values, failures + checked
 
 
-_Chunk = tuple[Sequence[int], np.ndarray, dict[str, np.ndarray], list[tuple[int, int, MarketDataError]]]
+_Chunk = tuple[Sequence[int], np.ndarray, list[np.ndarray], _Failures]
 
 
-def _record_chunks(
-    lines: Iterable[str], offset: int, indices: Sequence[int], malformed: list[ParseError]
-) -> Iterator[_Chunk]:
+def _record_chunks(lines: Iterable[str], offset: int, indices: Sequence[int]) -> Iterator[_Chunk]:
     """The file rows and :func:`_convert_rows` of each chunk of the
     non-blank CSV records of ``lines``, which follow line ``offset`` of the
-    file (see :func:`_records`)."""
+    file (see :func:`_records`). A record the reader rejects raises after
+    the chunk before it, so only when every row before it is valid."""
+    malformed: list[ParseError] = []
     records = _records(csv.reader(lines), offset, malformed)
     while batch := list(islice(records, _CHUNK_ROWS)):
         # A row is blank when the text of all its cells is whitespace; one
@@ -281,6 +278,8 @@ def _record_chunks(
             nums, rows = zip(*kept)
             nums = tuple(map((offset + 1).__add__, nums))
             yield (nums, *_convert_rows(rows, nums, indices))
+    if malformed:
+        raise malformed[0]
 
 
 def _text_blocks(read: Callable[[int], str]) -> Iterator[str]:
@@ -300,16 +299,17 @@ def _text_blocks(read: Callable[[int], str]) -> Iterator[str]:
         yield last
 
 
-def _chunks(
-    source: IO[str], offset: int, width: int, indices: Sequence[int], malformed: list[ParseError]
-) -> Iterator[_Chunk]:
+def _chunks(source: IO[str], offset: int, width: int, indices: Sequence[int]) -> Iterator[_Chunk]:
     """The file rows and checked columns of each chunk of the non-blank data
     rows of the rest of ``source``, which follows line ``offset``, read a
     block at a time (see :func:`_text_blocks`). A plain block (see
     :func:`_plain_block`) is converted from its bytes and gives the same
     chunks as ``csv.reader``; any other block goes through the reader, and
     from a block with a quote on, so does the rest of the file, since a
-    quoted cell can span lines."""
+    quoted cell can span lines. A chunk's failures rank the stamp, then the
+    value columns of a row; the caller adds the hour sequence's and raises
+    the first before the next chunk, so a malformed record raises only when
+    every row before it is valid."""
 
     def lines(text: str) -> io.StringIO:
         # The lines as the source yields them: a lone \r ends one too when
@@ -320,7 +320,7 @@ def _chunks(
     blocks = _text_blocks(source.read)
     for text in blocks:
         if '"' in text:
-            yield from _record_chunks(chain.from_iterable(map(lines, chain([text], blocks))), offset, indices, malformed)
+            yield from _record_chunks(chain.from_iterable(map(lines, chain([text], blocks))), offset, indices)
             return
         plain = _plain_block(text, width, indices)
         if plain is not None:
@@ -330,9 +330,7 @@ def _chunks(
         else:
             block = list(lines(text))
             rows = len(block)
-            yield from _record_chunks(block, offset, indices, malformed)
-            if malformed:
-                return
+            yield from _record_chunks(block, offset, indices)
         offset += rows
 
 
@@ -346,13 +344,14 @@ def parse_hourly_csv(
     """Parse hourly market data from CSV into a RecordSeries.
 
     ``schema`` maps canonical column names to the file's actual header
-    names (identity by default).  Row numbers in errors are 1-based file
-    lines, counting the header as row 1; a record whose quoted cell spans
-    lines is numbered by the line it starts on.  The first bad cell in file
-    order is reported; timestamps with a UTC offset are rejected, and so is
-    a row the CSV reader cannot split (a cell over
-    ``csv.field_size_limit()`` characters, say). A path is read as UTF-8,
-    skipping a leading byte order mark.
+    names (identity by default).  Errors are reported by file row, counting
+    the header as row 1 (a record whose quoted cell spans lines is on the
+    line it starts on), the first in file order: within a row the stamp,
+    then the value columns, then the hour sequence (a hole, a duplicate or
+    an earlier hour). Timestamps with a UTC offset are rejected. A row the
+    CSV reader cannot split (a cell over ``csv.field_size_limit()``
+    characters, say) is reported only when every row before it is valid.
+    A path is read as UTF-8, skipping a leading byte order mark.
 
     In strict mode (default) any hole in the hourly sequence raises
     GapError.  In permissive mode interior gaps are filled (demand and
@@ -382,57 +381,33 @@ def parse_hourly_csv(
             raise MissingColumnError(actual, canonical)
         indices.append(header.index(actual))
 
-    # The file rows of each chunk, and the data rows before it.
-    chunk_rows: list[Sequence[int]] = []
-    rows_before = [0]
-    chunks: list[tuple[np.ndarray, dict[str, np.ndarray]]] = []
-    failures: list[tuple[int, int, MarketDataError]] = []
-    for nums, times, values, chunk_failures in _chunks(source, reader.line_num, len(header), indices, malformed):
-        # Failures are ordered by data row across chunks, then by check rank.
-        failures = [(rows_before[-1] + i, rank, error) for i, rank, error in chunk_failures]
-        chunk_rows.append(nums)
-        rows_before.append(rows_before[-1] + len(nums))
-        chunks.append((times, values))
+    # A chunk's first failure is the file's: every row before it passed.
+    chunks: list[tuple[np.ndarray, ...]] = []
+    for nums, times, values, failures in _chunks(source, reader.line_num, len(header), indices):
+        # Each row's step from the last hour kept; strict mode takes one hour only.
+        step = np.diff(times, prepend=chunks[-1][0][-1:] if chunks else times[:1] - HOUR64)
+        bad = _first(step != HOUR64 if strict else step <= np.timedelta64(0))
+        if bad < len(times):
+            expected, found = (times[bad] - step[bad]).item() + HOUR, times[bad].item()
+            error = GapError(expected) if found > expected else GapError(expected, found, nums[bad])
+            failures.append((bad, len(REQUIRED_COLUMNS), error))
         if failures:
-            break
+            raise min(failures, key=itemgetter(0, 1))[2]
+        chunks.append((times, *values))
+        del step  # freed before the next block is read
     if not chunks:
-        if malformed:
-            raise malformed[0]
         return RecordSeries([], [], [], [], [], holidays=holidays)
 
-    times = np.concatenate([chunk_times for chunk_times, _ in chunks])
-    step = np.diff(times)
-    bad = _first((step <= np.timedelta64(0)) | ((step > HOUR64) if strict else False)) + 1
-    gaps = bool((step > HOUR64).any())
-    del step
-    if bad < len(times):
-        expected, found = times[bad - 1].item() + HOUR, times[bad].item()
-        k = bisect_right(rows_before, bad) - 1
-        row = chunk_rows[k][bad - rows_before[k]]
-        error = GapError(expected) if found > expected else GapError(expected, found, row)
-        failures.append((bad, len(REQUIRED_COLUMNS), error))
-    if malformed:  # it follows every row read
-        failures.append((rows_before[-1], 0, malformed[0]))
-    if failures:
-        raise min(failures, key=itemgetter(0, 1))[2]
-
-    def column(name: str) -> np.ndarray:
-        return np.concatenate([chunk_values[name] for _, chunk_values in chunks])
-
-    columns = {
-        "demand": column("demand_mwh"),
-        "spot_price": column("spot_price"),
-        "dry_bulb_temp": column("dry_bulb_f"),
-        "dew_point": column("dew_point_f"),
-    }
+    times, *columns = map(np.concatenate, zip(*chunks))
     # The chunks go first, so that the calendar columns can take their memory.
     chunks.clear()
     filled = times[:0]
-    if gaps:
+    # Increasing hours have a hole when they span more than one hour a row.
+    if times[-1] - times[0] > (len(times) - 1) * HOUR64:
         times, columns, synthesized = _fill_gaps(times, columns)
         filled = times[synthesized]
     # The columns are this function's own: the series takes them without a copy.
-    return RecordSeries._adopt([times, *columns.values()], holidays=holidays, filled=filled)
+    return RecordSeries._adopt([times, *columns], holidays=holidays, filled=filled)
 
 
 def write_hourly_csv(series: RecordSeries, dest: str | Path | IO[str]) -> None:

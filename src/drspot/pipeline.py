@@ -31,6 +31,7 @@ from .regression import (
     LengthMismatchError,
     RegressionModel,
     SelectionStep,
+    check_thresholds,
     design_matrix,
     forward_select,
     predict,
@@ -89,11 +90,7 @@ class ScenarioConfig:
             raise ValueError(f"ferms_gate must be finite and > 0, got {self.ferms_gate}")
         if self.holdout_days < 1:
             raise ValueError(f"holdout_days must be >= 1, got {self.holdout_days}")
-        t10, t5, t1 = self.significance_thresholds
-        if not 0 < t10 < t5 < t1:
-            raise ValueError(
-                f"significance thresholds must satisfy 0 < t10 < t5 < t1, got {self.significance_thresholds}"
-            )
+        check_thresholds(self.significance_thresholds)
         object.__setattr__(self, "feature_candidates", validate_feature_spec(self.feature_candidates))
         object.__setattr__(self, "base_features", validate_feature_spec(self.base_features))
 

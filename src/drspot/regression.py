@@ -54,6 +54,11 @@ class RankDeficientError(RegressionError):
         self.column = column
 
 
+class ValuesTooLargeError(RegressionError):
+    def __init__(self, column: str):
+        super().__init__(f"values of {column!r} are too large for least squares")
+
+
 class InsufficientDataError(RegressionError):
     def __init__(self, n_obs: int, n_features: int):
         super().__init__(f"need more observations than features, got n={n_obs} with m={n_features}")
@@ -82,13 +87,19 @@ class SignificanceLevel(Enum):
     NOT_SIGNIFICANT = ""
 
 
+def check_thresholds(thresholds: tuple[float, float, float]) -> None:
+    """Raise ValueError unless the (10%, 5%, 1%) thresholds rise from zero."""
+    t10, t5, t1 = thresholds
+    if not 0 < t10 < t5 < t1:
+        raise ValueError(f"significance thresholds must satisfy 0 < t10 < t5 < t1, got {thresholds}")
+
+
 def significance_level(
     t: float, thresholds: tuple[float, float, float] = DEFAULT_THRESHOLDS
 ) -> SignificanceLevel:
     """Band |t| against the (10%, 5%, 1%) thresholds."""
+    check_thresholds(thresholds)
     t10, t5, t1 = thresholds
-    if not 0 < t10 < t5 < t1:
-        raise ValueError(f"thresholds must satisfy 0 < t10 < t5 < t1, got {thresholds}")
     abs_t = abs(t)
     if abs_t >= t1:
         return SignificanceLevel.ONE_PERCENT
@@ -211,7 +222,8 @@ def fit_ols(X: np.ndarray, y: np.ndarray, spec: Sequence[str] | None = None) -> 
 
     Rank deficiency is detected from the R diagonal at a relative
     threshold of ``RANK_TOLERANCE`` and reported with the name of the first
-    offending column. Requires strictly more observations than features.
+    offending column, and a column whose squares overflow as too large.
+    Requires strictly more observations than features.
     """
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -227,6 +239,8 @@ def fit_ols(X: np.ndarray, y: np.ndarray, spec: Sequence[str] | None = None) -> 
     for j in range(m):
         pool.append(j)
     diag = np.diag(pool.r)
+    if not np.isfinite(diag).all():
+        raise ValuesTooLargeError(names[int(np.argmin(np.isfinite(diag)))])
     deficient = diag <= RANK_TOLERANCE * diag.max()
     if deficient.any():
         raise RankDeficientError(names[int(np.argmax(deficient))])
@@ -497,6 +511,9 @@ def forward_select(
     compressed = residuals.v[:, : residuals.t]  # read before the first append
     model = fit_ols(compressed[idx].T, compressed[m], spec=base)
     best_score = ferms(predict(model, holdout_full[:, idx]), y_holdout)
+    if not math.isfinite(model.residual_variance + best_score):  # squares past the float range
+        inf = np.isinf(np.einsum("ij,ij->j", holdout_full[:, idx], holdout_full[:, idx]))
+        raise ValuesTooLargeError(base[int(inf.argmax())] if inf.any() else "spot_price")
 
     for j in idx:
         residuals.append(j)

@@ -111,6 +111,15 @@ class TestFit:
             "error: fit: design matrix is rank deficient: column 'holiday' is linearly dependent\n"
         )
 
+    def test_unordered_significance_thresholds_exit_1(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"significance_thresholds": [2.45, 1.69, 1.3]}))
+        rc = main(["fit", "--data", str(BUNDLED_DATA), "--config", str(config), "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: config: {config}: significance thresholds must satisfy 0 < t10 < t5 < t1, got (2.45, 1.69, 1.3)\n"
+        )
+
     def test_unreadable_data_exits_1(self, compact_config, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         rc = main(["fit", "--data", str(missing), "--config", str(compact_config), "--out", str(tmp_path / "m.json")])
@@ -468,6 +477,33 @@ class TestBadValues:
         rc = run_simulate(path, compact_config, tmp_path / "out")
         assert rc == 1
         assert "baseline energy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stamp, column, value, named",
+        [
+            ("2021-06-07T00:00", 1, "1e160", "demand"),
+            ("2021-06-07T00:00", 1, "1e200", "demand"),
+            ("2021-06-07T00:00", 1, "1e308", "demand"),
+            ("2021-06-07T00:00", 2, "1e308", "spot_price"),  # a training row
+            ("2021-08-08T12:00", 2, "1e308", "spot_price"),  # a holdout row
+            ("2021-08-08T12:00", 1, "1e200", "demand"),
+        ],
+    )
+    def test_values_too_large_for_least_squares_exit_1(self, tmp_path, capsys, stamp, column, value, named):
+        lines = BUNDLED_DATA.read_text().splitlines()
+        row = next(k for k, line in enumerate(lines) if line.startswith(stamp))
+        cells = lines[row].split(",")
+        cells[column] = value
+        lines[row] = ",".join(cells)
+        path = tmp_path / "large.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_simulate(path, BUNDLED_CONFIG, tmp_path / "out", "2021-08-09") == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err == f"error: simulate: values of {named!r} are too large for least squares\n"
+        assert "rank deficient" not in err and "gate" not in err
 
     def test_negative_mean_price_exits_1(self, compact_config, tmp_path, capsys):
         path = tmp_path / "negative.csv"

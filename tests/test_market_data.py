@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import re
+import warnings
 from datetime import date, datetime, timedelta, timezone
 from unittest import mock
 
@@ -88,6 +89,14 @@ def test_parse_non_finite_value_rejected(raw):
     assert excinfo.value.row == 3
     assert excinfo.value.column == "spot_price"
     assert "non-finite value" in str(excinfo.value)
+
+
+def test_parse_opposite_infinities_warn_nothing():
+    bad = CSV_3ROWS.replace("1000.0", "inf").replace("950.0", "-inf")  # their sum is nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="^row 2, column 'demand_mwh': non-finite value: 'inf'$"):
+            parse_hourly_csv(io.StringIO(bad))
 
 
 @pytest.mark.parametrize("raw", ["1_000", "٢٥", "１２", " 9_5 "])
@@ -565,6 +574,57 @@ def test_plain_blocks_number_rows_like_the_csv_reader_across_block_edge():
                     with pytest.raises(MarketDataError) as excinfo:
                         parse(io.StringIO("\n".join(variant) + "\n"))
                     assert str(excinfo.value).startswith(expected)
+
+
+_E = market_data._CHUNK_ROWS
+_OVERSIZE = '"' + "9" * (csv.field_size_limit() + 1) + '"'  # a record csv.reader rejects
+_QUOTED = '"1.0"'  # sends its block, and the rest of the file, through csv.reader
+
+
+def _hour(data_row: int) -> datetime:
+    """The hour of a data row of the file that the test below edits."""
+    return datetime(2021, 6, 7) + timedelta(hours=data_row - 1)
+
+
+_ABC = "column 'demand_mwh': non-numeric value: 'abc'"
+_MALFORMED = "malformed CSV: field larger than field limit"
+
+
+@pytest.mark.parametrize(
+    "edits, error, message",
+    [
+        ({10: "repeat", _E + 10: "abc"}, GapError, "row 12: duplicate hour 2021-06-07T09:00"),
+        ({10: "abc", _E + 10: "drop"}, ParseError, f"row 11, {_ABC}"),
+        # The records from _E + 1 on go through the reader, whose batch of
+        # the records before the malformed one is checked first.
+        ({_E + 1: _QUOTED, _E + 2: "drop", _E + 5: _OVERSIZE}, GapError, f"missing hour {_hour(_E + 2):%Y-%m-%dT%H:%M}"),
+        ({_E + 1: _QUOTED, _E + 2: "abc", _E + 5: _OVERSIZE}, ParseError, f"row {_E + 3}, {_ABC}"),
+        ({_E + 1: _QUOTED, _E + 5: _OVERSIZE}, ParseError, f"row {_E + 6}: {_MALFORMED}"),
+        ({_E + 1: _QUOTED, _E + 5: _OVERSIZE, _E + 10: "abc"}, ParseError, f"row {_E + 6}: {_MALFORMED}"),
+        ({_E + 1: _OVERSIZE}, ParseError, f"row {_E + 2}: {_MALFORMED}"),
+    ],
+    ids=["duplicate_then_cell", "cell_then_hole", "hole_then_malformed", "cell_then_malformed", "malformed",
+         "malformed_then_cell", "malformed_first_in_chunk"],
+)
+def test_first_error_in_file_order_across_chunks(edits, error, message):
+    series = series_from_records([_record(_hour(k), float(k)) for k in range(1, 2 * _E + 20)])
+    lines = series_to_csv(series).splitlines()  # lines[k] is data row k, file row k + 1
+    for data_row, edit in sorted(edits.items(), reverse=True):  # later rows first keeps the indices
+        if edit == "repeat":
+            lines.insert(data_row, lines[data_row])
+        elif edit == "drop":
+            del lines[data_row]
+        else:
+            cells = lines[data_row].split(",")
+            cells[1] = edit
+            lines[data_row] = ",".join(cells)
+    text = "\n".join(lines) + "\n"
+    # The first block, and so the first chunk on both paths, ends after data row _E.
+    with mock.patch.object(market_data, "_BLOCK_CHARS", sum(len(line) + 1 for line in lines[1 : _E + 1])):
+        for parse in (parse_hourly_csv, _parse_by_reader):
+            with pytest.raises(error) as excinfo:
+                parse(io.StringIO(text))
+            assert str(excinfo.value).startswith(message)
 
 
 def _data_blocks(text: str) -> list[list[str]]:
