@@ -52,4 +52,4 @@ from .regression import (
     significance_level,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"

@@ -32,8 +32,9 @@ FULL_FEATURES = (
 DEFAULT_BASE_FEATURES = ("intercept", "demand")
 DEFAULT_THRESHOLDS = (1.3, 1.69, 2.45)
 
-# Relative condition threshold on the QR diagonal below which a column is
-# declared linearly dependent.
+# A column depends on the columns before it when its residual against them
+# is at most this fraction of its own norm: the sine of its angle to their
+# span (Stewart, Statistical Science 2(1), 1987), blind to column scale.
 RANK_TOLERANCE = 1e-10
 
 # Rows per block when forward selection compresses [X y]. LAPACK factors a
@@ -220,10 +221,10 @@ def fit_ols(X: np.ndarray, y: np.ndarray, spec: Sequence[str] | None = None) -> 
     factorization of :class:`_PoolResiduals` with no holdout rows, every
     column appended in order.
 
-    Rank deficiency is detected from the R diagonal at a relative
-    threshold of ``RANK_TOLERANCE`` and reported with the name of the first
-    offending column, and a column whose squares overflow as too large.
-    Requires strictly more observations than features.
+    The first column whose R diagonal entry is at most ``RANK_TOLERANCE``
+    times its own norm is reported as rank deficient, by name, and a column
+    whose squares overflow as too large. Requires strictly more observations
+    than features.
     """
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -236,12 +237,12 @@ def fit_ols(X: np.ndarray, y: np.ndarray, spec: Sequence[str] | None = None) -> 
         raise InsufficientDataError(n, m)
 
     pool = _PoolResiduals(np.column_stack([X, y]), X[:0], y[:0])
+    floor = pool.floor[:m]
+    if not np.isfinite(floor).all():
+        raise ValuesTooLargeError(names[int(np.argmin(np.isfinite(floor)))])
     for j in range(m):
         pool.append(j)
-    diag = np.diag(pool.r)
-    if not np.isfinite(diag).all():
-        raise ValuesTooLargeError(names[int(np.argmin(np.isfinite(diag)))])
-    deficient = diag <= RANK_TOLERANCE * diag.max()
+    deficient = np.diag(pool.r) <= floor
     if deficient.any():
         raise RankDeficientError(names[int(np.argmax(deficient))])
     return pool.model(names)
@@ -283,7 +284,8 @@ class SelectionStep:
     when no candidate lowered the holdout ferms; ``ferms`` is the holdout
     ferms after the step. ``runner_up`` is the best-scoring candidate not
     added (``None`` when no other candidate was scored), and
-    ``disqualified`` lists the candidates the rank rule removed at this step.
+    ``disqualified`` lists the candidates the rank rule removed at this step
+    (at the first step, also the copies of :func:`forward_select`).
     """
 
     added: str | None
@@ -322,21 +324,14 @@ class _PoolResiduals:
     ``_QR_BLOCK_ROWS`` rows (TSQR; Demmel, Grigori, Hoemmen and Langou, SIAM
     J. Sci. Comput. 34, 2012), or the one block's own R. Householder QR is
     columnwise backward stable (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, Thm 19.4), in one level or two, so the rank rule still
-    sees a small column next to a large one. Each row of ``v`` is one column of that R,
-    ``t == min(n, m + 1)`` values, followed by the same column's holdout
-    values; the last row is ``y``'s, with the holdout ``y``. Before the
-    first :meth:`append`, ``v[:, :t].T`` is the compressed ``[X y]``, which
-    the base fit of :func:`forward_select` reads.
-    Householder rounds two bit-identical columns differently, so a
-    training column with the same bytes as an earlier one gets the earlier
-    one's row of R (``first[i]`` is that earlier row, or i; ``first`` is a
-    slice, and its gathers views, when no column repeats), and every
-    per-row sum of the later row (its norm, its products with ``q_x`` and
-    ``y``) is taken from the earlier row, since BLAS may round the same sum
-    differently at another row position. Their training parts then stay
-    equal through every update, and so do their trials when their holdout
-    columns are equal too: the tie is exact.
+    Algorithms, 2002, Thm 19.4), in one level or two, so each column of R
+    keeps its own column's norm, however small next to the others. Each row
+    of ``v`` is one column of that R, ``t == min(n, m + 1)`` values,
+    followed by the same column's holdout values; the last row is ``y``'s,
+    with the holdout ``y``. Before the first :meth:`append`, ``v[:, :t].T``
+    is the compressed ``[X y]``, which the base fit of
+    :func:`forward_select` reads, and ``floor`` is ``RANK_TOLERANCE`` times
+    the norm of each of its rows: the rank rule's floor for that column.
 
     The selected columns are a thin QR factorization of the compressed
     columns kept as ``r``; Q itself is not stored. The training part of row
@@ -369,20 +364,14 @@ class _PoolResiduals:
         self.t = t = compressed.shape[0]
         self.n, self.k = len(xy), 0
         self.r, self.c = np.zeros((m, m)), np.empty((m, m + 1))
-        self.diag_min, self.diag_max = np.inf, 0.0  # of R's diagonal, updated by append
         self.v = v = np.empty((m + 1, t + h))
-        first = _first_copies(xy[:, :m])
-        if (first == np.arange(m)).all():
-            self.first = self.first_xy = slice(None)
-        else:
-            self.first, self.first_xy = first, np.append(first, m)  # y's row is its own
-        v[:, :t] = compressed[:, self.first_xy].T
-        v[:m, t:], v[m, t:] = holdout.T, y_holdout
+        v[:, :t], v[:m, t:], v[m, t:] = compressed.T, holdout.T, y_holdout
         # Views of v and work buffers, so that a step allocates almost nothing.
         self.train = v[:, :t]
         self.x_train, self.y_train = v[:-1, :t], v[-1, :t]
         self.x_holdout, self.y_holdout = v[:-1, t:], v[-1, t:]
-        self.sums, self.lo, self.hi, self.b = np.empty((4, m))
+        self.floor = RANK_TOLERANCE * np.sqrt(np.einsum("ij,ij->i", self.train, self.train))
+        self.sums, self.b = np.empty((2, m))
         self.dots, self.q_x = np.empty(m + 1), np.empty(t + h)
         # One buffer for the trials' holdout errors and the update's outer
         # product, which append writes after the errors have been scored.
@@ -391,7 +380,7 @@ class _PoolResiduals:
 
     def trials(self) -> tuple[np.ndarray, np.ndarray]:
         """The trial fit of every candidate row once k >= 1: ``ok[i]`` is False
-        when appending row i gives an R diagonal that fails the rank rule of
+        when row i's residual is at or below its ``floor``, the rank rule of
         :func:`fit_ols` (then the trial is the fit without it), and
         ``error[i]`` is the trial's holdout forecast minus the holdout ``y``.
         ``error`` is a buffer that the next call, or :meth:`append`,
@@ -401,12 +390,10 @@ class _PoolResiduals:
         the forecast adds ``b`` times row i's holdout part to the selected
         columns' forecast, which is the holdout ``y`` minus ``y``'s."""
         x, b, error = self.x_train, self.b, self.error
-        norms = np.sqrt(np.einsum("ij,ij->i", x, x, out=self.sums), out=self.sums)[self.first]
-        np.minimum(norms, self.diag_min, out=self.lo)
-        np.multiply(RANK_TOLERANCE, np.maximum(norms, self.diag_max, out=self.hi), out=self.hi)
-        ok = self.lo > self.hi
+        norms = np.sqrt(np.einsum("ij,ij->i", x, x, out=self.sums), out=self.sums)
+        ok = norms > self.floor[:-1]
         b.fill(0.0)
-        np.divide(np.matmul(x, self.y_train, out=self.dots[:-1])[self.first], norms, out=b, where=ok)
+        np.divide(np.matmul(x, self.y_train, out=self.dots[:-1]), norms, out=b, where=ok)
         np.divide(b, norms, out=b, where=ok)
         np.multiply(b[:, None], self.x_holdout, out=error)
         return ok, np.subtract(error, self.y_holdout, out=error)
@@ -418,8 +405,7 @@ class _PoolResiduals:
         np.divide(v_i, r_xx or 1.0, out=q_x)  # a zero column removes nothing
         self.r[:k, k] = self.c[:k, i]
         self.r[k, k] = r_xx
-        self.diag_min, self.diag_max = min(self.diag_min, r_xx), max(self.diag_max, r_xx)
-        self.c[k] = np.matmul(self.train, q_x[:t], out=self.dots)[self.first_xy]
+        self.c[k] = np.matmul(self.train, q_x[:t], out=self.dots)
         np.subtract(self.v, np.multiply(self.c[k, :, None], q_x, out=self.outer), out=self.v)
         self.k = k + 1
 
@@ -441,19 +427,20 @@ class _PoolResiduals:
         return RegressionModel(spec, coefficients, std_errors, t_values, self.n, residual_variance)
 
 
-def _first_copies(columns: np.ndarray) -> np.ndarray:
-    """For each column, the index of the first column with the same bytes."""
-    bits = columns.view(np.uint64)
-    # A position-weighted sum, wrapping, tells columns apart in one pass;
-    # columns with equal sums are compared byte for byte.
-    weights = np.arange(1, len(bits) + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    first, seen = np.arange(bits.shape[1]), {}
-    for j, key in enumerate((weights @ bits).tolist()):
+def _earliest_equal(train: np.ndarray, holdout: np.ndarray) -> np.ndarray:
+    """For each column, the index of the earliest column with the same bytes
+    in ``train`` and in ``holdout``."""
+    bits = train.view(np.uint64), holdout.view(np.uint64)
+    # A position-weighted sum of each part, wrapping, tells columns apart in
+    # one pass; columns with equal sums are compared byte for byte.
+    sums = [(np.arange(1, len(b) + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) @ b).tolist() for b in bits]
+    earliest, seen = np.arange(train.shape[1]), {}
+    for j, key in enumerate(zip(*sums)):
         same = seen.setdefault(key, [])
-        first[j] = next((i for i in same if np.array_equal(bits[:, i], bits[:, j])), j)
-        if first[j] == j:
+        earliest[j] = next((i for i in same if all(np.array_equal(b[:, i], b[:, j]) for b in bits)), j)
+        if earliest[j] == j:
             same.append(j)
-    return first
+    return earliest
 
 
 # Overflowing products fail the fit or lose the search, quietly.
@@ -470,7 +457,9 @@ def forward_select(
     Starting from ``base``, repeatedly adds the candidate that most reduces
     holdout ferms; stops when no candidate strictly reduces it. A candidate
     whose trial fit is rank deficient is disqualified for the rest of the
-    search. Ties go to the earlier candidate in list order.
+    search. Ties go to the earlier candidate in list order. A copy, whose
+    training and holdout columns have the bytes of a base or an earlier
+    candidate's, is disqualified at the first step without a trial.
 
     The training ``[X y]`` is compressed once by blocked Householder QR to
     its R factor, ``min(n, m + 1)`` rows for m candidates
@@ -482,11 +471,10 @@ def forward_select(
     carried in the same rows, so that a step's cost does not grow with n:
     each step scores all remaining candidates from their residuals against
     the selected columns, and the model comes from the factorization's own
-    rows (:meth:`_PoolResiduals.model`).
-    Candidates whose columns have the same bytes, in training and in the
-    holdout, tie exactly: when one of them is added it is the earlier, and
-    the later one is disqualified at the next step. When ``trace`` is a
-    list, one :class:`SelectionStep` per step is added.
+    rows (:meth:`_PoolResiduals.model`). A candidate whose squares
+    overflow, in training or in the holdout, is named as too large before
+    any fit. When ``trace`` is a list, one :class:`SelectionStep` per step
+    is added.
 
     Returns the selected spec, the model fitted on ``train`` with it and
     its holdout ferms, the score that selected it.
@@ -505,15 +493,25 @@ def forward_select(
     xy[:, m] = train.spot_price
     holdout_full, y_holdout = design_matrix(holdout, candidates), holdout.spot_price
     residuals = _PoolResiduals(xy, holdout_full, y_holdout)
+    earliest = _earliest_equal(xy[:, :m], holdout_full)
     del xy
+    # Every column's squares, in training (its floor) and holdout, must fit.
+    for sums in residuals.floor, np.einsum("ij,ij->j", holdout_full, holdout_full):
+        if not np.isfinite(sums).all():
+            raise ValuesTooLargeError((*candidates, "spot_price")[int(np.isfinite(sums).argmin())])
 
     idx = [candidates.index(name) for name in base]
+    # A copy gets an infinite floor, which no trial passes: the first step
+    # disqualifies it. A base column is kept, and any copy of it dropped.
+    copy = earliest != np.arange(m)
+    copy[earliest[idx]] = True
+    copy[idx] = False
+    residuals.floor[:m][copy] = np.inf
     compressed = residuals.v[:, : residuals.t]  # read before the first append
     model = fit_ols(compressed[idx].T, compressed[m], spec=base)
     best_score = ferms(predict(model, holdout_full[:, idx]), y_holdout)
-    if not math.isfinite(model.residual_variance + best_score):  # squares past the float range
-        inf = np.isinf(np.einsum("ij,ij->j", holdout_full[:, idx], holdout_full[:, idx]))
-        raise ValuesTooLargeError(base[int(inf.argmax())] if inf.any() else "spot_price")
+    if not math.isfinite(model.residual_variance + best_score):  # the holdout prices' squares
+        raise ValuesTooLargeError("spot_price")
 
     for j in idx:
         residuals.append(j)

@@ -144,9 +144,9 @@ def fit_ols(X: np.ndarray, y: np.ndarray, spec: Sequence[str] | None = None) -> 
     """Ordinary least squares via Householder QR of the n rows, with
     classical standard errors and the residual taken on the n rows.
 
-    Rank deficiency is detected from the QR diagonal at a relative
-    threshold of ``RANK_TOLERANCE`` and reported with the offending column
-    name. Requires strictly more observations than features.
+    The first column whose QR diagonal entry is at most ``RANK_TOLERANCE``
+    times the column's norm is reported as rank deficient, by name.
+    Requires strictly more observations than features.
     """
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -159,10 +159,9 @@ def fit_ols(X: np.ndarray, y: np.ndarray, spec: Sequence[str] | None = None) -> 
         raise InsufficientDataError(n, m)
 
     q, r = np.linalg.qr(X)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= RANK_TOLERANCE * diag.max():
-        bad = int(np.argmax(diag <= RANK_TOLERANCE * diag.max()))
-        raise RankDeficientError(names[bad])
+    deficient = np.abs(np.diag(r)) <= RANK_TOLERANCE * np.linalg.norm(X, axis=0)
+    if deficient.any():
+        raise RankDeficientError(names[int(np.argmax(deficient))])
     coefficients = np.linalg.solve(r, q.T @ y)
     residual = y - X @ coefficients
     residual_variance = float(residual @ residual) / (n - m)
@@ -177,9 +176,8 @@ def fit_ols(X: np.ndarray, y: np.ndarray, spec: Sequence[str] | None = None) -> 
 
 class PoolResiduals:
     """The factorization of ``drspot.regression._PoolResiduals``, with every
-    vector operation of a step on fresh temporaries: the diagonal of R
-    re-read at each trial, and the compressed ``[X y]`` always taken from a
-    second QR of the stacked block factors."""
+    vector operation of a step on fresh temporaries, and the compressed
+    ``[X y]`` always taken from a second QR of the stacked block factors."""
 
     def __init__(self, xy: np.ndarray, holdout: np.ndarray, y_holdout: np.ndarray):
         m = xy.shape[1] - 1
@@ -190,17 +188,15 @@ class PoolResiduals:
         self.n, self.k = len(xy), 0
         self.r, self.c = np.zeros((m, m)), np.empty((m, m + 1))
         self.v = np.empty((m + 1, t + len(y_holdout)))
-        self.first = np.append(regression._first_copies(xy[:, :m]), m)  # y's row is its own
-        self.v[:, :t] = compressed[:, self.first].T
-        self.v[:m, t:], self.v[m, t:] = holdout.T, y_holdout
+        self.v[:, :t], self.v[:m, t:], self.v[m, t:] = compressed.T, holdout.T, y_holdout
+        self.floor = RANK_TOLERANCE * np.sqrt(np.einsum("ij,ij->i", self.v[:, :t], self.v[:, :t]))
 
     def trials(self) -> tuple[np.ndarray, np.ndarray]:
-        t, v, y, first = self.t, self.v[:-1], self.v[-1], self.first[:-1]
-        norms = np.sqrt(np.einsum("ij,ij->i", v[:, :t], v[:, :t]))[first]
-        diag = np.abs(np.diag(self.r)[: self.k])
-        ok = np.minimum(norms, diag.min()) > RANK_TOLERANCE * np.maximum(norms, diag.max())
+        t, v, y = self.t, self.v[:-1], self.v[-1]
+        norms = np.sqrt(np.einsum("ij,ij->i", v[:, :t], v[:, :t]))
+        ok = norms > self.floor[:-1]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            b = np.where(ok, (v[:, :t] @ y[:t])[first] / norms / norms, 0.0)
+            b = np.where(ok, (v[:, :t] @ y[:t]) / norms / norms, 0.0)
         return ok, b[:, None] * v[:, t:] - y[t:]
 
     def append(self, i: int) -> None:
@@ -209,7 +205,7 @@ class PoolResiduals:
         q_x = v_i / (r_xx or 1.0)  # a zero column removes nothing
         self.r[:k, k] = self.c[:k, i]
         self.r[k, k] = r_xx
-        self.c[k] = (self.v[:, :t] @ q_x[:t])[self.first]
+        self.c[k] = self.v[:, :t] @ q_x[:t]
         self.v -= self.c[k, :, None] * q_x
         self.k = k + 1
 
@@ -227,6 +223,16 @@ class PoolResiduals:
         return RegressionModel(spec, coefficients, std_errors, t_values, self.n, residual_variance)
 
 
+def copies(train: np.ndarray, holdout: np.ndarray, base: Sequence[int]) -> list[int]:
+    """The columns outside ``base`` whose training and holdout values have
+    the bytes of a base column's or of an earlier column's."""
+
+    def same(i: int, j: int) -> bool:
+        return all(rows[:, i].tobytes() == rows[:, j].tobytes() for rows in (train, holdout))
+
+    return [j for j in range(train.shape[1]) if j not in base and any(same(i, j) for i in (*base, *range(j)))]
+
+
 def forward_select(
     candidates: Sequence[str],
     train: RecordSeries,
@@ -235,7 +241,8 @@ def forward_select(
     trace: list[SelectionStep] | None = None,
 ) -> tuple[tuple[str, ...], RegressionModel, float]:
     """``drspot.regression.forward_select`` on :class:`PoolResiduals`, each
-    step's scores from ``np.mean`` of new arrays."""
+    step's scores from ``np.mean`` of new arrays, and the :func:`copies`
+    masked out of every step's trials."""
     candidates, base = validate_feature_spec(candidates), validate_feature_spec(base)
     if not set(base) <= set(candidates):
         raise ValueError("base features must be a subset of the candidate pool")
@@ -246,9 +253,10 @@ def forward_select(
     xy[:, m] = train.spot_price
     holdout_full, y_holdout = design_matrix(holdout, candidates), holdout.spot_price
     residuals = PoolResiduals(xy, holdout_full, y_holdout)
+    idx = [candidates.index(name) for name in base]
+    copy = np.isin(np.arange(m), copies(xy[:, :m], holdout_full, idx))
     del xy
 
-    idx = [candidates.index(name) for name in base]
     compressed = residuals.v[:, : residuals.t]  # read before the first append
     model = pool_fit_ols(compressed[idx].T, compressed[m], spec=base)
     best_score = ferms(predict(model, holdout_full[:, idx]), y_holdout)
@@ -262,7 +270,7 @@ def forward_select(
         if n <= residuals.k + 1:
             raise InsufficientDataError(n, residuals.k + 1)
         ok, error = residuals.trials()
-        ok &= active
+        ok &= active & ~copy
         scores = 100.0 * np.sqrt(np.mean(error**2, axis=1)) / mean_actual
         ranked = np.where(ok & np.isfinite(scores), scores, np.inf)
         best = int(np.argmin(ranked))  # the first minimum: ties go to the earlier candidate

@@ -453,6 +453,18 @@ class TestGapHandling:
         assert json.loads((out / "summary.json").read_text())["filled_hours"] == holes
 
 
+def _edited_bundled_data(tmp_path, stamp, column, value):
+    """The bundled CSV with cell ``column`` of the row at ``stamp`` set to ``value``."""
+    lines = BUNDLED_DATA.read_text().splitlines()
+    row = next(k for k, line in enumerate(lines) if line.startswith(stamp))
+    cells = lines[row].split(",")
+    cells[column] = value
+    lines[row] = ",".join(cells)
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestBadValues:
     def test_nan_demand_exits_1(self, compact_config, tmp_path, capsys):
         path = tmp_path / "nan.csv"
@@ -487,16 +499,13 @@ class TestBadValues:
             ("2021-06-07T00:00", 2, "1e308", "spot_price"),  # a training row
             ("2021-08-08T12:00", 2, "1e308", "spot_price"),  # a holdout row
             ("2021-08-08T12:00", 1, "1e200", "demand"),
+            # A candidate outside the base, in a training row and a holdout row
+            ("2021-06-07T00:00", 3, "1e200", "temperature"),
+            ("2021-08-03T12:00", 3, "1e200", "temperature"),
         ],
     )
     def test_values_too_large_for_least_squares_exit_1(self, tmp_path, capsys, stamp, column, value, named):
-        lines = BUNDLED_DATA.read_text().splitlines()
-        row = next(k for k, line in enumerate(lines) if line.startswith(stamp))
-        cells = lines[row].split(",")
-        cells[column] = value
-        lines[row] = ",".join(cells)
-        path = tmp_path / "large.csv"
-        path.write_text("\n".join(lines) + "\n")
+        path = _edited_bundled_data(tmp_path, stamp, column, value)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run_simulate(path, BUNDLED_CONFIG, tmp_path / "out", "2021-08-09") == 1
@@ -504,6 +513,19 @@ class TestBadValues:
         err = capsys.readouterr().err
         assert err == f"error: simulate: values of {named!r} are too large for least squares\n"
         assert "rank deficient" not in err and "gate" not in err
+
+    @pytest.mark.parametrize(
+        "column, value", [(1, "1e11"), (1, "1e12"), (3, "1e12")], ids=["demand-1e11", "demand-1e12", "dry_bulb-1e12"]
+    )
+    def test_large_finite_value_is_fitted_exit_0(self, tmp_path, column, value):
+        # One large demand or temperature in the first training row is a
+        # point of high leverage, not a linear dependence: each column is
+        # judged against its own norm, the fit passes the gate, and
+        # temperature stays a candidate throughout.
+        path = _edited_bundled_data(tmp_path, "2021-06-07T00:00", column, value)
+        assert run_simulate(path, BUNDLED_CONFIG, tmp_path / "out", "2021-08-09") == 0
+        selection = json.loads((tmp_path / "out" / "summary.json").read_text())["selection"]
+        assert all("temperature" not in step["disqualified"] for step in selection)
 
     def test_negative_mean_price_exits_1(self, compact_config, tmp_path, capsys):
         path = tmp_path / "negative.csv"

@@ -440,11 +440,14 @@ class TestDesignMatrixColumns:
 def refit_forward_select(candidates, train, holdout, base):
     """Forward selection that refits every trial from scratch with the
     Householder fit of ``reference``: the reference the residual-update
-    search must reproduce. Also returns the disqualified candidates and the
-    selection trace."""
+    search must reproduce. The copies (``reference.copies``) are
+    disqualified at the first step, untried. Also returns the disqualified
+    candidates and the selection trace."""
     train_full = design_matrix(train, candidates)
     holdout_full = design_matrix(holdout, candidates)
     y_train, y_holdout = train.spot_price, holdout.spot_price
+    base_idx = [candidates.index(name) for name in base]
+    copies = {candidates[j] for j in reference.copies(train_full, holdout_full, base_idx)}
 
     def trial(spec):
         idx = [candidates.index(name) for name in spec]
@@ -462,6 +465,8 @@ def refit_forward_select(candidates, train, holdout, base):
         step_disqualified = []
         for name in list(pool):
             try:
+                if name in copies:
+                    raise RankDeficientError(name)
                 trial_model, score = trial(selected + [name])
             except RankDeficientError:
                 disqualified.append(name)
@@ -607,6 +612,17 @@ def _bundled_split():
     return split_train_holdout(series.between(series.times[0], datetime(2021, 8, 9)), cfg.scenario.holdout_days)
 
 
+def _copied_pair_split(pair):
+    """Two weeks of training and one of holdout in which ``pair``'s second
+    column has the bytes of its first: dew point a copy of temperature, or
+    every Saturday a holiday."""
+    market = synthetic_market(21, seed=4)
+    saturdays = {day.item() for day in np.unique(market.times.astype("datetime64[D]")) if day.item().weekday() == 5}
+    dew, holidays = (market.dry_bulb_temp.copy(), ()) if "dew_point" in pair else (market.dew_point, saturdays)
+    series = RecordSeries(market.times, market.demand, market.spot_price, market.dry_bulb_temp, dew, holidays=holidays)
+    return series[: 14 * 24], series[14 * 24 :]
+
+
 def _moved(last, first=None):
     """All features, with ``last`` moved to the end and ``first``, if given,
     just after the intercept."""
@@ -665,20 +681,16 @@ class TestSelectionMatchesRefit:
         assert ({"temperature", "dew_point"} - kept) <= set(disqualified)
 
     def test_exact_tie_goes_to_earlier_candidate(self):
-        # dew_point is an exact copy of temperature: the two score the same,
-        # temperature comes first in the pool and wins, and dew_point is
-        # disqualified at the next step.
-        market = synthetic_market(21, seed=4)
-        series = RecordSeries(
-            market.times, market.demand, market.spot_price, market.dry_bulb_temp,
-            market.dry_bulb_temp.copy(),
-        )
-        train, holdout = series[: 14 * 24], series[14 * 24 :]
+        # dew_point is an exact copy of temperature, in training and in the
+        # holdout, so the two would tie: temperature comes first in the pool
+        # and is kept, and dew_point is disqualified at the first step
+        # without a trial.
+        train, holdout = _copied_pair_split(("temperature", "dew_point"))
         self._check(SYNTHETIC_CANDIDATES, train, holdout, DEFAULT_BASE_FEATURES)
         trace = []
-        forward_select(SYNTHETIC_CANDIDATES, train, holdout, trace=trace)
-        assert (trace[0].added, trace[0].runner_up, trace[0].margin) == ("temperature", "dew_point", 0.0)
-        assert trace[1].disqualified == ("dew_point",)
+        spec, _, _ = forward_select(SYNTHETIC_CANDIDATES, train, holdout, trace=trace)
+        assert (trace[0].added, trace[0].disqualified) == ("temperature", ("dew_point",))
+        assert trace[0].runner_up != "dew_point" and "dew_point" not in spec
 
     @pytest.mark.parametrize(
         "pair, candidates",
@@ -694,41 +706,48 @@ class TestSelectionMatchesRefit:
     def test_bit_identical_columns_tie_at_any_position(self, pair, candidates):
         # Two candidates with the same bytes, in and out of the holdout: the
         # copy of dew_point is temperature, and with every Saturday a holiday
-        # the holiday column is the Saturday column. Householder QR would
-        # round the two differently, and BLAS may round a row's sums by its
-        # position; the pool gives the later one the earlier one's compressed
-        # row and sums, so they tie exactly wherever they stand.
-        market = synthetic_market(21, seed=4)
-        saturdays = {day.item() for day in np.unique(market.times.astype("datetime64[D]"))
-                     if day.item().weekday() == 5}
-        dew, holidays = (market.dry_bulb_temp.copy(), ()) if "dew_point" in pair else (market.dew_point, saturdays)
-        series = RecordSeries(market.times, market.demand, market.spot_price, market.dry_bulb_temp, dew,
-                              holidays=holidays)
-        train, holdout = series[: 14 * 24], series[14 * 24 :]
+        # the holiday column is the Saturday column. Wherever the two stand,
+        # the later one is disqualified at the first step, before any trial
+        # could score it, and the earlier one is selected as without it.
+        train, holdout = _copied_pair_split(pair)
         earlier, later = (candidates.index(name) for name in pair)
-        rows, errors = [], []
+        candidates_ok = []
 
         class Recorded(_PoolResiduals):
-            def __init__(self, *args):
-                super().__init__(*args)
-                rows.append(self.v.copy())
-
             def trials(self):
                 ok, error = super().trials()
-                errors.append(error[[earlier, later]])
+                candidates_ok.append(ok[[earlier, later]].tolist())
                 return ok, error
 
         trace = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(regression, "_PoolResiduals", Recorded)
             spec, _, _ = forward_select(candidates, train, holdout, trace=trace)
-        assert np.array_equal(rows[0][earlier], rows[0][later])
-        assert all(np.array_equal(*pair_errors) for pair_errors in errors)
-        step = next(i for i, s in enumerate(trace) if s.added == pair[0])
-        assert (trace[step].runner_up, trace[step].margin) == (pair[1], 0.0)
-        assert pair[1] in trace[step + 1].disqualified
+        assert candidates_ok[0] == [True, False]
+        assert pair[1] in trace[0].disqualified
+        assert all(pair[1] not in (step.added, step.runner_up) for step in trace)
         assert pair[0] in spec and pair[1] not in spec
         self._check(candidates, train, holdout, DEFAULT_BASE_FEATURES)
+
+    @pytest.mark.parametrize("pair", [("temperature", "dew_point"), ("saturday", "holiday")])
+    def test_copy_of_a_base_column_is_the_one_dropped(self, pair):
+        # The base column stands later in the pool than its copy: the copy is
+        # disqualified at the first step, and the base is fitted.
+        train, holdout = _copied_pair_split(pair)
+        candidates = _moved(pair[0], first=pair[1])
+        base = ("intercept", "demand", pair[0])
+        trace = []
+        spec, _, _ = forward_select(candidates, train, holdout, base=base, trace=trace)
+        assert spec[:3] == base and pair[1] not in spec
+        assert pair[1] in trace[0].disqualified
+        self._check(candidates, train, holdout, base)
+
+    @pytest.mark.parametrize("pair", [("temperature", "dew_point"), ("dew_point", "temperature")])
+    def test_two_base_copies_name_the_later(self, pair):
+        train, holdout = _copied_pair_split(("temperature", "dew_point"))
+        with pytest.raises(RankDeficientError) as info:
+            forward_select(FULL_FEATURES, train, holdout, base=("intercept", *pair))
+        assert info.value.column == pair[1]
 
     @pytest.mark.parametrize("market", ["bundled", "month_and_holiday"])
     def test_in_place_design_selects_like_a_copied_one(self, market):
@@ -774,10 +793,15 @@ class TestSelectionMatchesRefit:
     [
         (lambda X, rng: X @ np.array([2.0, -3.0]), True),  # inside the span of X
         (lambda X, rng: rng.normal(size=len(X)), False),
-        # so large that an existing R diagonal entry falls below the tolerance
-        (lambda X, rng: 1e12 * rng.normal(size=len(X)), True),
+        # Each column is judged against its own norm, so a column 1e12 times
+        # the others, which puts their R diagonal entries below 1e-10 of its
+        # own, depends on them no more than at unit scale; nor does a column
+        # 1e-12 times them, and one in their span does at any scale.
+        (lambda X, rng: 1e12 * rng.normal(size=len(X)), False),
+        (lambda X, rng: 1e-12 * rng.normal(size=len(X)), False),
+        (lambda X, rng: 1e-12 * (X @ np.array([2.0, -3.0])), True),
     ],
-    ids=["in_span", "independent", "dwarfs_existing"],
+    ids=["in_span", "independent", "dwarfs_existing", "dwarfed", "dwarfed_in_span"],
 )
 def test_appended_trial_rank_rule_matches_fit_ols(make_x, deficient):
     rng = np.random.default_rng(14)
@@ -791,11 +815,12 @@ def test_appended_trial_rank_rule_matches_fit_ols(make_x, deficient):
     residuals.append(0)
     residuals.append(1)
     assert (not residuals.trials()[0][2]) == deficient
-    if deficient:
-        with pytest.raises(RankDeficientError):
-            reference.fit_ols(np.column_stack([X, x]), y)
-    else:
-        reference.fit_ols(np.column_stack([X, x]), y)
+    for fit in (fit_ols, reference.fit_ols):
+        if deficient:
+            with pytest.raises(RankDeficientError):
+                fit(np.column_stack([X, x]), y)
+        else:
+            fit(np.column_stack([X, x]), y)
 
 
 @settings(max_examples=60, deadline=None)
@@ -948,20 +973,22 @@ def _float_bits(value):
     base_size=st.integers(1, 3),
     extra_rows=st.integers(-8, 8) | st.integers(9, 600),
     holdout_rows=st.integers(1, 200),
-    dew=st.sampled_from(["own", "copy", "scaled"]),
-    holidays=st.sampled_from(["none", "saturdays", "some"]),
+    dew=st.sampled_from(["own", "copy", "train_copy", "scaled"]),
+    holidays=st.sampled_from(["none", "saturdays", "train_saturdays", "some"]),
     block_rows=st.sampled_from([regression._QR_BLOCK_ROWS, 16, 100]),
 )
 def test_selection_matches_reference_loop_bit_for_bit(
     seed, start_day, pool_size, order, base_size, extra_rows, holdout_rows, dew, holidays, block_rows
 ):
     # forward_select against the loop of reference.forward_select, whose step
-    # takes a fresh temporary for every vector operation: the same outcome to
-    # the bit. The pools hold bit-identical columns (dew point a copy of the
-    # temperature, every Saturday a holiday: the exact-tie rule), zero columns
-    # (no holiday, no weekend in a short training span), a scaled copy (the
-    # rank rule mid-search) and training spans of around m + 1 rows, where the
-    # search may run out of rows.
+    # takes a fresh temporary for every vector operation and which finds the
+    # copies byte by byte: the same outcome to the bit. The pools hold copies
+    # (dew point equal to the temperature, every Saturday a holiday; in
+    # training and in the holdout, which disqualifies the later one at the
+    # first step, or in training alone, which leaves it to the rank rule),
+    # zero columns (no holiday, no weekend in a short training span), a
+    # scaled copy (the rank rule mid-search) and training spans of around
+    # m + 1 rows, where the search may run out of rows.
     rng = np.random.default_rng(seed)
     candidates = ("intercept", *order[:pool_size])
     base = candidates[:base_size]
@@ -973,11 +1000,13 @@ def test_selection_matches_reference_loop_bit_for_bit(
     holiday_days = {
         "none": (),
         "saturdays": [day for day in day_list if day.weekday() == 5],
+        "train_saturdays": [day for day in day_list[: train_rows // 24] if day.weekday() == 5],
         "some": [day for day in day_list if rng.random() < 0.2],
     }[holidays]
     dew_point = {
         "own": market.dew_point,
         "copy": market.dry_bulb_temp.copy(),
+        "train_copy": np.where(np.arange(len(market)) < train_rows, market.dry_bulb_temp, market.dew_point),
         "scaled": market.dry_bulb_temp * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 1.0),
     }[dew]
     series = RecordSeries(market.times, market.demand, market.spot_price, market.dry_bulb_temp, dew_point,
@@ -1015,7 +1044,8 @@ def test_selection_matches_reference_loop_bit_for_bit(
 def test_one_block_is_its_own_compressed_factor(seed, n, m, repeats, zeros):
     # With one block of rows the pool takes the block's R as the compressed
     # [X y]; a second Householder QR of that R, which the pool skips, returns
-    # it bit for bit, duplicate and zero columns included.
+    # it bit for bit, repeated and zero columns included, each column in its
+    # own row, and the floors of the rank rule with it.
     rng = np.random.default_rng(seed)
     xy = rng.normal(size=(n, m + 1)) * 10.0 ** rng.uniform(-3.0, 3.0, m + 1)
     for source, target in repeats:
@@ -1027,3 +1057,92 @@ def test_one_block_is_its_own_compressed_factor(seed, n, m, repeats, zeros):
     two_pass = reference.PoolResiduals(xy, holdout, y_holdout)
     assert pool.t == two_pass.t == min(n, m + 1)
     assert np.array_equal(_bits(pool.v), _bits(two_pass.v))
+    assert np.array_equal(_bits(pool.floor), _bits(two_pass.floor))
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 11),
+    extra_rows=st.integers(2, 200),
+    kind=st.sampled_from(["independent", "duplicate", "scaled", "zero", "near"]),
+    scaled=st.integers(0, 11),
+    power=st.integers(-40, 40),
+    k=st.integers(0, 11),
+)
+def test_rank_verdicts_are_blind_to_column_scale(seed, m, extra_rows, kind, scaled, power, k):
+    # One column, dependent or not, times 2**power: the scaling is exact in
+    # floating point, and so through every reflection and update, and each
+    # column is judged against its own norm, so no verdict moves. fit_ols
+    # succeeds or names the same column, and the trials after the first k
+    # columns have the same ok mask. A "near" column is another one plus
+    # noise at 1e-13 to 1e-7 of it, either side of the tolerance. The rule
+    # that compared each column with the largest failed this property.
+    rng = np.random.default_rng(seed)
+    n = m + 1 + extra_rows
+    X = _random_design(rng, m, n)
+    source = X[:, int(rng.integers(m))]
+    column = {
+        "independent": lambda: _random_design(rng, 1, n)[:, 0],
+        "duplicate": lambda: source,
+        "scaled": lambda: source * 10.0 ** rng.uniform(-1.0, 1.0),
+        "zero": lambda: np.zeros(n),
+        "near": lambda: source + 10.0 ** rng.uniform(-13.0, -7.0) * np.abs(source).max() * rng.normal(size=n),
+    }[kind]()
+    X = np.insert(X, int(rng.integers(m + 1)), column, axis=1)
+    y, holdout, y_holdout = rng.normal(size=n), rng.normal(size=(3, m + 1)), rng.normal(size=3)
+
+    def verdicts(X):
+        dependent = None
+        try:
+            fit_ols(X, y)
+        except RankDeficientError as error:
+            dependent = error.column
+        pool = _PoolResiduals(np.column_stack([X, y]), holdout, y_holdout)
+        for j in range(min(k, m)):
+            pool.append(j)
+        return dependent, pool.trials()[0].tolist()
+
+    X_scaled = X.copy()
+    X_scaled[:, scaled % (m + 1)] *= 2.0**power
+    assert verdicts(X_scaled) == verdicts(X)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    days=st.integers(14, 42),
+    seed=st.integers(0, 2**32 - 1),
+    pair=st.sampled_from([("temperature", "dew_point"), ("saturday", "holiday")]),
+    compact=st.booleans(),
+)
+def test_training_only_copies_select_like_refit(days, seed, pair, compact):
+    # Dew point equal to the temperature, or every Saturday a holiday, in
+    # the training rows alone; in the holdout each has values of its own.
+    # Neither is a copy: both are scored at the first step, each with its own
+    # row of R, and once one is selected the rank rule disqualifies the
+    # other, as a refit of every trial does.
+    market = synthetic_market(days, seed=seed)
+    train_rows = (days - 7) * 24
+    day_list = [day.item() for day in np.unique(market.times.astype("datetime64[D]"))]
+    dew, holidays = market.dew_point, ()
+    if "dew_point" in pair:
+        dew = np.where(np.arange(len(market)) < train_rows, market.dry_bulb_temp, market.dew_point)
+    else:
+        holdout_days = [day for day in day_list[days - 7 :] if day.weekday() != 5]
+        holidays = [day for day in day_list[: days - 7] if day.weekday() == 5] + holdout_days[:1]
+    series = RecordSeries(market.times, market.demand, market.spot_price, market.dry_bulb_temp, dew,
+                          holidays=holidays)
+    train, holdout = series[:train_rows], series[train_rows:]
+    candidates = SYNTHETIC_CANDIDATES + ("holiday",) if compact else FULL_FEATURES
+    trace = []
+    spec, model, _ = forward_select(candidates, train, holdout, trace=trace)
+    ref_spec, ref_model, disqualified, ref_trace = refit_forward_select(
+        candidates, train, holdout, DEFAULT_BASE_FEATURES
+    )
+    assert spec == ref_spec
+    assert_close_model(model, ref_model)
+    choices = [(step.added, step.runner_up, step.disqualified) for step in trace]
+    assert choices == [(step.added, step.runner_up, step.disqualified) for step in ref_trace]
+    assert [name for step in trace for name in step.disqualified] == disqualified
+    assert not set(pair) & set(trace[0].disqualified)
+    assert len(set(pair) & set(spec)) <= 1
