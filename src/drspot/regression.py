@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .compression import calendar_rows, r_factor
 from .market_data import RecordSeries
 
 HOUR_DUMMIES = tuple(f"hour{k}" for k in range(1, 24))
@@ -29,6 +30,8 @@ FULL_FEATURES = (
     "saturday",
     "sunday",
 )
+# Constant within a calendar group (compression.calendar_rows).
+CALENDAR_FEATURES = ("intercept", *HOUR_DUMMIES, "holiday", "saturday", "sunday")
 DEFAULT_BASE_FEATURES = ("intercept", "demand")
 DEFAULT_THRESHOLDS = (1.3, 1.69, 2.45)
 
@@ -36,13 +39,6 @@ DEFAULT_THRESHOLDS = (1.3, 1.69, 2.45)
 # is at most this fraction of its own norm: the sine of its angle to their
 # span (Stewart, Statistical Science 2(1), 1987), blind to column scale.
 RANK_TOLERANCE = 1e-10
-
-# Rows per block when forward selection compresses [X y]. LAPACK factors a
-# few dozen columns one at a time, so blocks that stay in cache halve the
-# time of one pass over all the rows (2.6 against 5.0 ms for 6,384 x 32 on
-# one OpenBLAS thread of a 2-vCPU x86 machine), and the copies that
-# np.linalg.qr makes stay small.
-_QR_BLOCK_ROWS = 1024
 
 
 class RegressionError(Exception):
@@ -317,21 +313,17 @@ class _PoolResiduals:
     the holdout rows: the one least-squares routine of drspot.
     :func:`fit_ols` is this factorization with no holdout rows.
 
-    The training ``[X y]`` is compressed once: a least-squares fit on any
-    subset of its columns is unchanged when ``[X y]`` is replaced by its R
-    factor (Miller, Subset Selection in Regression, 2002, ch. 2). R is the
-    Householder QR factor of the stacked R factors of blocks of
-    ``_QR_BLOCK_ROWS`` rows (TSQR; Demmel, Grigori, Hoemmen and Langou, SIAM
-    J. Sci. Comput. 34, 2012), or the one block's own R. Householder QR is
-    columnwise backward stable (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, Thm 19.4), in one level or two, so each column of R
-    keeps its own column's norm, however small next to the others. Each row
-    of ``v`` is one column of that R, ``t == min(n, m + 1)`` values,
-    followed by the same column's holdout values; the last row is ``y``'s,
-    with the holdout ``y``. Before the first :meth:`append`, ``v[:, :t].T``
-    is the compressed ``[X y]``, which the base fit of
-    :func:`forward_select` reads, and ``floor`` is ``RANK_TOLERANCE`` times
-    the norm of each of its rows: the rank rule's floor for that column.
+    ``xy`` is compressed once to its Householder R factor
+    (:func:`drspot.compression.r_factor`), which keeps each column's own
+    norm, however small next to the others. ``n`` counts the observations:
+    ``len(xy)``, unless ``xy`` stands for more rows, as the calendar rows of
+    :func:`forward_select` do. Each row of ``v`` is one column of that R,
+    ``t == min(len(xy), m + 1)`` values, followed by the same column's
+    holdout values; the last row is ``y``'s, with the holdout ``y``. Before
+    the first :meth:`append`, ``v[:, :t].T`` is the compressed ``xy``, which
+    the base fit of :func:`forward_select` reads, and ``floor`` is
+    ``RANK_TOLERANCE`` times the norm of each of its rows: the rank rule's
+    floor for that column.
 
     The selected columns are a thin QR factorization of the compressed
     columns kept as ``r``; Q itself is not stored. The training part of row
@@ -354,15 +346,11 @@ class _PoolResiduals:
     the full rows.
     """
 
-    def __init__(self, xy: np.ndarray, holdout: np.ndarray, y_holdout: np.ndarray):
+    def __init__(self, xy: np.ndarray, holdout: np.ndarray, y_holdout: np.ndarray, n: int | None = None):
         m, h = xy.shape[1] - 1, len(y_holdout)
-        starts = range(0, max(len(xy), 1), _QR_BLOCK_ROWS)  # one empty block when n == 0
-        blocks = [np.linalg.qr(xy[i : i + _QR_BLOCK_ROWS], mode="r") for i in starts]
-        # Householder QR returns an upper triangular matrix as it is (each
-        # reflector is the identity), so one block is its own R.
-        compressed = blocks[0] if len(blocks) == 1 else np.linalg.qr(np.vstack(blocks), mode="r")
+        compressed = r_factor(xy)
         self.t = t = compressed.shape[0]
-        self.n, self.k = len(xy), 0
+        self.n, self.k = len(xy) if n is None else n, 0
         self.r, self.c = np.zeros((m, m)), np.empty((m, m + 1))
         self.v = v = np.empty((m + 1, t + h))
         v[:, :t], v[:m, t:], v[m, t:] = compressed.T, holdout.T, y_holdout
@@ -461,12 +449,15 @@ def forward_select(
     training and holdout columns have the bytes of a base or an earlier
     candidate's, is disqualified at the first step without a trial.
 
-    The training ``[X y]`` is compressed once by blocked Householder QR to
-    its R factor, ``min(n, m + 1)`` rows for m candidates
+    The training ``[X y]`` is compressed once, to its calendar rows
+    (:func:`drspot.compression.calendar_rows`, one per calendar group and
+    at most five more, with the same Gram matrix) and then to their
+    Householder R factor, at most m + 1 rows for m candidates
     (:class:`_PoolResiduals`), and no fit reads the n training rows after
-    that. The base spec goes through :func:`fit_ols` on the compressed
-    rows, which rejects a rank deficient or too wide base as it would on
-    the training rows (too wide: n <= k). One factorization, started with
+    that. A base of n or more features is too wide for the training rows
+    and raises ``InsufficientDataError`` first. The base spec goes through
+    :func:`fit_ols` on the compressed rows, which rejects a rank deficient
+    base as it would on the training rows. One factorization, started with
     the base columns, does the rest, with each column's holdout values
     carried in the same rows, so that a step's cost does not grow with n:
     each step scores all remaining candidates from their residuals against
@@ -483,16 +474,18 @@ def forward_select(
     if not set(base) <= set(candidates):
         raise ValueError("base features must be a subset of the candidate pool")
 
-    # One Fortran-order [X y]: its columns are contiguous for the QR that
-    # compresses it, and the training design is written into it in place.
-    # The pool's rows are the compressed [X y] that every fit below reads;
-    # the training rows are not read again.
     n, m = len(train), len(candidates)
+    if n <= len(base):
+        raise InsufficientDataError(n, len(base))
+    # One Fortran-order [X y], the training design written into it in place:
+    # its columns are contiguous for calendar_rows, and the copy check reads
+    # it; no fit reads it.
     xy = np.empty((n, m + 1), order="F")
     design_matrix(train, candidates, out=xy[:, :m])
     xy[:, m] = train.spot_price
     holdout_full, y_holdout = design_matrix(holdout, candidates), holdout.spot_price
-    residuals = _PoolResiduals(xy, holdout_full, y_holdout)
+    varying = [j for j, name in enumerate(candidates) if name not in CALENDAR_FEATURES] + [m]
+    residuals = _PoolResiduals(calendar_rows(train, xy, varying), holdout_full, y_holdout, n)
     earliest = _earliest_equal(xy[:, :m], holdout_full)
     del xy
     # Every column's squares, in training (its floor) and holdout, must fit.

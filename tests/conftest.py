@@ -23,8 +23,8 @@ MONDAY = datetime(2021, 6, 7)
 # (test_market_data), the float and stamp writer properties (test_csv_text,
 # whose bulk test draws 10,000 values per example), the inverse-consistency
 # and OLS-recovery properties (test_acceptance), and the selection step
-# against the reference loop, the one-block QR property and the rank rule's
-# scale invariance (test_regression).
+# against the reference loop, the calendar rows' Gram matrix, the one-block
+# QR property and the rank rule's scale invariance (test_regression).
 # Each checks numpy against an independent computation (the converters' and
 # the writer's integer, float and calendar arithmetic, its float cast, its
 # linear algebra, its in-place ufunc calls), and CI runs them on numpy

@@ -2,9 +2,10 @@
 rules and a cell-by-cell design row, written one hour at a time; an
 ordinary least-squares fit by full Householder QR on the n rows, with the
 explicit residual; and forward selection with a fresh temporary for every
-vector operation of a step. The columnar code in drspot, and its one
-least-squares routine (the selection's compressed factorization, updated by
-modified Gram-Schmidt), are checked against them."""
+vector operation of a step, on drspot's calendar rows. The columnar code in
+drspot, and its one least-squares routine (the selection's compressed
+factorization, updated by modified Gram-Schmidt), are checked against
+them."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from drspot.market_data import RecordSeries
-from drspot import regression
+from drspot import compression, regression
 from drspot.regression import (
     RANK_TOLERANCE,
     DimensionMismatchError,
@@ -179,13 +180,13 @@ class PoolResiduals:
     vector operation of a step on fresh temporaries, and the compressed
     ``[X y]`` always taken from a second QR of the stacked block factors."""
 
-    def __init__(self, xy: np.ndarray, holdout: np.ndarray, y_holdout: np.ndarray):
+    def __init__(self, xy: np.ndarray, holdout: np.ndarray, y_holdout: np.ndarray, n: int | None = None):
         m = xy.shape[1] - 1
-        starts = range(0, max(len(xy), 1), regression._QR_BLOCK_ROWS)  # one empty block when n == 0
-        blocks = [np.linalg.qr(xy[i : i + regression._QR_BLOCK_ROWS], mode="r") for i in starts]
+        starts = range(0, max(len(xy), 1), compression.QR_BLOCK_ROWS)  # one empty block when n == 0
+        blocks = [np.linalg.qr(xy[i : i + compression.QR_BLOCK_ROWS], mode="r") for i in starts]
         compressed = np.linalg.qr(np.vstack(blocks), mode="r")
         self.t = t = compressed.shape[0]
-        self.n, self.k = len(xy), 0
+        self.n, self.k = len(xy) if n is None else n, 0
         self.r, self.c = np.zeros((m, m)), np.empty((m, m + 1))
         self.v = np.empty((m + 1, t + len(y_holdout)))
         self.v[:, :t], self.v[:m, t:], self.v[m, t:] = compressed.T, holdout.T, y_holdout
@@ -242,17 +243,24 @@ def forward_select(
 ) -> tuple[tuple[str, ...], RegressionModel, float]:
     """``drspot.regression.forward_select`` on :class:`PoolResiduals`, each
     step's scores from ``np.mean`` of new arrays, and the :func:`copies`
-    masked out of every step's trials."""
+    masked out of every step's trials. The pool's rows are drspot's own
+    calendar rows of the training ``[X y]``
+    (``drspot.compression.calendar_rows``), so that the loop is checked on
+    the rows that drspot's loop reads; the refits of ``tests/test_regression``
+    check those rows against Householder QR of the training rows."""
     candidates, base = validate_feature_spec(candidates), validate_feature_spec(base)
     if not set(base) <= set(candidates):
         raise ValueError("base features must be a subset of the candidate pool")
 
     n, m = len(train), len(candidates)
+    if n <= len(base):
+        raise InsufficientDataError(n, len(base))
     xy = np.empty((n, m + 1), order="F")
     design_matrix(train, candidates, out=xy[:, :m])
     xy[:, m] = train.spot_price
     holdout_full, y_holdout = design_matrix(holdout, candidates), holdout.spot_price
-    residuals = PoolResiduals(xy, holdout_full, y_holdout)
+    varying = [j for j, name in enumerate(candidates) if name not in regression.CALENDAR_FEATURES] + [m]
+    residuals = PoolResiduals(compression.calendar_rows(train, xy, varying), holdout_full, y_holdout, n)
     idx = [candidates.index(name) for name in base]
     copy = np.isin(np.arange(m), copies(xy[:, :m], holdout_full, idx))
     del xy

@@ -31,7 +31,7 @@ from drspot.regression import (
     significance_level,
     validate_feature_spec,
 )
-from drspot import regression
+from drspot import compression, regression
 from drspot.regression import _PoolResiduals
 
 
@@ -778,6 +778,26 @@ class TestSelectionMatchesRefit:
         assert model.residual_variance == ref_model.residual_variance
         assert [step.to_json_dict() for step in trace] == [step.to_json_dict() for step in ref_trace]
 
+    @pytest.mark.parametrize("candidates", [FULL_FEATURES, SYNTHETIC_CANDIDATES], ids=["full", "compact"])
+    def test_training_window_shorter_than_its_calendar_rows(self, candidates):
+        # 30 training hours from a Monday fall in 24 calendar groups, so the
+        # pool starts from 24 group rows and the deviations' R: 29 rows with
+        # all features, one fewer than the training rows' own R, which zero
+        # rows make up.
+        series = synthetic_market(3, seed=0)
+        self._check(candidates, series[:30], series[48:], DEFAULT_BASE_FEATURES)
+
+    def test_base_as_wide_as_the_calendar_rows(self):
+        # The same 30 hours with a base of 29 columns: the padded calendar
+        # rows leave it to the rank rule (month is constant in June), as a
+        # fit on the training rows does, rather than too few rows.
+        series = synthetic_market(3, seed=0)
+        train, holdout, base = series[:30], series[48:], FULL_FEATURES[:29]
+        for select in (refit_forward_select, lambda *args: forward_select(*args[:3], base=args[3])):
+            with pytest.raises(RankDeficientError) as info:
+                select(FULL_FEATURES, train, holdout, base)
+            assert info.value.column == "month"
+
     def test_insufficient_data_raised_like_refit(self):
         train = build_series([1000.0, 1200.0, 900.0], [30.0, 35.0, 28.0], temp=[70.0, 75.0, 71.0])
         holdout = build_series([1100.0, 950.0], [32.0, 29.0], temp=[72.0, 69.0])
@@ -849,7 +869,7 @@ def test_appended_trial_matches_fit_ols(seed, k, extra_rows):
     # at a time from the empty factorization; blocks of any size, down to one
     # row, compress [X y] to the same fits.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(regression, "_QR_BLOCK_ROWS", int(rng.integers(1, n + 1)))
+        patch.setattr(compression, "QR_BLOCK_ROWS", int(rng.integers(1, n + 1)))
         residuals = _PoolResiduals(np.column_stack([X, y]), H, y_holdout)
     for j in range(k):
         residuals.append(j)
@@ -881,6 +901,46 @@ def test_selection_matches_refit_on_random_markets(days, december, compact, seed
     assert_model_from_pool(model, pool, candidates, train)
     assert tuple(step.added for step in trace if step.added) == spec[len(DEFAULT_BASE_FEATURES) :]
     assert [name for step in trace for name in step.disqualified] == disqualified
+
+
+@settings(deadline=None)
+@given(
+    days=st.integers(14, 63),
+    december=st.booleans(),
+    compact=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_calendar_rows_keep_the_gram_matrix(days, december, compact, seed):
+    # The markets of the property above, with about one day in six a
+    # holiday. The calendar rows that forward_select hands the pool have the
+    # training [X y]'s Gram matrix, taken in long double, up to rounding; at
+    # least as many rows as its R factor and at most one per calendar group
+    # plus five; and each feature that they take as constant within a group
+    # is constant there in design_matrix's columns.
+    start = datetime(2021, 12, 6) if december else datetime(2021, 6, 7)
+    market = synthetic_market(days, seed=seed, start=start)
+    rng = np.random.default_rng(seed)
+    holidays = [day.item() for day in np.unique(market.times.astype("datetime64[D]")) if rng.random() < 1 / 6]
+    series = RecordSeries(market.times, market.demand, market.spot_price, market.dry_bulb_temp, market.dew_point,
+                          holidays=holidays)
+    train, _ = split_train_holdout(series, 7)
+    candidates = SYNTHETIC_CANDIDATES if compact else FULL_FEATURES
+    n, m = len(train), len(candidates)
+    xy = np.empty((n, m + 1), order="F")
+    design_matrix(train, candidates, out=xy[:, :m])
+    xy[:, m] = train.spot_price
+    varying = [j for j, name in enumerate(candidates) if name not in regression.CALENDAR_FEATURES] + [m]
+    rows = compression.calendar_rows(train, xy, varying)
+    exact = xy.astype(np.longdouble).T @ xy.astype(np.longdouble)
+    norms = np.sqrt(np.diag(exact))
+    assert np.all(np.abs(rows.T @ rows - exact) <= 1e-13 * np.outer(norms, norms))
+    assert min(n, m + 1) <= len(rows) <= 24 * 3 * 2 + 5
+    groups = {}
+    for i, (_, cal) in enumerate(reference.hours(train)):
+        groups.setdefault((cal.hour_of_day, cal.is_saturday, cal.is_sunday, cal.is_holiday), []).append(i)
+    constant = design_matrix(train, regression.CALENDAR_FEATURES)
+    for members in groups.values():
+        assert (constant[members] == constant[members[0]]).all()
 
 
 def _random_design(rng, m: int, n: int) -> np.ndarray:
@@ -975,20 +1035,20 @@ def _float_bits(value):
     holdout_rows=st.integers(1, 200),
     dew=st.sampled_from(["own", "copy", "train_copy", "scaled"]),
     holidays=st.sampled_from(["none", "saturdays", "train_saturdays", "some"]),
-    block_rows=st.sampled_from([regression._QR_BLOCK_ROWS, 16, 100]),
+    block_rows=st.sampled_from([compression.QR_BLOCK_ROWS, 16, 100]),
 )
 def test_selection_matches_reference_loop_bit_for_bit(
     seed, start_day, pool_size, order, base_size, extra_rows, holdout_rows, dew, holidays, block_rows
 ):
     # forward_select against the loop of reference.forward_select, whose step
     # takes a fresh temporary for every vector operation and which finds the
-    # copies byte by byte: the same outcome to the bit. The pools hold copies
-    # (dew point equal to the temperature, every Saturday a holiday; in
-    # training and in the holdout, which disqualifies the later one at the
-    # first step, or in training alone, which leaves it to the rank rule),
-    # zero columns (no holiday, no weekend in a short training span), a
-    # scaled copy (the rank rule mid-search) and training spans of around
-    # m + 1 rows, where the search may run out of rows.
+    # copies byte by byte, on the same calendar rows: the same outcome to the
+    # bit. The pools hold copies (dew point equal to the temperature, every
+    # Saturday a holiday; in training and in the holdout, which disqualifies
+    # the later one at the first step, or in training alone, which leaves it to
+    # the rank rule), zero columns (no holiday, no weekend in a short training
+    # span), a scaled copy (the rank rule mid-search) and training spans of
+    # around m + 1 rows, where the search may run out of rows.
     rng = np.random.default_rng(seed)
     candidates = ("intercept", *order[:pool_size])
     base = candidates[:base_size]
@@ -1013,7 +1073,7 @@ def test_selection_matches_reference_loop_bit_for_bit(
                           holidays=holiday_days)
     train, holdout = series[:train_rows], series[train_rows : train_rows + holdout_rows]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(regression, "_QR_BLOCK_ROWS", block_rows)
+        patch.setattr(compression, "QR_BLOCK_ROWS", block_rows)
         got = _outcome(forward_select, candidates, train, holdout, base)
         expected = _outcome(reference.forward_select, candidates, train, holdout, base)
     if isinstance(expected[0], type):
@@ -1036,7 +1096,7 @@ def test_selection_matches_reference_loop_bit_for_bit(
 @settings(deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(0, regression._QR_BLOCK_ROWS),
+    n=st.integers(0, compression.QR_BLOCK_ROWS),
     m=st.integers(1, 31),
     repeats=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=4),
     zeros=st.lists(st.integers(0, 30), max_size=3),
