@@ -87,6 +87,7 @@ def cmd_fit(args) -> int:
     series = _load_series(args, settings)
     selection = []
     with _stage("fit"):
+        pipeline.require_valid(series, "history")
         _spec, model, holdout_ferms = pipeline.fit_price_model(series, settings.scenario, selection)
     thresholds = settings.scenario.significance_thresholds
     doc = model.to_json_dict(thresholds)
@@ -107,6 +108,9 @@ def cmd_forecast(args) -> int:
     settings = _load_settings(args)
     series = _load_series(args, settings)
     history, study = _split_window(series, args)
+    with _stage("window"):
+        pipeline.require_valid(history, "history")
+        pipeline.require_valid(study, "study window")
     with _stage("fit"):
         spec, model, holdout_ferms = pipeline.fit_price_model(history, settings.scenario)
     with _stage("forecast"):

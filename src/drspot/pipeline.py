@@ -206,7 +206,9 @@ def split_train_holdout(history: RecordSeries, holdout_days: int) -> tuple[Recor
     return history[:-holdout_hours], history[-holdout_hours:]
 
 
-def _require_valid(series: RecordSeries, label: str) -> None:
+def require_valid(series: RecordSeries, label: str) -> None:
+    """Raise ValueError naming ``label`` and the series' first five
+    violations (:func:`validate_series`), if it has any."""
     violations = validate_series(series)
     if violations:
         raise ValueError(f"{label} series is invalid: " + "; ".join(violations[:5]))
@@ -240,8 +242,8 @@ def run_scenario(
     or the re-price leaves the finite range (an extreme flat rate or
     elasticity table).
     """
-    _require_valid(history, "history")
-    _require_valid(study_window, "study window")
+    require_valid(history, "history")
+    require_valid(study_window, "study window")
     n = len(study_window)
     if n == 0 or n % HOURS_PER_DAY:
         raise ValueError(f"study window must cover whole days, got {n} hours")

@@ -415,22 +415,6 @@ class _PoolResiduals:
         return RegressionModel(spec, coefficients, std_errors, t_values, self.n, residual_variance)
 
 
-def _earliest_equal(train: np.ndarray, holdout: np.ndarray) -> np.ndarray:
-    """For each column, the index of the earliest column with the same bytes
-    in ``train`` and in ``holdout``."""
-    bits = train.view(np.uint64), holdout.view(np.uint64)
-    # A position-weighted sum of each part, wrapping, tells columns apart in
-    # one pass; columns with equal sums are compared byte for byte.
-    sums = [(np.arange(1, len(b) + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) @ b).tolist() for b in bits]
-    earliest, seen = np.arange(train.shape[1]), {}
-    for j, key in enumerate(zip(*sums)):
-        same = seen.setdefault(key, [])
-        earliest[j] = next((i for i in same if all(np.array_equal(b[:, i], b[:, j]) for b in bits)), j)
-        if earliest[j] == j:
-            same.append(j)
-    return earliest
-
-
 # Overflowing products fail the fit or lose the search, quietly.
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def forward_select(
@@ -449,13 +433,16 @@ def forward_select(
     training and holdout columns have the bytes of a base or an earlier
     candidate's, is disqualified at the first step without a trial.
 
-    The training ``[X y]`` is compressed once, to its calendar rows
+    The n-row training ``[X y]`` is never built. Its calendar rows
     (:func:`drspot.compression.calendar_rows`, one per calendar group and
-    at most five more, with the same Gram matrix) and then to their
+    at most five more, with the same Gram matrix) come from the design of
+    one hour per group and the n hours of the columns that vary within a
+    group, which also give the copies, compared per group where a column is
+    constant within each group. The rows are compressed to their
     Householder R factor, at most m + 1 rows for m candidates
-    (:class:`_PoolResiduals`), and no fit reads the n training rows after
-    that. A base of n or more features is too wide for the training rows
-    and raises ``InsufficientDataError`` first. The base spec goes through
+    (:class:`_PoolResiduals`), and no fit reads the n training hours. A
+    base of n or more features is too wide for the training rows and
+    raises ``InsufficientDataError`` first. The base spec goes through
     :func:`fit_ols` on the compressed rows, which rejects a rank deficient
     base as it would on the training rows. One factorization, started with
     the base columns, does the rest, with each column's holdout values
@@ -477,17 +464,10 @@ def forward_select(
     n, m = len(train), len(candidates)
     if n <= len(base):
         raise InsufficientDataError(n, len(base))
-    # One Fortran-order [X y], the training design written into it in place:
-    # its columns are contiguous for calendar_rows, and the copy check reads
-    # it; no fit reads it.
-    xy = np.empty((n, m + 1), order="F")
-    design_matrix(train, candidates, out=xy[:, :m])
-    xy[:, m] = train.spot_price
     holdout_full, y_holdout = design_matrix(holdout, candidates), holdout.spot_price
-    varying = [j for j, name in enumerate(candidates) if name not in CALENDAR_FEATURES] + [m]
-    residuals = _PoolResiduals(calendar_rows(train, xy, varying), holdout_full, y_holdout, n)
-    earliest = _earliest_equal(xy[:, :m], holdout_full)
-    del xy
+    varying = [j for j, name in enumerate(candidates) if name not in CALENDAR_FEATURES]
+    rows, earliest = calendar_rows(train, design_matrix, candidates, varying, holdout_full)
+    residuals = _PoolResiduals(rows, holdout_full, y_holdout, n)
     # Every column's squares, in training (its floor) and holdout, must fit.
     for sums in residuals.floor, np.einsum("ij,ij->j", holdout_full, holdout_full):
         if not np.isfinite(sums).all():

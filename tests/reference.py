@@ -2,7 +2,8 @@
 rules and a cell-by-cell design row, written one hour at a time; an
 ordinary least-squares fit by full Householder QR on the n rows, with the
 explicit residual; and forward selection with a fresh temporary for every
-vector operation of a step, on drspot's calendar rows. The columnar code in
+vector operation of a step, on calendar rows built from the n-row training
+design, with the copies found byte by byte on it. The columnar code in
 drspot, and its one least-squares routine (the selection's compressed
 factorization, updated by modified Gram-Schmidt), are checked against
 them."""
@@ -175,6 +176,44 @@ def fit_ols(X: np.ndarray, y: np.ndarray, spec: Sequence[str] | None = None) -> 
     return RegressionModel(names, coefficients, std_errors, t_values, n, residual_variance)
 
 
+def r_factor(a: np.ndarray) -> np.ndarray:
+    """The R factor of ``a``, always from a second QR of the stacked R
+    factors of its blocks of ``drspot.compression.QR_BLOCK_ROWS`` rows."""
+    starts = range(0, max(len(a), 1), compression.QR_BLOCK_ROWS)  # one empty block when a has no rows
+    blocks = [np.linalg.qr(a[i : i + compression.QR_BLOCK_ROWS], mode="r") for i in starts]
+    return np.linalg.qr(np.vstack(blocks), mode="r")
+
+
+def calendar_rows(series: RecordSeries, xy: np.ndarray, varying: list[int]) -> np.ndarray:
+    """The calendar rows of drspot 0.15.0, built from the n rows of ``xy``,
+    the training ``[X y]`` of ``series``: one row per calendar group (hour
+    of day; Saturday, Sunday or other day; holiday or not), its mean row
+    times the root of its size, the constant columns taken from some row of
+    the group; then the R factor of the deviations of the ``varying``
+    columns (y's included) from their group means; then zero rows up to
+    ``min(n, m + 1)`` rows."""
+    n, width = xy.shape
+    key = series.hour_of_day + 24 * (np.maximum(series.weekday - 4, 0) + 3 * series.is_holiday)
+    counts = np.bincount(key)
+    groups = counts.nonzero()[0]
+    g, c = len(groups), min(n, len(varying))
+    index = np.empty(len(counts), np.intp)
+    index[groups] = np.arange(g)
+    inverse, counts = index.take(key), counts[groups]
+    roots = np.sqrt(counts)
+    some = np.empty(g, np.intp)
+    some[inverse] = np.arange(n)
+    rows = np.zeros((max(g + c, min(n, width)), width))
+    np.multiply(xy[some], roots[:, None], out=rows[:g])
+    deviations = np.empty((n, len(varying)), order="F")
+    for d, j in enumerate(varying):
+        means = np.bincount(inverse, weights=xy[:, j]) / counts
+        rows[:g, j] = means * roots
+        np.subtract(xy[:, j], means.take(inverse), out=deviations[:, d])
+    rows[g : g + c, varying] = r_factor(deviations)
+    return rows
+
+
 class PoolResiduals:
     """The factorization of ``drspot.regression._PoolResiduals``, with every
     vector operation of a step on fresh temporaries, and the compressed
@@ -182,9 +221,7 @@ class PoolResiduals:
 
     def __init__(self, xy: np.ndarray, holdout: np.ndarray, y_holdout: np.ndarray, n: int | None = None):
         m = xy.shape[1] - 1
-        starts = range(0, max(len(xy), 1), compression.QR_BLOCK_ROWS)  # one empty block when n == 0
-        blocks = [np.linalg.qr(xy[i : i + compression.QR_BLOCK_ROWS], mode="r") for i in starts]
-        compressed = np.linalg.qr(np.vstack(blocks), mode="r")
+        compressed = r_factor(xy)
         self.t = t = compressed.shape[0]
         self.n, self.k = len(xy) if n is None else n, 0
         self.r, self.c = np.zeros((m, m)), np.empty((m, m + 1))
@@ -243,11 +280,10 @@ def forward_select(
 ) -> tuple[tuple[str, ...], RegressionModel, float]:
     """``drspot.regression.forward_select`` on :class:`PoolResiduals`, each
     step's scores from ``np.mean`` of new arrays, and the :func:`copies`
-    masked out of every step's trials. The pool's rows are drspot's own
-    calendar rows of the training ``[X y]``
-    (``drspot.compression.calendar_rows``), so that the loop is checked on
-    the rows that drspot's loop reads; the refits of ``tests/test_regression``
-    check those rows against Householder QR of the training rows."""
+    masked out of every step's trials, both on the n-row training ``[X y]``.
+    The pool's rows are its :func:`calendar_rows`; the refits of
+    ``tests/test_regression`` check those rows against Householder QR of the
+    training rows."""
     candidates, base = validate_feature_spec(candidates), validate_feature_spec(base)
     if not set(base) <= set(candidates):
         raise ValueError("base features must be a subset of the candidate pool")
@@ -260,7 +296,7 @@ def forward_select(
     xy[:, m] = train.spot_price
     holdout_full, y_holdout = design_matrix(holdout, candidates), holdout.spot_price
     varying = [j for j, name in enumerate(candidates) if name not in regression.CALENDAR_FEATURES] + [m]
-    residuals = PoolResiduals(compression.calendar_rows(train, xy, varying), holdout_full, y_holdout, n)
+    residuals = PoolResiduals(calendar_rows(train, xy, varying), holdout_full, y_holdout, n)
     idx = [candidates.index(name) for name in base]
     copy = np.isin(np.arange(m), copies(xy[:, :m], holdout_full, idx))
     del xy

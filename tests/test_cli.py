@@ -527,6 +527,29 @@ class TestBadValues:
         selection = json.loads((tmp_path / "out" / "summary.json").read_text())["selection"]
         assert all("temperature" not in step["disqualified"] for step in selection)
 
+    @pytest.mark.parametrize("command, stage", [("fit", "fit"), ("forecast", "window"), ("simulate", "simulate")])
+    def test_negative_history_demand_exits_1(self, tmp_path, capsys, command, stage):
+        # Every command that fits a model refuses the history that simulate
+        # refuses, with simulate's message.
+        path = _edited_bundled_data(tmp_path, "2021-06-09T01:00", 1, "-5.0")
+        argv = [command, "--data", str(path), "--config", str(BUNDLED_CONFIG), "--out", str(tmp_path / "out")]
+        window = ["--window-start", "2021-08-09", "--days", "7"] if command != "fit" else []
+        assert main(argv + window) == 1
+        assert capsys.readouterr().err == (
+            f"error: {stage}: history series is invalid: row 49 (2021-06-09T01:00): negative demand -5.0\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, stage", [("forecast", "window"), ("simulate", "simulate")])
+    def test_negative_window_demand_exits_1(self, tmp_path, capsys, command, stage):
+        path = _edited_bundled_data(tmp_path, "2021-08-10T05:00", 1, "-5.0")
+        argv = [command, "--data", str(path), "--config", str(BUNDLED_CONFIG), "--out", str(tmp_path / "out")]
+        assert main(argv + ["--window-start", "2021-08-09", "--days", "7"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {stage}: study window series is invalid: row 29 (2021-08-10T05:00): negative demand -5.0\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_negative_mean_price_exits_1(self, compact_config, tmp_path, capsys):
         path = tmp_path / "negative.csv"
         write_hourly_csv(shifted_market(35, seed=1, shift=-1000.0), path)

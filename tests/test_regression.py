@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import DATA_DIR, SYNTHETIC_CANDIDATES, build_series, synthetic_market
+from conftest import DATA_DIR, MONDAY, SYNTHETIC_CANDIDATES, build_series, synthetic_market
 from drspot.config import load_settings
 from drspot.market_data import RecordSeries, parse_hourly_csv
 from drspot.pipeline import split_train_holdout
@@ -903,6 +903,15 @@ def test_selection_matches_refit_on_random_markets(days, december, compact, seed
     assert [name for step in trace for name in step.disqualified] == disqualified
 
 
+def _training_xy(train, candidates):
+    """The n-row training ``[X y]`` of ``candidates``."""
+    n, m = len(train), len(candidates)
+    xy = np.empty((n, m + 1), order="F")
+    design_matrix(train, candidates, out=xy[:, :m])
+    xy[:, m] = train.spot_price
+    return xy
+
+
 @settings(deadline=None)
 @given(
     days=st.integers(14, 63),
@@ -923,14 +932,12 @@ def test_calendar_rows_keep_the_gram_matrix(days, december, compact, seed):
     holidays = [day.item() for day in np.unique(market.times.astype("datetime64[D]")) if rng.random() < 1 / 6]
     series = RecordSeries(market.times, market.demand, market.spot_price, market.dry_bulb_temp, market.dew_point,
                           holidays=holidays)
-    train, _ = split_train_holdout(series, 7)
+    train, holdout = split_train_holdout(series, 7)
     candidates = SYNTHETIC_CANDIDATES if compact else FULL_FEATURES
     n, m = len(train), len(candidates)
-    xy = np.empty((n, m + 1), order="F")
-    design_matrix(train, candidates, out=xy[:, :m])
-    xy[:, m] = train.spot_price
-    varying = [j for j, name in enumerate(candidates) if name not in regression.CALENDAR_FEATURES] + [m]
-    rows = compression.calendar_rows(train, xy, varying)
+    xy = _training_xy(train, candidates)
+    varying = [j for j, name in enumerate(candidates) if name not in regression.CALENDAR_FEATURES]
+    rows, _ = compression.calendar_rows(train, design_matrix, candidates, varying, design_matrix(holdout, candidates))
     exact = xy.astype(np.longdouble).T @ xy.astype(np.longdouble)
     norms = np.sqrt(np.diag(exact))
     assert np.all(np.abs(rows.T @ rows - exact) <= 1e-13 * np.outer(norms, norms))
@@ -941,6 +948,170 @@ def test_calendar_rows_keep_the_gram_matrix(days, december, compact, seed):
     constant = design_matrix(train, regression.CALENDAR_FEATURES)
     for members in groups.values():
         assert (constant[members] == constant[members[0]]).all()
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    train_hours=st.integers(1, 143) | st.integers(144, 42 * 24),
+    holdout_hours=st.integers(1, 200),
+    one_group=st.booleans(),
+    start_day=st.integers(0, 30),
+    december=st.booleans(),
+    holidays=st.sampled_from(["none", "weeks", "some"]),
+    dew=st.sampled_from(["own", "copy", "train_copy"]),
+    compact=st.booleans(),
+    order=st.permutations(FULL_FEATURES[1:]),
+    pool_size=st.just(30) | st.integers(1, 29),
+)
+def test_calendar_rows_match_the_reference_bit_for_bit(
+    seed, train_hours, holdout_hours, one_group, start_day, december, holidays, dew, compact, order, pool_size
+):
+    # drspot builds the calendar rows from one hour per group and the
+    # varying columns of the n hours; the reference builds them from the
+    # n-row [X y] as 0.15.0 did: the same rows, to the bit, and the same
+    # earliest equal column as a byte comparison of the n-row design and the
+    # holdout. The markets have fewer training hours than calendar groups,
+    # or a single group (one hour a week, the same hour and weekday), whole
+    # holiday weeks, December into January (month varies within a group),
+    # and pools with copies (dew point equal to the temperature, in training
+    # and holdout or in training alone).
+    if one_group:
+        train_hours, holidays = min(train_hours, 20), "none"
+    span = 168 * train_hours if one_group else train_hours
+    start = datetime(2021, 12 if december else 6, 1) + timedelta(days=start_day)
+    market = synthetic_market(-(-(span + holdout_hours) // 24), seed=seed, start=start)
+    day_list = [day.item() for day in np.unique(market.times.astype("datetime64[D]"))]
+    rng = np.random.default_rng(seed)
+    holiday_days = {
+        "none": (),
+        "weeks": [day for day in day_list if (day - day_list[0]).days // 7 % 3 == 1],
+        "some": [day for day in day_list if rng.random() < 0.2],
+    }[holidays]
+    dew_point = {
+        "own": market.dew_point,
+        "copy": market.dry_bulb_temp.copy(),
+        "train_copy": np.where(np.arange(len(market)) < span, market.dry_bulb_temp, market.dew_point),
+    }[dew]
+    series = RecordSeries(market.times, market.demand, market.spot_price, market.dry_bulb_temp, dew_point,
+                          holidays=holiday_days)
+    train = series._view(np.arange(0, span, 168)) if one_group else series[:span]
+    holdout = series[span : span + holdout_hours]
+    candidates = SYNTHETIC_CANDIDATES if compact else ("intercept", *order[:pool_size])
+    m = len(candidates)
+    xy, holdout_full = _training_xy(train, candidates), design_matrix(holdout, candidates)
+    varying = [j for j, name in enumerate(candidates) if name not in regression.CALENDAR_FEATURES]
+    rows, earliest = compression.calendar_rows(train, design_matrix, candidates, varying, holdout_full)
+    expected = reference.calendar_rows(train, xy, [*varying, m])
+    assert rows.shape == expected.shape
+    assert np.array_equal(_bits(rows), _bits(expected))
+
+    def same(i, j):
+        return all(part[:, i].tobytes() == part[:, j].tobytes() for part in (xy, holdout_full))
+
+    assert earliest.tolist() == [next(i for i in range(j + 1) if same(i, j)) for j in range(m)]
+
+
+def _planted(kind):
+    """Training and holdout hours with one planted pair of columns, the
+    later name of the pair and whether it is a copy of the earlier."""
+    start = datetime(2021, 1, 4) if kind == "month_intercept" else MONDAY
+    market = synthetic_market(5 if kind == "holiday_saturday" else 21, seed=6, start=start)
+    temperature, dew, hour = market.dry_bulb_temp, market.dew_point, market.hour_of_day
+    later, copy = {
+        "holiday_saturday": ("saturday", True),
+        "dew_temperature": ("dew_point", True),
+        "month_intercept": ("month", True),
+        "temperature_hour5": ("temperature", True),
+        "training_only": ("dew_point", False),
+        "signed_zero": ("dew_point", False),
+        "one_hour_apart": ("dew_point", False),
+    }[kind]
+    if kind == "dew_temperature":
+        dew = temperature.copy()
+    elif kind == "temperature_hour5":
+        temperature = (hour == 5).astype(float)
+    elif kind == "training_only":
+        dew = np.where(np.arange(len(market)) < len(market) - 7 * 24, temperature, dew)
+    elif kind == "one_hour_apart":
+        dew = np.where(np.arange(len(market)) == 0, dew, temperature)
+    elif kind == "signed_zero":
+        # Equal values, but -0.0 where the temperature has 0.0 in training.
+        temperature = np.where(hour == 5, 0.0, temperature)
+        dew = np.where((hour == 5) & (np.arange(len(market)) < len(market) - 7 * 24), -0.0, temperature)
+    series = RecordSeries(market.times, market.demand, market.spot_price, temperature, dew)
+    train, holdout = split_train_holdout(series, 1 if kind == "holiday_saturday" else 7)
+    return train, holdout, later, copy
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "holiday_saturday",
+        "dew_temperature",
+        "month_intercept",
+        "temperature_hour5",
+        "training_only",
+        "signed_zero",
+        "one_hour_apart",
+    ],
+)
+def test_copies_of_each_kind_are_the_reference_copies(kind):
+    # One planted pair per kind: two calendar columns (a history with no
+    # holiday and no Saturday), two varying columns, a varying column equal
+    # to a calendar one (month in a January-only history, the temperature
+    # as the hour5 dummy), a pair equal in training alone, a pair whose
+    # values are equal but whose zeros differ in sign, and a pair apart in
+    # one training hour only, which one hour per group may miss. The
+    # candidates that forward_select marks as copies, with an infinite floor
+    # at its first trials, are reference.copies of the n-row design, and the
+    # first step disqualifies them, as the refit does.
+    train, holdout, later, is_copy = _planted(kind)
+    base_idx = [FULL_FEATURES.index(name) for name in DEFAULT_BASE_FEATURES]
+    copies = reference.copies(design_matrix(train, FULL_FEATURES), design_matrix(holdout, FULL_FEATURES), base_idx)
+    expected = {FULL_FEATURES[j] for j in copies}
+    assert (later in expected) == is_copy
+    marked = []
+
+    class Recorded(_PoolResiduals):
+        def trials(self):
+            if not marked:
+                marked.append({FULL_FEATURES[j] for j in np.flatnonzero(np.isinf(self.floor[:-1]))})
+            return super().trials()
+
+    trace = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regression, "_PoolResiduals", Recorded)
+        forward_select(FULL_FEATURES, train, holdout, trace=trace)
+    *_, ref_trace = refit_forward_select(FULL_FEATURES, train, holdout, DEFAULT_BASE_FEATURES)
+    assert marked[0] == expected
+    assert expected <= set(trace[0].disqualified)
+    assert trace[0].disqualified == ref_trace[0].disqualified
+
+
+def test_selection_builds_no_calendar_column_on_the_training_hours():
+    # Two tiles of the bundled data, the second 70 days after the first, as
+    # the benchmark's long histories: forward_select builds the calendar
+    # columns on one hour per group, and only the varying ones on the n
+    # training hours.
+    cfg = load_settings(DATA_DIR / "scenario.json")
+    tile = parse_hourly_csv(DATA_DIR / "synthetic_market.csv", holidays=cfg.holidays)
+    times = np.concatenate([tile.times, tile.times + np.timedelta64(70, "D")])
+    values = (np.tile(column, 2) for column in reference.columns(tile)[1:])
+    series = RecordSeries(times, *values, holidays=cfg.holidays)
+    train, holdout = split_train_holdout(series, cfg.scenario.holdout_days)
+    calls = []
+
+    def spy(series, spec, *args, **kwargs):
+        calls.append((len(series), tuple(spec)))
+        return design_matrix(series, spec, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regression, "design_matrix", spy)
+        forward_select(FULL_FEATURES, train, holdout)
+    on_training_hours = {name for rows, spec in calls if rows == len(train) for name in spec}
+    assert on_training_hours and len(train) == 2 * len(tile) - 7 * 24
+    assert not on_training_hours & {*regression.HOUR_DUMMIES, "holiday", "saturday", "sunday"}
 
 
 def _random_design(rng, m: int, n: int) -> np.ndarray:
@@ -1041,14 +1212,14 @@ def test_selection_matches_reference_loop_bit_for_bit(
     seed, start_day, pool_size, order, base_size, extra_rows, holdout_rows, dew, holidays, block_rows
 ):
     # forward_select against the loop of reference.forward_select, whose step
-    # takes a fresh temporary for every vector operation and which finds the
-    # copies byte by byte, on the same calendar rows: the same outcome to the
-    # bit. The pools hold copies (dew point equal to the temperature, every
-    # Saturday a holiday; in training and in the holdout, which disqualifies
-    # the later one at the first step, or in training alone, which leaves it to
-    # the rank rule), zero columns (no holiday, no weekend in a short training
-    # span), a scaled copy (the rank rule mid-search) and training spans of
-    # around m + 1 rows, where the search may run out of rows.
+    # takes a fresh temporary for every vector operation, which finds the copies
+    # byte by byte and builds its calendar rows from the n-row training [X y]:
+    # the same outcome to the bit. The pools hold copies (dew point equal to the
+    # temperature, every Saturday a holiday; in training and in the holdout,
+    # which disqualifies the later one at the first step, or in training alone,
+    # which leaves it to the rank rule), zero columns (no holiday, no weekend in
+    # a short training span), a scaled copy (the rank rule mid-search) and
+    # training spans of around m + 1 rows, where the search may run out of rows.
     rng = np.random.default_rng(seed)
     candidates = ("intercept", *order[:pool_size])
     base = candidates[:base_size]
