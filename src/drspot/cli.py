@@ -20,10 +20,10 @@ from pathlib import Path
 
 from . import pipeline
 from .config import ConfigError, Settings, load_settings, resolve_config_path
-from .csv_text import float_grids, stamp_grid, stamp_strings, write_csv
+from .csv_text import stamp_strings, write_csv
 from .market_data import MarketDataError, RecordSeries, parse_hourly_csv
 from .pipeline import EmptyWindowError, ModelRejectedError, RESULT_COLUMNS
-from .regression import RegressionError, ZeroMeanActualError, design_matrix, ferms, predict
+from .regression import RegressionError, ZeroMeanActualError, ferms
 
 
 class CommandError(Exception):
@@ -112,12 +112,11 @@ def cmd_forecast(args) -> int:
         pipeline.require_valid(history, "history")
         pipeline.require_valid(study, "study window")
     with _stage("fit"):
-        spec, model, holdout_ferms = pipeline.fit_price_model(history, settings.scenario)
+        _spec, model, holdout_ferms = pipeline.fit_price_model(history, settings.scenario)
     with _stage("forecast"):
-        forecast = predict(model, design_matrix(study, spec))
+        forecast = pipeline.predict_window(model, study)
     with _stage("write"):
-        columns = [stamp_grid(study.times), *float_grids(study.spot_price, forecast)]
-        write_csv(args.out, ("timestamp", "spot_price", "forecast_price"), columns)
+        write_csv(args.out, ("timestamp", "spot_price", "forecast_price"), [study.times, study.spot_price, forecast])
     print(f"holdout ferms: {holdout_ferms:.2f}%")
     # The window's ferms is only reported: a window whose mean price is not
     # positive has none, and the forecast stands.
@@ -139,7 +138,7 @@ def cmd_simulate(args) -> int:
     with _stage("write"):
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        pipeline.write_result_csv(result, out_dir / "result.csv")
+        pipeline.write_result_csv(result, out_dir)
         doc = summary.to_json_dict()
         doc["holdout_ferms"] = result.holdout_ferms
         doc["clamp_count"] = result.clamp_count
@@ -148,26 +147,6 @@ def cmd_simulate(args) -> int:
         doc["filled_hours"] = stamp_strings(series.filled)
         doc["selection"] = [step.to_json_dict() for step in result.selection]
         (out_dir / "summary.json").write_text(_json_text(doc))
-        cells = result.csv_grids
-        plots = {
-            "plot_price_forecast.csv": {
-                "timestamp": cells["timestamp"],
-                "actual_price": cells["actual_price"],
-                "forecast_price": cells["forecast_price"],
-            },
-            "plot_demand.csv": {
-                "timestamp": cells["timestamp"],
-                "demand_before": cells["baseline_demand"],
-                "demand_after": cells["dr_demand"],
-            },
-            "plot_spot_price.csv": {
-                "timestamp": cells["timestamp"],
-                "price_before": cells["baseline_spot_price"],
-                "price_after": cells["updated_spot_price"],
-            },
-        }
-        for name, columns in plots.items():
-            write_csv(out_dir / name, list(columns), list(columns.values()))
     print(f"simulated {len(result)} hours, outputs in {out_dir}")
     print(
         f"energy delta: {summary.delta_energy_mwh:.1f} MWh ({summary.delta_energy_pct:+.2f}%), "
@@ -177,16 +156,17 @@ def cmd_simulate(args) -> int:
 
 
 def _read_result_csv(path: Path) -> int:
-    text = path.read_text().splitlines()
-    if not text:
+    rows = -1
+    with open(path) as lines:
+        for rows, line in enumerate(lines):
+            fields = line.rstrip("\n").split(",")
+            if rows == 0 and tuple(fields) != RESULT_COLUMNS:
+                raise ValueError(f"{path}: unexpected header {fields}")
+            if len(fields) != len(RESULT_COLUMNS):
+                raise ValueError(f"{path}: row {rows + 1} has the wrong number of fields")
+    if rows < 0:
         raise ValueError(f"{path}: empty file")
-    header = text[0].split(",")
-    if tuple(header) != RESULT_COLUMNS:
-        raise ValueError(f"{path}: unexpected header {header}")
-    for line_num, line in enumerate(text[1:], start=2):
-        if len(line.split(",")) != len(RESULT_COLUMNS):
-            raise ValueError(f"{path}: row {line_num} has the wrong number of fields")
-    return len(text) - 1
+    return rows
 
 
 # The summary.json keys that report prints: the impact summary and three that simulate adds.

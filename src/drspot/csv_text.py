@@ -3,10 +3,9 @@
 The write-side twin of :mod:`drspot.plain_blocks`. A column is rendered as
 a ``(places, n)`` uint8 grid: grid column i holds cell i, one row per
 place (for a float: the sign, the integer digits, the point and the
-fraction digits), and NUL where the cell has no character. A file is the
-grids of its columns stacked with rows of ``,`` and ``\\n``, transposed so
-that each line is contiguous, and written with the NULs dropped. No Python
-string is made per cell.
+fraction digits), and NUL where the cell has no character. A file's lines
+are its grids side by side between ``,`` and ``\\n``, NULs dropped, a
+block of rows at a time. No Python string is made per cell.
 
 Floats are written as ``repr`` writes them: the shortest decimal that reads
 back as the same double, and the nearest to it among those (Steele and
@@ -18,6 +17,7 @@ cell, and the few that the arithmetic leaves undecided.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from itertools import accumulate
 from pathlib import Path
 from typing import IO, Iterator, Sequence
@@ -38,7 +38,7 @@ _FRACTION_DIGITS = 19  # so that a fraction is an integer below 10**19 < 2**64
 _HIDDEN_BIT = _U(1 << 52)
 _LOW32 = _U(0xFFFFFFFF)
 _TEN = _U(10)
-# Doubles converted at a time, and lines assembled and written at a time:
+# Rows rendered at a time, and lines assembled and written at a time:
 # numpy's temporaries stay small enough for the allocator to reuse, since
 # fresh pages for large ones cost more than the arithmetic.
 _BLOCK_VALUES = 4096
@@ -165,16 +165,10 @@ def _fraction_digits(rows: np.ndarray, value: np.ndarray) -> None:
 
 
 def float_grid(values) -> np.ndarray:
-    """The ``(places, n)`` grid of ``repr`` of each double of ``values``.
-    The doubles are converted and rendered a block at a time."""
+    """The ``(places, n)`` grid of ``repr`` of each double of ``values``."""
     x = np.asarray(values, dtype=float).reshape(-1)
-    c, q = np.empty(len(x), dtype=np.uint64), np.empty(len(x), dtype=np.intp)
-    done = np.empty(len(x), dtype=bool)
-    blocks = [slice(i, i + _BLOCK_VALUES) for i in range(0, len(x), _BLOCK_VALUES)]
-    top = 0.0
-    for block in blocks:
-        c[block], q[block], done[block] = _shortest(x[block])
-        top = max(top, float(np.max(np.abs(x[block]), where=done[block], initial=0.0)))
+    c, q, done = _shortest(x)
+    top = float(np.max(np.abs(x), where=done, initial=0.0))
     width = len(str(int(top)))
     places = max(int(q.max(initial=0)), 1)
     others = np.flatnonzero(~done)
@@ -184,32 +178,15 @@ def float_grid(values) -> np.ndarray:
     grid[0] = np.signbit(x)
     grid[0] *= np.uint8(ord("-"))
     grid[1 + width] = ord(".")
-    for block in blocks:
-        # The integer part is x's: no double's shortest decimal crosses an integer.
-        whole = np.floor(np.abs(x[block]), where=done[block], out=np.zeros(len(c[block])))
-        whole = whole.astype(np.uint64)
-        _integer_digits(grid[1 : 1 + width, block], whole)
-        fraction = (c[block] - whole * _POW10[q[block]]) * _POW10[places - q[block]]  # places digits each
-        _fraction_digits(grid[2 + width : 2 + width + places, block], fraction)
+    # The integer part is x's: no double's shortest decimal crosses an integer.
+    whole = np.floor(np.abs(x), where=done, out=np.zeros(len(x))).astype(np.uint64)
+    _integer_digits(grid[1 : 1 + width], whole)
+    fraction = (c - whole * _POW10[q]) * _POW10[places - q]  # places digits each
+    _fraction_digits(grid[2 + width : 2 + width + places], fraction)
     if len(others):
         cells = np.array(texts, dtype=f"S{len(grid)}").view(np.uint8).reshape(len(texts), len(grid))
         grid[:, others] = cells.T
     return grid
-
-
-def _trim(grid: np.ndarray) -> np.ndarray:
-    """``grid`` without its leading and trailing rows of NULs only."""
-    used = np.flatnonzero(grid.any(axis=1))
-    return grid[used[0] : used[-1] + 1] if len(used) else grid[:1]
-
-
-def float_grids(*columns: np.ndarray) -> list[np.ndarray]:
-    """:func:`float_grid` of each column, rendered together and trimmed
-    of the rows no cell of the column uses."""
-    sizes = [len(column) for column in columns]
-    grid = float_grid(np.concatenate(columns))
-    bounds = np.cumsum([0, *sizes]).tolist()
-    return [_trim(grid[:, a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 # A stamp, YYYY-MM-DDTHH:MM: the places of its two-digit numbers (the
@@ -266,22 +243,30 @@ def stamp_strings(times: np.ndarray) -> list[str]:
 
 def cell_strings(grid: np.ndarray) -> list[str]:
     """The text of each cell of a grid."""
-    lines = np.empty((grid.shape[1], len(grid) + 1), dtype=np.uint8)
-    lines[:, :-1] = grid.T
-    lines[:, -1] = ord("\n")
-    return lines[lines != 0].tobytes().decode("ascii").split("\n")[:-1]
+    return b"".join(map(bytes, _lines([grid]))).decode("ascii").split("\n")[:-1]
 
 
-def flag_grid(flags: np.ndarray) -> np.ndarray:
-    """The ``(1, n)`` grid of ``1`` and ``0`` cells of a boolean column."""
-    return (np.asarray(flags, dtype=np.uint8) + np.uint8(ord("0")))[None]
+def _grids(columns: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The grids of equal-length ``columns`` by dtype (stamps, 0/1 flags,
+    floats), floats rendered ``_BLOCK_VALUES`` values a call, each cut to
+    the places its cells use."""
+    n, zero = len(columns[0]), np.uint8(ord("0"))
+    grids = [stamp_grid(c) if c.dtype.kind == "M" else (c + zero)[None] if c.dtype == bool else None for c in columns]
+    floats = [i for i, grid in enumerate(grids) if grid is None]
+    step = max(_BLOCK_VALUES // max(n, 1), 1)
+    for start in range(0, len(floats), step):
+        group = floats[start : start + step]
+        grid = float_grid(np.concatenate([columns[i] for i in group]))
+        for j, i in enumerate(group):
+            part = grid[:, j * n : (j + 1) * n]
+            used = np.flatnonzero(part.any(axis=1))
+            grids[i] = part[used[0] : used[-1] + 1] if len(used) else part[:1]
+    return grids
 
 
-def _blocks(header: Sequence[str], grids: Sequence[np.ndarray]) -> Iterator[bytes | np.ndarray]:
-    """The bytes of a CSV file: the header line, then the data lines a
-    block of ``_BLOCK_ROWS`` at a time (as uint8 arrays), each line the
-    cells of ``grids`` joined by ``,`` and ended by ``\\n``."""
-    yield (",".join(header) + "\n").encode("ascii")
+def _lines(grids: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """The lines of the cells of ``grids`` joined by ``,``: uint8 arrays of
+    ``_BLOCK_ROWS`` lines, NULs dropped."""
     n = grids[0].shape[1]
     ends = list(accumulate(len(grid) + 1 for grid in grids))
     lines = np.empty((min(n, _BLOCK_ROWS), ends[-1]), dtype=np.uint8)
@@ -294,15 +279,41 @@ def _blocks(header: Sequence[str], grids: Sequence[np.ndarray]) -> Iterator[byte
         yield block[block != 0]
 
 
-def write_csv(dest: str | Path | IO[str], header: Sequence[str], grids: Sequence[np.ndarray]) -> None:
-    """Write the columns ``grids`` under ``header`` as CSV, one line per
-    row: the bytes that ``csv.writer`` with ``lineterminator="\\n"`` makes
-    of the same cells, which need no quotes. A path is written as bytes; a
-    text stream gets the ASCII text."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "wb") as handle:
-            for block in _blocks(header, grids):
-                handle.write(block)
-        return
-    for block in _blocks(header, grids):
-        dest.write(bytes(block).decode("ascii"))
+def row_blocks(n: int) -> list[slice]:
+    """``n`` rows in the nearest whole number (at least one) of equal
+    blocks of ``_BLOCK_VALUES`` rows: no short last block of fixed costs."""
+    size = max(-(-n // max(round(n / _BLOCK_VALUES), 1)), 1)
+    return [slice(first, first + size) for first in range(0, max(n, 1), size)]
+
+
+def write_csvs(files: Sequence[tuple]) -> None:
+    """:func:`write_csv` of each ``(dest, header, columns)`` in ``files``,
+    in one pass over :func:`row_blocks` of the columns, each distinct
+    column rendered once."""
+    columns = list({id(column): column for *_, file_columns in files for column in file_columns}.values())
+    n = len(columns[0])
+    if any(len(column) != n for column in columns):
+        raise ValueError("columns differ in length")
+    with ExitStack() as stack:
+        writes = []
+        for dest, header, _ in files:
+            if isinstance(dest, (str, Path)):
+                write = stack.enter_context(open(dest, "wb")).write
+            else:
+                write = lambda data, dest=dest: dest.write(bytes(data).decode("ascii"))  # noqa: E731
+            write((",".join(header) + "\n").encode("ascii"))
+            writes.append(write)
+        for rows in row_blocks(n):
+            grids = dict(zip(map(id, columns), _grids([column[rows] for column in columns])))
+            for write, (*_, file_columns) in zip(writes, files):
+                for lines in _lines([grids[id(column)] for column in file_columns]):
+                    write(lines)
+            del grids  # freed before the next block is rendered
+
+
+def write_csv(dest: str | Path | IO[str], header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write the numpy ``columns`` under ``header`` as ``csv.writer`` with
+    ``lineterminator="\\n"`` writes their cells: ``datetime64`` as stamps,
+    ``bool`` as 1 and 0, others as floats. A path gets bytes; a text
+    stream the ASCII text."""
+    write_csvs([(dest, header, columns)])

@@ -25,7 +25,7 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .csv_text import float_grids, stamp_grid, write_csv
+from .csv_text import write_csv
 from .plain_blocks import canonical_times as _canonical_times
 from .plain_blocks import cell_texts, decimal_columns
 from .plain_blocks import plain_block as _plain_block
@@ -413,8 +413,8 @@ def parse_hourly_csv(
 def write_hourly_csv(series: RecordSeries, dest: str | Path | IO[str]) -> None:
     """Write a RecordSeries in the canonical CSV layout. Parsing the output
     reproduces the series exactly."""
-    values = float_grids(series.demand, series.spot_price, series.dry_bulb_temp, series.dew_point)
-    write_csv(dest, REQUIRED_COLUMNS, [stamp_grid(series.times), *values])
+    columns = [series.times, series.demand, series.spot_price, series.dry_bulb_temp, series.dew_point]
+    write_csv(dest, REQUIRED_COLUMNS, columns)
 
 
 def read_holidays(path: str | Path) -> frozenset[date]:

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .csv_text import flag_grid, float_grids, stamp_grid, stamp_strings, write_csv
+from .csv_text import row_blocks, stamp_strings, write_csvs
 from .elasticity import (
     HOURS_PER_DAY,
     DayVectors,
@@ -47,6 +46,17 @@ RESULT_COLUMNS = (
     "updated_spot_price",
     "clamped",
 )
+# simulate's CSV files: each header's ScenarioResult attribute.
+RESULT_FILES = {
+    "result.csv": dict(zip(RESULT_COLUMNS, ("times", *RESULT_COLUMNS[1:-1], "clamp_flags"))),
+    "plot_price_forecast.csv": dict(
+        timestamp="times", actual_price="actual_price", forecast_price="forecast_price"
+    ),
+    "plot_demand.csv": dict(timestamp="times", demand_before="baseline_demand", demand_after="dr_demand"),
+    "plot_spot_price.csv": dict(
+        timestamp="times", price_before="baseline_spot_price", price_after="updated_spot_price"
+    ),
+}
 
 
 class ModelRejectedError(Exception):
@@ -146,27 +156,6 @@ class ScenarioResult:
     def clamp_count(self) -> int:
         return int(np.count_nonzero(self.clamp_flags))
 
-    @cached_property
-    def csv_grids(self) -> dict[str, np.ndarray]:
-        """The RESULT_COLUMNS and ``actual_price`` as CSV cells, rendered
-        once for every writer, as the grids of :mod:`drspot.csv_text`:
-        ``YYYY-MM-DDTHH:MM`` stamps, floats as ``repr`` writes them
-        (lossless), clamp flags as 0/1. The baseline_spot_price cells are
-        the forecast_price cells."""
-        demand, forecast, actual, dr_demand, updated = float_grids(
-            self.baseline_demand, self.forecast_price, self.actual_price, self.dr_demand, self.updated_spot_price
-        )
-        return {
-            "timestamp": stamp_grid(self.times),
-            "baseline_demand": demand,
-            "forecast_price": forecast,
-            "dr_demand": dr_demand,
-            "baseline_spot_price": forecast,
-            "updated_spot_price": updated,
-            "clamped": flag_grid(self.clamp_flags),
-            "actual_price": actual,
-        }
-
 
 @dataclass(frozen=True)
 class ImpactSummary:
@@ -228,6 +217,23 @@ def fit_price_model(
     return forward_select(cfg.feature_candidates, train, holdout, cfg.base_features, trace=trace)
 
 
+def predict_window(model: RegressionModel, window: RecordSeries, demand: np.ndarray | None = None) -> np.ndarray:
+    """The model's prices over ``window`` (at ``demand`` when given), a
+    block of :func:`row_blocks` at a time, bit for bit the one-shot
+    ``predict``. One buffer holds each block's design."""
+    if demand is not None and len(demand) != len(window):
+        raise LengthMismatchError(f"{len(demand)} demand values for {len(window)} hours")
+    blocks = row_blocks(len(window))
+    buffer = np.empty((blocks[0].stop, len(model.spec)), order="F")
+    prices = []
+    for hours in blocks:
+        part = window[hours]
+        given = None if demand is None else demand[hours]
+        rows = design_matrix(part, model.spec, demand=given, out=buffer[: len(part)])
+        prices.append(predict(model, rows))
+    return np.concatenate(prices)
+
+
 def run_scenario(
     history: RecordSeries, study_window: RecordSeries, cfg: ScenarioConfig = ScenarioConfig()
 ) -> ScenarioResult:
@@ -257,11 +263,11 @@ def run_scenario(
         raise ValueError("history and study window overlap")
 
     selection: list[SelectionStep] = []
-    spec, model, holdout_ferms = fit_price_model(history, cfg, selection)
+    _spec, model, holdout_ferms = fit_price_model(history, cfg, selection)
     if holdout_ferms > cfg.ferms_gate:
         raise ModelRejectedError(holdout_ferms, cfg.ferms_gate)
 
-    forecast = predict(model, design_matrix(study_window, spec))
+    forecast = predict_window(model, study_window)
 
     matrix = build_elasticity_matrix(cfg.elasticity_table, cfg.period_config)
     days = (n // HOURS_PER_DAY, HOURS_PER_DAY)
@@ -273,7 +279,7 @@ def run_scenario(
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         response = multi_hour_response(by_day, matrix)
         dr_demand, clamp_flags = response.demand.reshape(n), response.clamped.reshape(n)
-        updated = predict(model, design_matrix(study_window, spec, demand=dr_demand))
+        updated = predict_window(model, study_window, demand=dr_demand)
     if not (np.isfinite(dr_demand).all() and np.isfinite(updated).all()):
         raise ValueError("demand response or re-price is not finite; check flat_rate and the elasticity table")
 
@@ -330,11 +336,7 @@ def impact_summary(result: ScenarioResult) -> ImpactSummary:
     return summary
 
 
-def write_result_csv(result: ScenarioResult, dest: str | Path | IO[str]) -> None:
-    """One row per hour in RESULT_COLUMNS order, from ``result.csv_grids``.
-    Floats are written as ``repr`` writes them, so the output is
-    byte-deterministic and lossless. Their decimals come from exact
-    arithmetic in numpy for 0 and finite 1e-4 <= |x| < 1e15 (see
-    :mod:`drspot.csv_text`); ``repr`` itself writes any other value and the
-    rare ones that arithmetic leaves undecided, such as exact ties."""
-    write_csv(dest, RESULT_COLUMNS, [result.csv_grids[name] for name in RESULT_COLUMNS])
+def write_result_csv(result: ScenarioResult, out_dir: str | Path) -> None:
+    """Write the RESULT_FILES of ``result`` into ``out_dir``, in one pass."""
+    out_dir = Path(out_dir)
+    write_csvs([(out_dir / f, tuple(c), [getattr(result, a) for a in c.values()]) for f, c in RESULT_FILES.items()])

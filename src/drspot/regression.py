@@ -245,7 +245,8 @@ def fit_ols(X: np.ndarray, y: np.ndarray, spec: Sequence[str] | None = None) -> 
 
 
 def predict(model: RegressionModel, rows: np.ndarray) -> np.ndarray:
-    """Evaluate the fitted model on design rows."""
+    """Evaluate the fitted model on design rows a column at a time: unlike
+    a BLAS product, each row is rounded independently of the others."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 1:
         rows = rows.reshape(1, -1)
@@ -253,7 +254,11 @@ def predict(model: RegressionModel, rows: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"rows have {rows.shape[1]} columns, model has {len(model.coefficients)} features"
         )
-    return rows @ model.coefficients
+    prices = np.zeros(len(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for column, coefficient in zip(rows.T, model.coefficients):
+            prices += column * coefficient
+    return prices
 
 
 def ferms(forecast: np.ndarray, actual: np.ndarray) -> float:

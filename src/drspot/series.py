@@ -167,10 +167,10 @@ def validate_series(series: RecordSeries) -> list[str]:
     found: list[tuple[int, int, str]] = []
     for idx in np.flatnonzero(times != times.astype("datetime64[h]")).tolist():
         ts = times[idx].item()
-        found.append((idx, 0, f"row {idx} ({ts.isoformat()}): timestamp not on an hour boundary"))
+        found.append((idx, 0, f"{ts.isoformat()}: timestamp not on an hour boundary"))
     for idx in np.flatnonzero(series.demand < 0).tolist():
         stamp = iso_minutes(times[idx].item())
-        found.append((idx, 1, f"row {idx} ({stamp}): negative demand {float(series.demand[idx])}"))
+        found.append((idx, 1, f"{stamp}: negative demand {float(series.demand[idx])}"))
     step = np.diff(times)
     for idx in (np.flatnonzero(step != HOUR64) + 1).tolist():
         prev, ts = times[idx - 1].item(), times[idx].item()
@@ -180,5 +180,5 @@ def validate_series(series: RecordSeries) -> list[str]:
             problem = "timestamps not increasing"
         else:
             problem = f"gap, missing hour {iso_minutes(prev + HOUR)}"
-        found.append((idx, 2, f"row {idx} ({iso_minutes(ts)}): {problem}"))
+        found.append((idx, 2, f"{iso_minutes(ts)}: {problem}"))
     return [message for _idx, _order, message in sorted(found)]

@@ -20,8 +20,9 @@ MONDAY = datetime(2021, 6, 7)
 # HYPOTHESIS_PROFILE=ci gives the properties that fix no example count
 # 1,000 examples instead of 100: the stamp and decimal converter properties,
 # the differential parser property and the str -> float cast property
-# (test_market_data), the float and stamp writer properties (test_csv_text,
-# whose bulk test draws 10,000 values per example), the inverse-consistency
+# (test_market_data), the float and stamp writer properties and the
+# block-boundary property of the file writer (test_csv_text, whose bulk
+# test draws 10,000 values per example), the inverse-consistency
 # and OLS-recovery properties (test_acceptance), and the selection step
 # against the reference loop, the calendar rows' Gram matrix, the one-block
 # QR property and the rank rule's scale invariance (test_regression).

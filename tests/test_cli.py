@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from datetime import date, datetime
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import DATA_DIR, shifted_market, synthetic_market
-from drspot import pipeline
+from drspot import cli, pipeline
 from drspot.cli import main
 from drspot.config import load_settings
 from drspot.market_data import RecordSeries, parse_hourly_csv, write_hourly_csv
@@ -403,6 +404,36 @@ class TestReport:
         assert "result.csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty file"), ("timestamp,clamped\n", "unexpected header ['timestamp', 'clamped']")],
+        ids=["empty", "header"],
+    )
+    def test_malformed_result_csv_exits_1(self, market_csv, compact_config, tmp_path, capsys, text, message):
+        out = tmp_path / "out"
+        assert run_simulate(market_csv, compact_config, out) == 0
+        (out / "result.csv").write_text(text)
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: read: {out / 'result.csv'}: {message}\n"
+
+    def test_result_csv_is_read_a_line_at_a_time(self, tmp_path):
+        """The report's memory does not grow with the rows of result.csv:
+        20,000 rows peak within 16 KiB of 2,000."""
+        row = "2021-06-07T00:00,1.0,2.0,3.0,2.0,4.0,0\n"
+
+        def peak(rows: int) -> int:
+            path = tmp_path / f"result_{rows}.csv"
+            path.write_text(",".join(pipeline.RESULT_COLUMNS) + "\n" + row * rows)
+            tracemalloc.start()
+            try:
+                assert cli._read_result_csv(path) == rows
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20_000) <= peak(2_000) + 16384
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda doc: [doc], "expected a JSON object, got list"),
@@ -536,7 +567,7 @@ class TestBadValues:
         window = ["--window-start", "2021-08-09", "--days", "7"] if command != "fit" else []
         assert main(argv + window) == 1
         assert capsys.readouterr().err == (
-            f"error: {stage}: history series is invalid: row 49 (2021-06-09T01:00): negative demand -5.0\n"
+            f"error: {stage}: history series is invalid: 2021-06-09T01:00: negative demand -5.0\n"
         )
         assert not (tmp_path / "out").exists()
 
@@ -546,7 +577,7 @@ class TestBadValues:
         argv = [command, "--data", str(path), "--config", str(BUNDLED_CONFIG), "--out", str(tmp_path / "out")]
         assert main(argv + ["--window-start", "2021-08-09", "--days", "7"]) == 1
         assert capsys.readouterr().err == (
-            f"error: {stage}: study window series is invalid: row 29 (2021-08-10T05:00): negative demand -5.0\n"
+            f"error: {stage}: study window series is invalid: 2021-08-10T05:00: negative demand -5.0\n"
         )
         assert not (tmp_path / "out").exists()
 

@@ -1,6 +1,6 @@
 """The CSV writer of drspot.csv_text against Python's own formatting: floats
 against ``repr``, stamps against ``datetime.isoformat``, files against
-``csv.writer``."""
+``csv.writer``, across the writer's blocks of rows."""
 
 from __future__ import annotations
 
@@ -8,13 +8,15 @@ import csv
 import io
 import math
 from datetime import datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from drspot.csv_text import cell_strings, flag_grid, float_grid, float_grids, stamp_grid, stamp_strings, write_csv
+from drspot import csv_text
+from drspot.csv_text import cell_strings, float_grid, stamp_grid, stamp_strings, write_csv, write_csvs
 
 
 def _reprs(values) -> list[str]:
@@ -91,19 +93,37 @@ def test_cells_outside_the_vector_domain_raise_no_warning(tmp_path):
     values = np.array([math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 1.7976931348623157e308, 1e-5, 0.0])
     assert _texts(values) == _reprs(values)
     times = np.datetime64("2021-06-07T00:00", "us") + np.arange(len(values)) * np.timedelta64(1, "h")
-    write_csv(tmp_path / "out.csv", ("timestamp", "value"), [stamp_grid(times), *float_grids(values)])
+    write_csv(tmp_path / "out.csv", ("timestamp", "value"), [times, values])
     assert (tmp_path / "out.csv").read_text().splitlines()[1:] == [
         f"{stamp},{text}" for stamp, text in zip(stamp_strings(times), _reprs(values))
     ]
 
 
 def test_grids_of_several_columns_are_trimmed_to_their_own_places():
-    small, large, fallback = float_grids(np.array([1.5, 2.0]), np.array([-123456.0625]), np.array([math.nan]))
+    columns = np.array([1.5, 2.0]), np.array([-123456.0625, 7.0]), np.array([math.nan, 1.0])
+    small, large, fallback = csv_text._grids(columns)
     assert small.shape == (3, 2)  # "1.5" and "2.0": no sign
-    assert large.shape == (12, 1)
+    assert large.shape == (12, 2)
     assert cell_strings(small) == ["1.5", "2.0"]
-    assert cell_strings(large) == ["-123456.0625"]
-    assert cell_strings(fallback) == ["nan"]
+    assert cell_strings(large) == ["-123456.0625", "7.0"]
+    assert cell_strings(fallback) == ["nan", "1.0"]
+
+
+def test_each_distinct_column_is_rendered_once(tmp_path):
+    small, large, fallback = np.array([1.5, 2.0]), np.array([-123456.0625, 7.0]), np.array([math.nan, 1.0])
+    text = io.StringIO()
+    files = [(text, ("a", "b", "c", "a"), [small, large, fallback, small]), (tmp_path / "b.csv", ("b",), [large])]
+    with mock.patch.object(csv_text, "float_grid", wraps=float_grid) as render:
+        write_csvs(files)
+    assert sum(len(call.args[0]) for call in render.call_args_list) == 6  # three columns of two rows
+    assert text.getvalue() == "a,b,c,a\n1.5,-123456.0625,nan,1.5\n2.0,7.0,1.0,2.0\n"
+    assert (tmp_path / "b.csv").read_text() == "b\n-123456.0625\n7.0\n"
+
+
+def test_columns_of_unequal_length_are_refused(tmp_path):
+    with pytest.raises(ValueError, match="columns differ in length"):
+        write_csv(tmp_path / "out.csv", ("a", "b"), [np.zeros(2), np.zeros(3)])
+    assert not (tmp_path / "out.csv").exists()
 
 
 _years_1_to_9999 = st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59, 999_999))
@@ -123,7 +143,23 @@ def test_stamps_outside_years_1_to_9999_are_refused(stamp):
         stamp_grid(np.array([stamp], dtype="datetime64[m]"))
 
 
-@pytest.mark.parametrize("rows", [0, 1, 600, 1500])  # within and across blocks of lines
+def _csv_text(header, *columns) -> str:
+    """The reference CSV text: ``csv.writer`` of isoformat stamps, ``repr``
+    floats and 0/1 flags."""
+    def cells(column):
+        if column.dtype.kind == "M":
+            return [ts.isoformat(timespec="minutes") for ts in column.tolist()]
+        return [int(flag) for flag in column.tolist()] if column.dtype == bool else _reprs(column)
+
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*map(cells, columns)))
+    return expected.getvalue()
+
+
+# Within and across blocks of lines, and across a block of rows.
+@pytest.mark.parametrize("rows", [0, 1, 600, 1500, csv_text._BLOCK_VALUES + 1])
 def test_file_bytes_match_csv_writer(tmp_path, rows):
     rng = np.random.default_rng(rows)
     times = np.datetime64("1969-12-31T22:00", "us") + np.arange(rows) * np.timedelta64(7, "m")
@@ -133,17 +169,60 @@ def test_file_bytes_match_csv_writer(tmp_path, rows):
     demand[::89] = 1e300
     flags = rng.random(rows) < 0.3
     header = ("timestamp", "price", "demand", "clamped")
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(header)
-    for ts, price, load, flag in zip(times.tolist(), prices.tolist(), demand.tolist(), flags.tolist()):
-        writer.writerow([ts.isoformat(timespec="minutes"), repr(price), repr(load), int(flag)])
-    grids = [stamp_grid(times), *float_grids(prices, demand), flag_grid(flags)]
+    columns = [times, prices, demand, flags]
+    expected = _csv_text(header, *columns)
     text = io.StringIO()
-    write_csv(text, header, grids)
-    write_csv(tmp_path / "out.csv", header, grids)
-    assert text.getvalue() == expected.getvalue()
-    assert (tmp_path / "out.csv").read_bytes() == expected.getvalue().encode()
+    write_csv(text, header, columns)
+    write_csv(tmp_path / "out.csv", header, columns)
+    assert text.getvalue() == expected
+    assert (tmp_path / "out.csv").read_bytes() == expected.encode()
+
+
+_BLOCK = 5  # rows rendered at a time in the block-boundary property
+_FALLBACKS = st.sampled_from([math.nan, 1e300, 5e-324, -math.inf])
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.sampled_from([0, 1, 4, 5, 6, 8, 11, 16]),
+    block_rows=st.sampled_from([1, 2, _BLOCK]),
+    values=st.lists(st.floats(-1e4, 1e4, allow_subnormal=False), min_size=16, max_size=16),
+    decades=st.lists(st.integers(-3, 10), min_size=3, max_size=3),
+    late=st.dictionaries(st.integers(0, 15), _FALLBACKS, max_size=3),
+    flags=st.lists(st.booleans(), min_size=16, max_size=16),
+)
+def test_blocks_of_rows_join_into_the_csv_writer_bytes(tmp_path, n, block_rows, values, decades, late, flags):
+    """With blocks of about 5 rows: a column whose integer width and
+    fraction places change from block to block, repr's cells in a later
+    block only, one array in two files and twice in one, to a text stream
+    and a path."""
+    times = np.datetime64("2020-02-28T21:00", "us") + np.arange(n) * np.timedelta64(1, "h")
+    with mock.patch.object(csv_text, "_BLOCK_VALUES", _BLOCK), mock.patch.object(csv_text, "_BLOCK_ROWS", block_rows):
+        blocks = csv_text.row_blocks(n)
+        # Each block of rows at its own decade: its own integer and fraction places.
+        wide = np.array(values[:n])
+        short = np.round(wide, 2)
+        for rows, decade in zip(blocks, decades):
+            wide[rows] *= 10.0**decade
+        for row, value in late.items():
+            if row >= blocks[0].stop and row < n:
+                short[row] = value
+        flag = np.array(flags[:n], dtype=bool)
+        result = ("timestamp", "wide", "short", "again", "flag")
+        with mock.patch.object(csv_text, "float_grid", wraps=float_grid) as render:
+            text = io.StringIO()
+            write_csvs(
+                [
+                    (text, result, [times, wide, short, wide, flag]),
+                    (tmp_path / "result.csv", result, [times, wide, short, wide, flag]),
+                    (tmp_path / "plot.csv", ("timestamp", "short"), [times, short]),
+                ]
+            )
+    assert sum(len(call.args[0]) for call in render.call_args_list) == 2 * n  # wide and short, once each
+    expected = _csv_text(result, times, wide, short, wide, flag)
+    assert text.getvalue() == expected
+    assert (tmp_path / "result.csv").read_bytes() == expected.encode()
+    assert (tmp_path / "plot.csv").read_text() == _csv_text(("timestamp", "short"), times, short)
 
 
 def test_stamps_every_hour_of_a_leap_year_and_its_neighbours():

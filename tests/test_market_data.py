@@ -303,7 +303,7 @@ def test_validate_negative_demand():
     series = _series([_record(datetime(2014, 8, 18, 0)), _record(datetime(2014, 8, 18, 1), demand=-5.0)])
     violations = validate_series(series)
     assert len(violations) == 1
-    assert "row 1" in violations[0] and "negative demand" in violations[0]
+    assert violations[0] == "2014-08-18T01:00: negative demand -5.0"
 
 
 def test_validate_gap():

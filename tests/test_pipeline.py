@@ -1,7 +1,8 @@
 from __future__ import annotations
 
-import io
+import tracemalloc
 from datetime import datetime
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import MONDAY, SYNTHETIC_CANDIDATES, build_series, shifted_market, synthetic_market
+from drspot import csv_text, pipeline
 from drspot.elasticity import ElasticityTable
 from drspot.market_data import RecordSeries
 from drspot.pipeline import (
@@ -26,7 +28,7 @@ from drspot.pipeline import (
     split_train_holdout,
     write_result_csv,
 )
-from drspot.regression import LengthMismatchError, ZeroMeanActualError, fit_ols
+from drspot.regression import LengthMismatchError, ZeroMeanActualError, design_matrix, fit_ols, predict
 
 
 def fast_config(**overrides) -> ScenarioConfig:
@@ -269,7 +271,7 @@ class TestSplitTrainHoldout:
 
 
 class TestResultCsv:
-    def test_bytes_match_per_row_reference(self):
+    def test_bytes_match_per_row_reference(self, tmp_path):
         rng = np.random.default_rng(71)
         n = 48
         demand, forecast, dr_demand, updated = (rng.normal(0.0, 1e3, n) for _ in range(4))
@@ -281,16 +283,14 @@ class TestResultCsv:
             cells = [repr(float(col[i])) for col in columns]
             flag = "1" if result.clamp_flags[i] else "0"
             lines.append(",".join([ts.isoformat(timespec="minutes"), *cells, flag]))
-        buf = io.StringIO()
-        write_result_csv(result, buf)
-        assert buf.getvalue() == "\n".join(lines) + "\n"
+        write_result_csv(result, tmp_path)
+        assert (tmp_path / "result.csv").read_text() == "\n".join(lines) + "\n"
 
-    def test_header_and_values_round_trip(self):
+    def test_header_and_values_round_trip(self, tmp_path):
         history, study = split_market(21, 7, seed=70)
         result = run_scenario(history, study, fast_config())
-        buf = io.StringIO()
-        write_result_csv(result, buf)
-        lines = buf.getvalue().splitlines()
+        write_result_csv(result, tmp_path)
+        lines = (tmp_path / "result.csv").read_text().splitlines()
         assert lines[0] == ",".join(RESULT_COLUMNS)
         assert len(lines) == len(result) + 1
         first = lines[1].split(",")
@@ -298,6 +298,52 @@ class TestResultCsv:
         assert float(first[1]) == result.baseline_demand[0]
         assert float(first[5]) == result.updated_spot_price[0]
         assert first[6] in ("0", "1")
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(pipeline.RESULT_FILES)
+
+    def test_memory_does_not_grow_with_the_window(self, tmp_path):
+        """The writer's peak above its entry level is one block's: three
+        blocks of hours peak within 10% (plus 64 KiB) of one block."""
+
+        def extra_peak(n: int) -> int:
+            rng = np.random.default_rng(n)
+            result = make_result(*(rng.normal(0.0, 1e3, n) for _ in range(4)), clamps=rng.random(n) < 0.3)
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                write_result_csv(result, tmp_path)
+                return tracemalloc.get_traced_memory()[1] - entry
+            finally:
+                tracemalloc.stop()
+
+        block = csv_text._BLOCK_VALUES
+        one, three = extra_peak(block), extra_peak(3 * block)
+        assert three <= 1.1 * one + 65536, (one, three)
+
+
+@settings(max_examples=10, deadline=None)
+@given(history_days=st.integers(14, 21), study_days=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_blocked_prices_equal_the_one_shot_prices_bit_for_bit(history_days, study_days, seed):
+    """With blocks of about 7 hours, which cut days, the forecast and the
+    re-price of run_scenario are the one-shot predict on the whole window,
+    and no design of more than a block's hours is built for the window."""
+    history, study = split_market(history_days, study_days, seed=seed)
+    with mock.patch.object(csv_text, "_BLOCK_VALUES", 7):
+        with mock.patch.object(pipeline, "design_matrix", wraps=design_matrix) as design:
+            result = run_scenario(history, study, fast_config())
+    assert max(len(call.args[0]) for call in design.call_args_list) <= 10  # equal blocks of about 7 hours
+    model = result.model
+    assert np.array_equal(result.forecast_price, predict(model, design_matrix(study, model.spec)))
+    once = predict(model, design_matrix(study, model.spec, demand=result.dr_demand))
+    assert np.array_equal(result.updated_spot_price, once)
+    assert not np.array_equal(result.dr_demand, result.baseline_demand)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_window_prices_refuse_demand_of_another_length(extra):
+    history, study = split_market(14, 2, seed=72)
+    model = fit_price_model(history, fast_config())[1]
+    with pytest.raises(LengthMismatchError, match=f"{len(study) + extra} demand values for {len(study)} hours"):
+        pipeline.predict_window(model, study, demand=np.ones(len(study) + extra))
 
 
 class TestScenarioConfig:
