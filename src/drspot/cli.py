@@ -3,8 +3,8 @@
 Subcommands: fit (model estimation and coefficient table), forecast
 (standalone day-ahead price forecast), simulate (full demand response
 scenario with CSV/JSON outputs), report (summarize a simulate output
-directory). Exit codes: 0 success, 1 input or runtime error, 2 quality
-gate failure.
+directory). Exit codes: 0 success, 1 input or runtime error (a usage
+error included), 2 quality gate failure.
 """
 
 from __future__ import annotations
@@ -178,7 +178,10 @@ _REPORT_KEYS = (
 def _read_summary(path: Path) -> dict:
     if not path.exists():
         raise FileNotFoundError(f"{path} not found")
-    summary = json.loads(path.read_text())
+    try:
+        summary = json.loads(path.read_text())
+    except (ValueError, RecursionError) as exc:  # also too many digits, too deep a nesting
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(summary, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(summary).__name__}")
     for key in _REPORT_KEYS:
@@ -229,8 +232,16 @@ def _add_common(sub: argparse.ArgumentParser, window: bool) -> None:
         sub.add_argument("--days", type=int, required=True, help="study window length in days")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, as input errors do: exit 2 is the quality gate's."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="drspot",
         description="Spot-market price impact simulator for price-elastic demand response",
     )

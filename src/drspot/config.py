@@ -96,7 +96,7 @@ def load_settings(path: str | Path | None) -> Settings:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8-sig"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits, too deep a nesting
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
 
     if not isinstance(data, dict):

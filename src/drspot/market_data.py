@@ -27,7 +27,6 @@ import numpy as np
 
 from .csv_text import write_csv
 from .plain_blocks import canonical_times as _canonical_times
-from .plain_blocks import cell_texts, decimal_columns
 from .plain_blocks import plain_block as _plain_block
 
 # The series types are re-exported: they are part of this module's interface.
@@ -177,15 +176,20 @@ _Failures = list[tuple[int, int, MarketDataError]]
 
 
 def _check_values(
-    columns: Sequence[tuple[np.ndarray, int, Sequence[str] | None]], row_nums: Sequence[int]
+    columns: Sequence[np.ndarray | Sequence[str]], row_nums: Sequence[int]
 ) -> tuple[list[np.ndarray], _Failures]:
     """The value columns of a chunk of data rows on file rows ``row_nums``,
     and the (row within the chunk, check rank within the row, error) of each
-    column's first bad cell. Each column is given as its values up to the
-    first cell rejected as non-numeric, that cell's index, and the raw cells
-    (needed only when one is bad)."""
-    failures: _Failures = []
-    for rank, (column, (parsed, bad, raw)) in enumerate(zip(REQUIRED_COLUMNS[1:], columns), start=1):
+    column's first bad cell. Each column is given as its cell texts, which
+    :func:`_float_column` converts, or as the floats of decimal cells, which
+    are finite and taken as they are."""
+    values, failures = [], []
+    for rank, (name, column) in enumerate(zip(REQUIRED_COLUMNS[1:], columns), start=1):
+        if isinstance(column, np.ndarray):
+            values.append(column)
+            continue
+        parsed, bad = _float_column(column)
+        values.append(parsed)
         # A finite sum rules out nan and inf in one pass; an overflowing one,
         # or inf plus -inf, sends the column to the cell-by-cell search.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -195,21 +199,8 @@ def _check_values(
         if non_finite < bad:
             bad, reason = non_finite, "non-finite value"
         if bad < len(row_nums):
-            failures.append((bad, rank, ParseError(row_nums[bad], column, raw[bad].strip(), reason)))
-    return [parsed for parsed, _, _ in columns], failures
-
-
-def _plain_columns(
-    times: np.ndarray, data: np.ndarray, starts: np.ndarray, ends: np.ndarray, row_nums: Sequence[int]
-) -> tuple[np.ndarray, list[np.ndarray], _Failures]:
-    """The checked columns of a plain block (see :func:`_plain_block`) on
-    file rows ``row_nums``. The value columns of decimal cells are converted
-    together; any other goes through :func:`_float_column`, from its cells
-    cut out of the block."""
-    parsed = decimal_columns(data, starts, ends)
-    raws = cell_texts(data, starts, ends) if any(p is None for p in parsed) else [None] * len(parsed)
-    columns = [(p, len(p), None) if p is not None else (*_float_column(raw), raw) for p, raw in zip(parsed, raws)]
-    return (times, *_check_values(columns, row_nums))
+            failures.append((bad, rank, ParseError(row_nums[bad], name, column[bad].strip(), reason)))
+    return values, failures
 
 
 def _convert_rows(
@@ -220,9 +211,10 @@ def _convert_rows(
     first bad stamp, the value columns, and the (row within the chunk, check
     rank within the row, error) of each check's first failure. Stripped
     stamps are converted by :func:`_canonical_times` when all are canonical
-    and by ``datetime.fromisoformat`` otherwise. ``indices`` holds the file
-    column of each of ``REQUIRED_COLUMNS``, the order in which a row's cells
-    are checked. A short row is the chunk's last row."""
+    and by ``datetime.fromisoformat`` otherwise; the value cells by
+    :func:`_check_values`. ``indices`` holds the file column of each of
+    ``REQUIRED_COLUMNS``, the order in which a row's cells are checked. A
+    short row is the chunk's last row."""
     failures: _Failures = []
     width = max(indices) + 1
     if min(map(len, rows)) < width:
@@ -252,7 +244,7 @@ def _convert_rows(
         if bad < len(stamps):
             failures.append((bad, 0, ParseError(row_nums[bad], "timestamp", stamps[bad], reason)))
             times = times[:bad]
-    values, checked = _check_values([(*_float_column(raw), raw) for raw in cells], row_nums[: len(raw_stamps)])
+    values, checked = _check_values(cells, row_nums[: len(raw_stamps)])
     return times, values, failures + checked
 
 
@@ -303,10 +295,11 @@ def _chunks(source: IO[str], offset: int, width: int, indices: Sequence[int]) ->
     """The file rows and checked columns of each chunk of the non-blank data
     rows of the rest of ``source``, which follows line ``offset``, read a
     block at a time (see :func:`_text_blocks`). A plain block (see
-    :func:`_plain_block`) is converted from its bytes and gives the same
+    :func:`_plain_block`) gives its times and value columns, and the same
     chunks as ``csv.reader``; any other block goes through the reader, and
     from a block with a quote on, so does the rest of the file, since a
-    quoted cell can span lines. A chunk's failures rank the stamp, then the
+    quoted cell can span lines. Both paths check their value columns by
+    :func:`_check_values`. A chunk's failures rank the stamp, then the
     value columns of a row; the caller adds the hour sequence's and raises
     the first before the next chunk, so a malformed record raises only when
     every row before it is valid."""
@@ -324,9 +317,10 @@ def _chunks(source: IO[str], offset: int, width: int, indices: Sequence[int]) ->
             return
         plain = _plain_block(text, width, indices)
         if plain is not None:
-            rows = len(plain[0])
+            times, columns = plain
+            rows = len(times)
             nums = range(offset + 1, offset + rows + 1)
-            yield (nums, *_plain_columns(*plain, nums))
+            yield (nums, times, *_check_values(columns, nums))
         else:
             block = list(lines(text))
             rows = len(block)

@@ -3,9 +3,10 @@
 A block that ``csv.reader`` would split at every comma is read from one
 ``uint8`` view of its bytes, with no Python string per cell: its commas and
 line ends bound the cells, and its stamps and value cells are gathered
-into uint8 grids, a byte place per row, and read by arithmetic.
-:mod:`drspot.market_data` sends any other block, and any column declined
-here, through the reader or ``float``, which give the same values.
+into uint8 grids, a byte place per row, and read by arithmetic. A value
+column that the arithmetic declines comes back as its cell texts, which
+:mod:`drspot.market_data` converts with ``float``, as it does the cells of
+any other block, split by the reader: both give the same values.
 """
 
 from __future__ import annotations
@@ -137,34 +138,17 @@ def decimal_columns(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> l
     return converted
 
 
-def cell_texts(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[list[str]]:
-    """The text of the cells ``data[starts[j, i]:ends[j, i]]``, one list per
-    row j. Each cell is followed by a separator byte, and a row's cells lie
-    in file order, one per line. The cells are cut out of the block's bytes
-    together, by a mask of their bytes and separators, and split as one text."""
-    order = np.argsort(starts[:, 0])  # the columns in file order
-    first, last = starts[order].T.ravel(), ends[order].T.ravel()
-    runs = np.empty(2 * len(first), dtype=np.int64)
-    runs[0::2] = first - np.append(0, last[:-1] + 1)  # the bytes up to a cell
-    runs[1::2] = last + 1 - first  # the cell and its separator
-    keep = np.repeat(np.tile([False, True], len(first)), runs)
-    cells = data[: len(keep)][keep].tobytes().decode("utf-8", "surrogatepass").replace("\n", ",").split(",")
-    texts: list[list[str]] = [[]] * len(order)
-    for j, row in enumerate(order.tolist()):
-        texts[row] = cells[j : len(first) : len(order)]
-    return texts
-
-
 def plain_block(
     text: str, width: int, indices: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """The times and the value cells of a block of whole data lines without
-    a quote, or None unless ``csv.reader`` would split every line at each of
-    its commas into ``width`` cells (no lone carriage return, NUL, blank row
-    or cell over ``csv.field_size_limit()``) and every stamp is canonical
-    (see :func:`stamp_times`, unpadded). The value cells are the block's
-    bytes ``data``, after ``DECIMAL_WIDTH`` spaces, and the ``starts`` and
-    ``ends`` of each value column of ``indices``, one row per column."""
+) -> tuple[np.ndarray, list[np.ndarray | list[str]]] | None:
+    """The times and the value columns of a block of whole data lines
+    without a quote, or None unless ``csv.reader`` would split every line at
+    each of its commas into ``width`` cells (no lone carriage return, NUL,
+    blank row or cell over ``csv.field_size_limit()``) and every stamp is
+    canonical (see :func:`stamp_times`, unpadded). ``indices`` holds the
+    file column of the stamps, then of each value column. A value column
+    comes back as its floats (see :func:`decimal_columns`) or, declined, as
+    the cell texts ``csv.reader`` gives, split from the block's text."""
     if "\0" in text:
         return None
     if "\r" in text:
@@ -193,4 +177,10 @@ def plain_block(
     if ((ends[0] - starts[0]) != _STAMP_CHARS).any():
         return None
     times = stamp_times(_take_places(data, starts[0], _STAMP_CHARS))
-    return None if times is None else (times, data, starts[1:], ends[1:])
+    if times is None:
+        return None
+    columns = decimal_columns(data, starts[1:], ends[1:])
+    if any(column is None for column in columns):
+        cells = text.replace("\n", ",").split(",")
+        columns = [cells[i : n * width : width] if c is None else c for i, c in zip(indices[1:], columns)]
+    return times, columns

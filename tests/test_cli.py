@@ -454,6 +454,17 @@ class TestReport:
         assert captured.err == f"error: read: {summary}: {message}\n"
         assert captured.out == ""
 
+    def test_summary_the_decoder_cannot_take_exits_1(self, market_csv, compact_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_simulate(market_csv, compact_config, out) == 0
+        summary = out / "summary.json"
+        summary.write_text("[" * 100_000)
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: read: {summary}: not valid JSON: maximum recursion depth exceeded")
+        assert captured.out == ""
+
 
 class TestGapHandling:
     def test_strict_rejects_gap_permissive_fills(self, compact_config, tmp_path, capsys):
@@ -606,6 +617,34 @@ class TestFlagRanges:
         common = ["--data", str(market_csv), "--config", str(compact_config), "--out", str(tmp_path / "out")]
         assert main([command, *common, *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    # Errors argparse finds print its usage and exit 1, as input errors do:
+    # exit 2 is the quality gate's.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["simulate", "--window-start", "2021-06-28", "--days", "abc"], "argument --days: invalid int value: 'abc'"),
+            (["fit", "--strict", "--permissive"], "argument --permissive: not allowed with argument --strict"),
+            (["fit"], "the following arguments are required: --out"),
+        ],
+        ids=["no_command", "days_not_an_integer", "strict_and_permissive", "missing_out"],
+    )
+    def test_usage_error_exits_1(self, market_csv, compact_config, capsys, argv, message):
+        if argv:
+            argv = [argv[0], "--data", str(market_csv), "--config", str(compact_config), *argv[1:]]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: drspot")
+        assert err.endswith(f": error: {message}\n")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: drspot simulate")
 
     @pytest.mark.parametrize("days", [9999999999, 3_000_000])
     def test_window_end_past_year_9999_exits_1(self, market_csv, compact_config, tmp_path, capsys, days):

@@ -104,6 +104,20 @@ def test_bad_json_rejected(tmp_path):
         load_settings(path)
 
 
+# JSON that the decoder refuses with a RecursionError or with a ValueError
+# that is not a JSONDecodeError.
+@pytest.mark.parametrize(
+    "text, reason",
+    [("[" * 100_000, "maximum recursion depth exceeded"), ('{"holdout_days": ' + "1" * 5000 + "}", "Exceeds the limit")],
+    ids=["deep_nesting", "long_integer"],
+)
+def test_json_the_decoder_cannot_take_is_not_valid_json(tmp_path, text, reason):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not valid JSON: {reason}"):
+        load_settings(path)
+
+
 def test_holidays_file_merged(tmp_path):
     holidays_file = tmp_path / "holidays.txt"
     holidays_file.write_text("2014-09-01\n")

@@ -6,6 +6,7 @@ import math
 import re
 import warnings
 from datetime import date, datetime, timedelta, timezone
+from operator import itemgetter
 from unittest import mock
 
 import numpy as np
@@ -709,7 +710,8 @@ _csv_edit = st.one_of(
 )
 
 
-def _edit_lines(lines: list[str], edit: tuple) -> list[str]:
+def _edit_lines(lines: list[str], edit: tuple, stamp_at: int = 0) -> list[str]:
+    """``lines`` with one edit; the stamps are in file column ``stamp_at``."""
     kind, row, *args = edit
     row %= len(lines)
     row = max(row, 1)  # the header stays as it is
@@ -720,12 +722,13 @@ def _edit_lines(lines: list[str], edit: tuple) -> list[str]:
     if kind == "repeat":
         return lines[: row + 1] + lines[row:]
     cells = lines[row].split(",")
+    at = min(stamp_at, len(cells) - 1)  # a line too short for the stamp cell takes it in its last
     if kind == "cell":
         cells[args[0] % len(cells)] = args[1]
     elif kind == "stamp":
-        cells[0] = _STAMP_EDITS[args[0]](cells[0])
+        cells[at] = _STAMP_EDITS[args[0]](cells[at])
     elif kind == "digits":
-        cells[0] = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}".format(*args)
+        cells[at] = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}".format(*args)
     elif kind == "append":
         cells[-1] += args[0]
     else:
@@ -746,13 +749,23 @@ def _outcome(parse, text: str, strict: bool, as_file: bool):
     return series_to_csv(series), series.filled.tolist()
 
 
-def _stamp_example(*edits):
+def _stamp_example(*edits, order=range(5)):
     return example(
-        edits=list(edits), note=False, crlf=False, final_newline=True, as_file=False, quoted_header=False, block_chars=2000
+        edits=list(edits),
+        order=list(order),
+        note=False,
+        crlf=False,
+        final_newline=True,
+        as_file=False,
+        quoted_header=False,
+        block_chars=2000,
     )
 
 
 @settings(deadline=None)
+# The stamps last and a value column that the decimal arithmetic declines
+# (1e3) first in the file: a declined column at file column 0.
+@_stamp_example(("cell", 300, 0, "1e3"), order=[1, 2, 3, 4, 0])
 @_stamp_example(("stamp", 300, "month_13"))
 @_stamp_example(("digits", 300, 2021, 2, 30, 0, 0))
 @_stamp_example(("digits", 300, 0, 12, 31, 23, 0))
@@ -766,6 +779,8 @@ def _stamp_example(*edits):
 @_stamp_example(("stamp", 300, "offset_minutes"))
 @given(
     edits=st.lists(_csv_edit, min_size=1, max_size=4),
+    # The file column of each of REQUIRED_COLUMNS is order.index(k).
+    order=st.permutations(range(5)),
     note=st.booleans(),
     crlf=st.booleans(),
     final_newline=st.booleans(),
@@ -774,10 +789,14 @@ def _stamp_example(*edits):
     # Blocks of a few dozen lines: every row is near a plain-block edge.
     block_chars=st.integers(500, 4000),
 )
-def test_plain_path_matches_csv_reader_path(edits, note, crlf, final_newline, as_file, quoted_header, block_chars):
-    lines = [line + ",note" if k == 0 else line + "," for k, line in enumerate(_BASE_LINES)] if note else _BASE_LINES
+def test_plain_path_matches_csv_reader_path(
+    edits, order, note, crlf, final_newline, as_file, quoted_header, block_chars
+):
+    lines = [",".join(itemgetter(*order)(line.split(","))) for line in _BASE_LINES]
+    if note:
+        lines = [line + ",note" if k == 0 else line + "," for k, line in enumerate(lines)]
     for edit in edits:
-        lines = _edit_lines(lines, edit)
+        lines = _edit_lines(lines, edit, order.index(0))
     if quoted_header:  # read alike by csv.reader
         lines = ['"' + lines[0].replace(",", '",', 1)] + lines[1:]
     ending = "\r\n" if crlf else "\n"
