@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from contextlib import contextmanager
 from datetime import date, datetime, time, timedelta
@@ -20,8 +19,8 @@ from pathlib import Path
 
 from . import pipeline
 from .config import ConfigError, Settings, load_settings, resolve_config_path
-from .csv_text import stamp_strings, write_csv
-from .market_data import MarketDataError, RecordSeries, parse_hourly_csv
+from .csv_text import write_csv
+from .market_data import MarketDataError, RecordSeries, iso_minutes, parse_hourly_csv
 from .pipeline import EmptyWindowError, ModelRejectedError, RESULT_COLUMNS
 from .regression import RegressionError, ZeroMeanActualError, ferms
 
@@ -44,13 +43,7 @@ def _json_text(data: dict) -> str:
 
 def _load_settings(args) -> Settings:
     with _stage("config"):
-        settings = load_settings(resolve_config_path(args.config))
-        if getattr(args, "holdout_days", None) is not None:
-            settings = dataclasses.replace(
-                settings,
-                scenario=dataclasses.replace(settings.scenario, holdout_days=args.holdout_days),
-            )
-        return settings
+        return load_settings(resolve_config_path(args.config))
 
 
 def _load_series(args, settings: Settings) -> RecordSeries:
@@ -99,8 +92,9 @@ def cmd_fit(args) -> int:
     print(f"n_obs: {model.n_obs}")
     print(f"holdout ferms: {holdout_ferms:.2f}%")
     print(f"model written to {args.out}")
-    if args.gate is not None and holdout_ferms > args.gate:
-        raise ModelRejectedError(holdout_ferms, args.gate)
+    # Checked after the write: model.json is how a rejected fit is inspected.
+    if holdout_ferms > settings.scenario.ferms_gate:
+        raise ModelRejectedError(holdout_ferms, settings.scenario.ferms_gate)
     return 0
 
 
@@ -113,6 +107,8 @@ def cmd_forecast(args) -> int:
         pipeline.require_valid(study, "study window")
     with _stage("fit"):
         _spec, model, holdout_ferms = pipeline.fit_price_model(history, settings.scenario)
+    if holdout_ferms > settings.scenario.ferms_gate:
+        raise ModelRejectedError(holdout_ferms, settings.scenario.ferms_gate)
     with _stage("forecast"):
         forecast = pipeline.predict_window(model, study)
     with _stage("write"):
@@ -144,7 +140,7 @@ def cmd_simulate(args) -> int:
         doc["clamp_count"] = result.clamp_count
         doc["hours"] = len(result)
         doc["selected_features"] = list(result.model.spec)
-        doc["filled_hours"] = stamp_strings(series.filled)
+        doc["filled_hours"] = [iso_minutes(t) for t in series.filled.tolist()]
         doc["selection"] = [step.to_json_dict() for step in result.selection]
         (out_dir / "summary.json").write_text(_json_text(doc))
     print(f"simulated {len(result)} hours, outputs in {out_dir}")
@@ -222,7 +218,6 @@ def cmd_report(args) -> int:
 def _add_common(sub: argparse.ArgumentParser, window: bool) -> None:
     sub.add_argument("--data", required=True, help="hourly market data CSV")
     sub.add_argument("--config", default=None, help="config JSON (or set DR_SPOT_SIM_CONFIG)")
-    sub.add_argument("--holdout-days", type=int, default=None, help="override config holdout days")
     gaps = sub.add_mutually_exclusive_group()
     gaps.add_argument("--strict", dest="permissive", action="store_false", help="reject gaps (default)")
     gaps.add_argument("--permissive", dest="permissive", action="store_true", help="fill gaps")
@@ -250,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit the price model and write it as JSON")
     _add_common(fit, window=False)
     fit.add_argument("--out", required=True, help="output model JSON path")
-    fit.add_argument("--gate", type=float, default=None, help="fail (exit 2) if holdout ferms exceeds this")
     fit.set_defaults(func=cmd_fit)
 
     forecast = sub.add_parser("forecast", help="forecast prices for a window")
@@ -271,13 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_flags(args) -> None:
     """Ranges argparse does not check; a bad value is an input error (exit 1)."""
-    gate = getattr(args, "gate", None)
-    if gate is not None and not 0 < gate < math.inf:  # NaN fails too
-        raise CommandError(f"--gate must be a finite number > 0, got {gate}")
-    for flag, name in (("--days", "days"), ("--holdout-days", "holdout_days")):
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise CommandError(f"{flag} must be >= 1, got {value}")
+    days = getattr(args, "days", None)
+    if days is not None and days < 1:
+        raise CommandError(f"--days must be >= 1, got {days}")
 
 
 def main(argv=None) -> int:

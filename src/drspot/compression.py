@@ -14,9 +14,12 @@ import numpy as np
 
 from .series import RecordSeries
 
-# Rows per block of r_factor: blocks that stay in cache halve the time of one
-# pass (2.6 against 5.0 ms for 6,384 x 32, one OpenBLAS thread of a 2-vCPU
-# x86 machine) and keep np.linalg.qr's copies small.
+# Rows per block of r_factor. The only input taller than one block is
+# calendar_rows' n x 5 deviation buffer, and for it the blocks bound the
+# memory of np.linalg.qr's copies. Against one QR of the whole F-order buffer
+# (one OpenBLAS thread, 2-vCPU x86): a traced peak of 45 against 252 KiB and
+# 0.151 against 0.074 ms at 6,384 rows; 48 against 652 KiB and 0.351 against
+# 0.588 ms at 16,632 rows.
 QR_BLOCK_ROWS = 1024
 
 

@@ -236,11 +236,6 @@ def stamp_grid(times: np.ndarray) -> np.ndarray:
     return grid
 
 
-def stamp_strings(times: np.ndarray) -> list[str]:
-    """``YYYY-MM-DDTHH:MM`` text of each stamp of a datetime64 column."""
-    return cell_strings(stamp_grid(times))
-
-
 def cell_strings(grid: np.ndarray) -> list[str]:
     """The text of each cell of a grid."""
     return b"".join(map(bytes, _lines([grid]))).decode("ascii").split("\n")[:-1]

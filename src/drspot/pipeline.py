@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .csv_text import row_blocks, stamp_strings, write_csvs
+from .csv_text import row_blocks, write_csvs
 from .elasticity import (
     HOURS_PER_DAY,
     DayVectors,
@@ -22,7 +22,7 @@ from .elasticity import (
     build_elasticity_matrix,
     multi_hour_response,
 )
-from .market_data import RecordSeries, validate_series
+from .market_data import RecordSeries, iso_minutes, validate_series
 from .regression import (
     DEFAULT_BASE_FEATURES,
     DEFAULT_THRESHOLDS,
@@ -254,7 +254,7 @@ def run_scenario(
     if n == 0 or n % HOURS_PER_DAY:
         raise ValueError(f"study window must cover whole days, got {n} hours")
     if study_window.hour_of_day[0] != 1:
-        start = stamp_strings(study_window.times[:1])[0]
+        start = iso_minutes(study_window.times[0].item())
         raise ValueError(f"study window must start at 00:00, got a start at {start}")
     # Both are runs of consecutive hours (validated above): they share an hour
     # exactly when their ranges overlap.

@@ -29,8 +29,10 @@ MONDAY = datetime(2021, 6, 7)
 # Each checks numpy against an independent computation (the converters' and
 # the writer's integer, float and calendar arithmetic, its float cast, its
 # linear algebra, its in-place ufunc calls), and CI runs them on numpy
-# versions that cannot be installed offline, numpy 1.23 among them.
-settings.register_profile("ci", max_examples=1000)
+# versions that cannot be installed offline, numpy 1.23 among them. A failure
+# prints the blob that ``@reproduce_failure`` replays, so an intermittent one
+# can be reproduced from the log.
+settings.register_profile("ci", max_examples=1000, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 

@@ -49,6 +49,13 @@ def compact_config(tmp_path):
     return path
 
 
+def _edited_config(config, tmp_path, **keys):
+    """A copy of the JSON config at ``config`` with ``keys`` set."""
+    path = tmp_path / "edited_config.json"
+    path.write_text(json.dumps({**json.loads(config.read_text()), **keys}))
+    return path
+
+
 def run_simulate(data, config, out, start="2021-06-28", days=7, *extra):
     return main(
         [
@@ -128,31 +135,33 @@ class TestFit:
         assert str(missing) in capsys.readouterr().err
 
     def test_gate_failure_exits_2(self, market_csv, compact_config, tmp_path, capsys):
-        rc = main(
-            [
-                "fit",
-                "--data", str(market_csv),
-                "--config", str(compact_config),
-                "--out", str(tmp_path / "m.json"),
-                "--gate", "0.05",
-            ]
-        )
+        config = _edited_config(compact_config, tmp_path, ferms_gate=0.05)
+        out = tmp_path / "m.json"
+        rc = main(["fit", "--data", str(market_csv), "--config", str(config), "--out", str(out)])
         assert rc == 2
         assert "gate" in capsys.readouterr().err
+        assert "holdout_ferms" in json.loads(out.read_text())
 
     def test_holdout_days_flag_changes_split(self, market_csv, compact_config, tmp_path):
+        config = _edited_config(compact_config, tmp_path, holdout_days=3)
         out = tmp_path / "model.json"
-        rc = main(
-            [
-                "fit",
-                "--data", str(market_csv),
-                "--config", str(compact_config),
-                "--out", str(out),
-                "--holdout-days", "3",
-            ]
-        )
+        rc = main(["fit", "--data", str(market_csv), "--config", str(config), "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["n_obs"] == 25 * 24
+
+    def test_rejected_fit_writes_its_model_json_first(self, market_csv, tmp_path, capsys):
+        """An intercept-only model misses the default gate by far; fit
+        prints and writes it as a passing fit would, then exits 2."""
+        config = tmp_path / "intercept.json"
+        config.write_text(json.dumps({"feature_candidates": ["intercept"], "base_features": ["intercept"]}))
+        rejected, accepted = tmp_path / "rejected.json", tmp_path / "accepted.json"
+        assert main(["fit", "--data", str(market_csv), "--config", str(config), "--out", str(rejected)]) == 2
+        out, err = capsys.readouterr()
+        assert f"model written to {rejected}" in out
+        assert err.startswith("error: model rejected: holdout ferms ") and err.endswith("exceeds gate 15.00%\n")
+        lenient = _edited_config(config, tmp_path, ferms_gate=100.0)
+        assert main(["fit", "--data", str(market_csv), "--config", str(lenient), "--out", str(accepted)]) == 0
+        assert rejected.read_bytes() == accepted.read_bytes()
 
 
 class TestForecast:
@@ -190,6 +199,19 @@ class TestForecast:
         forecast = predict(model, design_matrix(study, spec))
         header = ("timestamp", "spot_price", "forecast_price")
         assert out.read_text() == reference_csv(header, study.times.tolist(), study.spot_price, forecast)
+
+    def test_gate_failure_exits_2_before_writing(self, market_csv, compact_config, tmp_path, capsys):
+        """forecast applies the config's gate as simulate does, and writes
+        nothing when the model is rejected."""
+        config = _edited_config(compact_config, tmp_path, ferms_gate=0.05)
+        out = tmp_path / "forecast.csv"
+        argv = ["--data", str(market_csv), "--config", str(config), "--window-start", "2021-06-28", "--days", "7"]
+        assert main(["forecast", *argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: model rejected: holdout ferms ") and err.endswith("exceeds gate 0.05%\n")
+        assert main(["simulate", *argv, "--out", str(tmp_path / "sim")]) == 2
+        assert capsys.readouterr().err == err
 
 
 class TestSimulate:
@@ -604,13 +626,11 @@ class TestFlagRanges:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["fit", "--gate", "nan"], "--gate must be a finite number > 0, got nan"),
-            (["fit", "--gate", "inf"], "--gate must be a finite number > 0, got inf"),
-            (["fit", "--gate", "0"], "--gate must be a finite number > 0, got 0.0"),
-            (["fit", "--holdout-days", "0"], "--holdout-days must be >= 1, got 0"),
             (["simulate", "--window-start", "2021-06-28", "--days", "-1"], "--days must be >= 1, got -1"),
             (["forecast", "--window-start", "2021-06-28", "--days", "0"], "--days must be >= 1, got 0"),
         ],
+        # Fixed ids, so that the cases keep the names they are tracked under.
+        ids=["argv4---days must be >= 1, got -1", "argv5---days must be >= 1, got 0"],
     )
     def test_out_of_range_flag_exits_1(self, market_csv, compact_config, tmp_path, capsys, argv, message):
         command, *flags = argv
@@ -627,8 +647,14 @@ class TestFlagRanges:
             (["simulate", "--window-start", "2021-06-28", "--days", "abc"], "argument --days: invalid int value: 'abc'"),
             (["fit", "--strict", "--permissive"], "argument --permissive: not allowed with argument --strict"),
             (["fit"], "the following arguments are required: --out"),
+            # The config is the one source of model settings.
+            (["fit", "--out", "m.json", "--gate", "10"], "unrecognized arguments: --gate 10"),
+            (
+                ["simulate", "--window-start", "2021-06-28", "--days", "7", "--out", "out", "--holdout-days", "3"],
+                "unrecognized arguments: --holdout-days 3",
+            ),
         ],
-        ids=["no_command", "days_not_an_integer", "strict_and_permissive", "missing_out"],
+        ids=["no_command", "days_not_an_integer", "strict_and_permissive", "missing_out", "gate_flag", "holdout_days_flag"],
     )
     def test_usage_error_exits_1(self, market_csv, compact_config, capsys, argv, message):
         if argv:

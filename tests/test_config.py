@@ -165,6 +165,7 @@ _ZERO_TABLE = {k: 0.0 for k in (
         ({"holdout_days": 1.5}, "holdout_days must be an integer, got 1.5"),
         ({"holdout_days": 2.0}, "holdout_days must be an integer, got 2.0"),
         ({"holdout_days": True}, "holdout_days must be an integer, got True"),
+        ({"holdout_days": 0}, "holdout_days must be >= 1, got 0"),
         ({"holidays": 5}, "holidays must be a list, got 5"),
         ({"holidays": [20140704]}, "holidays must be ISO dates"),
         ({"holidays_file": 5}, "holidays_file must be a path"),

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from drspot import csv_text
-from drspot.csv_text import cell_strings, float_grid, stamp_grid, stamp_strings, write_csv, write_csvs
+from drspot.csv_text import cell_strings, float_grid, stamp_grid, write_csv, write_csvs
 
 
 def _reprs(values) -> list[str]:
@@ -95,7 +95,7 @@ def test_cells_outside_the_vector_domain_raise_no_warning(tmp_path):
     times = np.datetime64("2021-06-07T00:00", "us") + np.arange(len(values)) * np.timedelta64(1, "h")
     write_csv(tmp_path / "out.csv", ("timestamp", "value"), [times, values])
     assert (tmp_path / "out.csv").read_text().splitlines()[1:] == [
-        f"{stamp},{text}" for stamp, text in zip(stamp_strings(times), _reprs(values))
+        f"{stamp},{text}" for stamp, text in zip(cell_strings(stamp_grid(times)), _reprs(values))
     ]
 
 
@@ -134,7 +134,7 @@ _years_1_to_9999 = st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(
 @given(st.lists(_years_1_to_9999, max_size=8))
 def test_stamps_match_isoformat(stamps):
     times = np.array(stamps, dtype="datetime64[us]")
-    assert stamp_strings(times) == [ts.isoformat(timespec="minutes") for ts in stamps]
+    assert cell_strings(stamp_grid(times)) == [ts.isoformat(timespec="minutes") for ts in stamps]
 
 
 @pytest.mark.parametrize("stamp", ["0000-12-31T23:59", "10000-01-01T00:00", "NaT"])
@@ -228,4 +228,5 @@ def test_blocks_of_rows_join_into_the_csv_writer_bytes(tmp_path, n, block_rows, 
 def test_stamps_every_hour_of_a_leap_year_and_its_neighbours():
     start = datetime(2023, 12, 31)
     stamps = [start + timedelta(hours=h) for h in range(24 * 368)]
-    assert stamp_strings(np.array(stamps, dtype="datetime64[us]")) == [s.isoformat(timespec="minutes") for s in stamps]
+    expected = [s.isoformat(timespec="minutes") for s in stamps]
+    assert cell_strings(stamp_grid(np.array(stamps, dtype="datetime64[us]"))) == expected

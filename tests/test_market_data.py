@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import reference
 from conftest import series_to_csv, synthetic_market
 from drspot import market_data, plain_blocks
-from drspot.csv_text import cell_strings, float_grid, stamp_strings
+from drspot.csv_text import cell_strings, float_grid, stamp_grid
 from drspot.market_data import (
     GapError,
     MarketDataError,
@@ -427,7 +427,7 @@ def test_column_formatters_match_per_value_reference():
     stamps = [datetime(1900, 3, 1, 5), datetime(1969, 12, 31, 23), datetime(2024, 2, 29, 0)]
     stamps += [datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59), datetime(1969, 12, 31, 23, 59, 1, 5)]
     expected = [ts.isoformat(timespec="minutes") for ts in stamps]
-    assert stamp_strings(np.array(stamps, dtype="datetime64[us]")) == expected
+    assert cell_strings(stamp_grid(np.array(stamps, dtype="datetime64[us]"))) == expected
 
 
 def test_read_holidays(tmp_path):

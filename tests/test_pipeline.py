@@ -367,3 +367,66 @@ def test_zero_elasticity_leaves_market_exactly_unchanged(history_days, study_day
     assert np.array_equal(result.dr_demand, result.baseline_demand)
     assert np.array_equal(result.updated_spot_price, result.baseline_spot_price)
     assert not result.clamp_flags.any()
+
+
+def _scaled(series: RecordSeries, price: float = 1.0, demand: float = 1.0) -> RecordSeries:
+    return RecordSeries(
+        series.times,
+        series.demand * demand,
+        series.spot_price * price,
+        series.dry_bulb_temp,
+        series.dew_point,
+        holidays=series.holidays,
+    )
+
+
+def _choices(result: ScenarioResult) -> list[tuple]:
+    return [(step.added, step.runner_up, step.disqualified) for step in result.selection]
+
+
+def _ratios(result: ScenarioResult) -> tuple[float, float]:
+    summary = impact_summary(result)
+    return summary.delta_cost_pct, summary.delta_energy_pct
+
+
+# Metamorphic properties of the whole study (Chen et al., ACM Comput. Surv.
+# 51(1), 2018): a power of two changes no bit of a float but its exponent, so
+# a change of unit by 2^k must scale what carries the unit by exactly 2^k and
+# leave every scale-free output and every choice as it was. A draw that fails
+# points to a constant in some unit, such as a dollar threshold or an MWh floor.
+_unit_scales = st.sampled_from([2.0**-3, 2.0, 2.0**5])
+
+
+@settings(max_examples=25, deadline=None)
+@given(history_days=st.integers(14, 28), study_days=st.integers(1, 7), seed=st.integers(0, 2**16), scale=_unit_scales)
+def test_price_and_flat_rate_in_another_unit_scale_the_prices_exactly(history_days, study_days, seed, scale):
+    history, study = split_market(history_days, study_days, seed=seed)
+    cfg = fast_config()
+    base = run_scenario(history, study, cfg)
+    scaled = run_scenario(
+        _scaled(history, price=scale), _scaled(study, price=scale), fast_config(flat_rate=cfg.flat_rate * scale)
+    )
+    assert np.array_equal(scaled.forecast_price, base.forecast_price * scale)
+    assert np.array_equal(scaled.updated_spot_price, base.updated_spot_price * scale)
+    assert np.array_equal(scaled.dr_demand, base.dr_demand)
+    assert np.array_equal(scaled.clamp_flags, base.clamp_flags)
+    assert scaled.holdout_ferms == base.holdout_ferms
+    assert scaled.model.spec == base.model.spec
+    assert _choices(scaled) == _choices(base)
+    assert _ratios(scaled) == _ratios(base)
+
+
+@settings(max_examples=25, deadline=None)
+@given(history_days=st.integers(14, 28), study_days=st.integers(1, 7), seed=st.integers(0, 2**16), scale=_unit_scales)
+def test_demand_in_another_unit_scales_the_response_exactly(history_days, study_days, seed, scale):
+    history, study = split_market(history_days, study_days, seed=seed)
+    base = run_scenario(history, study, fast_config())
+    scaled = run_scenario(_scaled(history, demand=scale), _scaled(study, demand=scale), fast_config())
+    assert np.array_equal(scaled.dr_demand, base.dr_demand * scale)
+    assert np.array_equal(scaled.clamp_flags, base.clamp_flags)
+    assert np.array_equal(scaled.forecast_price, base.forecast_price)
+    assert np.array_equal(scaled.updated_spot_price, base.updated_spot_price)
+    assert scaled.holdout_ferms == base.holdout_ferms
+    assert scaled.model.spec == base.model.spec
+    assert _choices(scaled) == _choices(base)
+    assert _ratios(scaled) == _ratios(base)
