@@ -165,7 +165,6 @@ _ZERO_TABLE = {k: 0.0 for k in (
         ({"holdout_days": 1.5}, "holdout_days must be an integer, got 1.5"),
         ({"holdout_days": 2.0}, "holdout_days must be an integer, got 2.0"),
         ({"holdout_days": True}, "holdout_days must be an integer, got True"),
-        ({"holdout_days": 0}, "holdout_days must be >= 1, got 0"),
         ({"holidays": 5}, "holidays must be a list, got 5"),
         ({"holidays": [20140704]}, "holidays must be ISO dates"),
         ({"holidays_file": 5}, "holidays_file must be a path"),
@@ -186,6 +185,7 @@ _ZERO_TABLE = {k: 0.0 for k in (
         ),
         ({"columns": {"demand": "demand_mwh"}}, "unknown columns key 'demand'"),
         ({"columns": {"da_price": "DA_LMP"}}, "unknown columns key 'da_price'"),
+        ({"holdout_days": 0}, "holdout_days must be >= 1, got 0"),
     ],
 )
 def test_wrong_json_types_rejected(tmp_path, data, message):
