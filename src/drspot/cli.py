@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from contextlib import contextmanager
 from datetime import date, datetime, time, timedelta
@@ -186,6 +187,10 @@ def _read_summary(path: Path) -> dict:
         value = summary[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{path}: key {key!r} must be a JSON number, got {type(value).__name__}")
+        # Python's decoder reads NaN, Infinity and 1e400; an int past the
+        # float range is exact, and math.isfinite would overflow on it.
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{path}: key {key!r} must be a finite number, got {value}")
     return summary
 
 

@@ -26,7 +26,6 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .csv_text import write_csv
-from .plain_blocks import canonical_times as _canonical_times
 from .plain_blocks import plain_block as _plain_block
 
 # The series types are re-exported: they are part of this module's interface.
@@ -210,8 +209,7 @@ def _convert_rows(
     ``csv.reader`` split, on file rows ``row_nums``: the times up to the
     first bad stamp, the value columns, and the (row within the chunk, check
     rank within the row, error) of each check's first failure. Stripped
-    stamps are converted by :func:`_canonical_times` when all are canonical
-    and by ``datetime.fromisoformat`` otherwise; the value cells by
+    stamps are converted by ``datetime.fromisoformat``, the value cells by
     :func:`_check_values`. ``indices`` holds the file column of each of
     ``REQUIRED_COLUMNS``, the order in which a row's cells are checked. A
     short row is the chunk's last row."""
@@ -226,25 +224,20 @@ def _convert_rows(
     columns = list(islice(zip(*rows), width))  # every row has at least width cells
     raw_stamps, *cells = (columns[i] for i in indices)
 
-    # Stamps are stripped only when they are not all canonical as they stand.
-    times = _canonical_times(raw_stamps)
-    if times is None:
-        stamps = list(map(str.strip, raw_stamps))
-        times = _canonical_times(stamps)
-    if times is None:
-        parsed, bad = _convert(stamps, datetime.fromisoformat)
-        reason = "bad timestamp"
-        if any(map(attrgetter("tzinfo"), parsed)):
-            bad = next(i for i, ts in enumerate(parsed) if ts.tzinfo is not None)
-            reason = "timestamp has a UTC offset; local time expected"
-        times = datetime64_column(parsed[:bad])
-        off_hour = _first(times != times.astype("datetime64[h]"))
-        if off_hour < bad:
-            bad, reason = off_hour, "timestamp not on an hour boundary"
-        if bad < len(stamps):
-            failures.append((bad, 0, ParseError(row_nums[bad], "timestamp", stamps[bad], reason)))
-            times = times[:bad]
-    values, checked = _check_values(cells, row_nums[: len(raw_stamps)])
+    stamps = list(map(str.strip, raw_stamps))
+    parsed, bad = _convert(stamps, datetime.fromisoformat)
+    reason = "bad timestamp"
+    if any(map(attrgetter("tzinfo"), parsed)):
+        bad = next(i for i, ts in enumerate(parsed) if ts.tzinfo is not None)
+        reason = "timestamp has a UTC offset; local time expected"
+    times = datetime64_column(parsed[:bad])
+    off_hour = _first(times != times.astype("datetime64[h]"))
+    if off_hour < bad:
+        bad, reason = off_hour, "timestamp not on an hour boundary"
+    if bad < len(stamps):
+        failures.append((bad, 0, ParseError(row_nums[bad], "timestamp", stamps[bad], reason)))
+        times = times[:bad]
+    values, checked = _check_values(cells, row_nums[: len(stamps)])
     return times, values, failures + checked
 
 
@@ -338,14 +331,16 @@ def parse_hourly_csv(
     """Parse hourly market data from CSV into a RecordSeries.
 
     ``schema`` maps canonical column names to the file's actual header
-    names (identity by default).  Errors are reported by file row, counting
-    the header as row 1 (a record whose quoted cell spans lines is on the
-    line it starts on), the first in file order: within a row the stamp,
-    then the value columns, then the hour sequence (a hole, a duplicate or
-    an earlier hour). Timestamps with a UTC offset are rejected. A row the
-    CSV reader cannot split (a cell over ``csv.field_size_limit()``
-    characters, say) is reported only when every row before it is valid.
-    A path is read as UTF-8, skipping a leading byte order mark.
+    names (identity by default); each required column reads a header name
+    of its own, which the header holds once.  Errors are reported by file
+    row, counting the header as row 1 (a record whose quoted cell spans
+    lines is on the line it starts on), the first in file order: within a
+    row the stamp, then the value columns, then the hour sequence (a hole,
+    a duplicate or an earlier hour). Timestamps with a UTC offset are
+    rejected. A row the CSV reader cannot split (a cell over
+    ``csv.field_size_limit()`` characters, say) is reported only when every
+    row before it is valid. A path is read as UTF-8, skipping a leading
+    byte order mark.
 
     In strict mode (default) any hole in the hourly sequence raises
     GapError.  In permissive mode interior gaps are filled (demand and
@@ -373,7 +368,13 @@ def parse_hourly_csv(
         actual = schema.get(canonical, canonical)
         if actual not in header:
             raise MissingColumnError(actual, canonical)
-        indices.append(header.index(actual))
+        if (count := header.count(actual)) > 1:
+            raise MarketDataError(f"column {actual!r}, read as {canonical!r}, is in the header {count} times")
+        index = header.index(actual)
+        if index in indices:
+            other = REQUIRED_COLUMNS[indices.index(index)]
+            raise MarketDataError(f"required columns {other!r} and {canonical!r} both read column {actual!r}")
+        indices.append(index)
 
     # A chunk's first failure is the file's: every row before it passed.
     chunks: list[tuple[np.ndarray, ...]] = []

@@ -18,12 +18,11 @@ import numpy as np
 
 from .series import TIME_DTYPE
 
-# Canonical stamps, ``YYYY-MM-DDTHH:MM``, one per column, and the byte
-# after a stamp when stamps are joined: each byte lies between these bounds,
-# a digit or the separator itself.
-_STAMP_LOW = np.frombuffer(b"0000-00-00T00:00/", dtype=np.uint8)[:, None]
-_STAMP_HIGH = np.frombuffer(b"9999-99-99T99:99/", dtype=np.uint8)[:, None]
-_STAMP_CHARS = len(_STAMP_LOW) - 1
+# Canonical stamps, ``YYYY-MM-DDTHH:MM``, one per column: each byte lies
+# between these bounds, a digit or the separator of its place.
+_STAMP_LOW = np.frombuffer(b"0000-00-00T00:00", dtype=np.uint8)[:, None]
+_STAMP_HIGH = np.frombuffer(b"9999-99-99T99:99", dtype=np.uint8)[:, None]
+_STAMP_CHARS = len(_STAMP_LOW)
 # The places of the tens and the units of a stamp's two-digit numbers: the
 # year's hundreds, the year's units, month, day, hour and minute, and the
 # bounds of each.
@@ -50,9 +49,8 @@ def stamp_times(chars: np.ndarray) -> np.ndarray | None:
     """The times of canonical stamps, one per column of a ``(16, n)`` uint8
     array, or None unless every stamp is ``YYYY-MM-DDTHH:00`` with a year
     from 1, a month 1-12, a day within its month and an hour below 24: the
-    stamps that ``datetime.fromisoformat`` reads as a whole hour. A 17th row,
-    if given, must be all ``/``."""
-    if ((chars < _STAMP_LOW[: len(chars)]) | (chars > _STAMP_HIGH[: len(chars)])).any():
+    stamps that ``datetime.fromisoformat`` reads as a whole hour."""
+    if ((chars < _STAMP_LOW) | (chars > _STAMP_HIGH)).any():
         return None
     pairs = chars[_TENS].astype(np.int64) * 10 + chars[_UNITS] - 11 * ord("0")
     if ((pairs < _PAIR_LOW) | (pairs > _PAIR_HIGH)).any():
@@ -68,17 +66,6 @@ def stamp_times(chars: np.ndarray) -> np.ndarray | None:
         return None
     hours = pairs[3] * 24 + pairs[4] - 24  # since the start of the month
     return (starts[months] + hours * 3_600_000_000).view(TIME_DTYPE)
-
-
-def canonical_times(stamps: Sequence[str]) -> np.ndarray | None:
-    """:func:`stamp_times` of stripped stamps, or None unless every stamp
-    is 16 ASCII characters. Joined, each followed by a ``/``, which no stamp
-    place holds, they have a ``/`` every 17 bytes only then."""
-    text = "/".join(stamps) + "/"
-    if not text.isascii() or len(text) != len(_STAMP_LOW) * len(stamps):
-        return None
-    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, len(_STAMP_LOW))
-    return stamp_times(chars.T.copy())  # one row per place, contiguous
 
 
 def _take_places(data: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:

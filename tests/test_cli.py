@@ -476,6 +476,34 @@ class TestReport:
         assert captured.err == f"error: read: {summary}: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "key, text",
+        [("delta_cost", "NaN"), ("peak_price_after", "-Infinity"), ("holdout_ferms", "1e400")],
+        ids=["nan", "minus_infinity", "overflow"],
+    )
+    def test_non_finite_figure_exits_1(self, market_csv, compact_config, tmp_path, capsys, key, text):
+        # Python's decoder reads each of these texts as a float; RFC 8259 has
+        # none of them, and the report would print nan or inf.
+        out = tmp_path / "out"
+        assert run_simulate(market_csv, compact_config, out) == 0
+        summary = out / "summary.json"
+        summary.write_text(json.dumps({**json.loads(summary.read_text()), key: "<figure>"}).replace('"<figure>"', text))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 1
+        captured = capsys.readouterr()
+        value = float(text)
+        assert captured.err == f"error: read: {summary}: key {key!r} must be a finite number, got {value}\n"
+        assert captured.out == ""
+
+    def test_count_past_the_float_range_is_printed(self, market_csv, compact_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_simulate(market_csv, compact_config, out) == 0
+        summary = out / "summary.json"
+        summary.write_text(json.dumps({**json.loads(summary.read_text()), "clamp_count": 10**400}))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        assert f"clamped hours         {10**400}\n" in capsys.readouterr().out
+
     def test_summary_the_decoder_cannot_take_exits_1(self, market_csv, compact_config, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_simulate(market_csv, compact_config, out) == 0
@@ -837,6 +865,16 @@ class TestConfigFile:
         config.write_text(json.dumps({**json.loads(BUNDLED_CONFIG.read_text()), "columns": columns}))
         assert run_simulate(market_csv, config, tmp_path / "out") == 1
         assert f"unknown columns key {next(iter(columns))!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_two_required_columns_reading_one_exits_1(self, tmp_path, capsys):
+        # Demand read from the price column would fit price on itself.
+        config = tmp_path / "scenario.json"
+        data = json.loads(BUNDLED_CONFIG.read_text())
+        config.write_text(json.dumps({**data, "columns": {"demand_mwh": "spot_price"}}))
+        assert run_simulate(BUNDLED_DATA, config, tmp_path / "out", "2021-08-09", 7) == 1
+        expected = "required columns 'demand_mwh' and 'spot_price' both read column 'spot_price'"
+        assert expected in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_byte_order_marks_exit_0(self, market_csv, compact_config, tmp_path):

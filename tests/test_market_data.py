@@ -117,6 +117,27 @@ def test_parse_missing_column():
     assert excinfo.value.column == "spot_price"
 
 
+def test_parse_two_required_columns_reading_one_header_name_rejected():
+    with pytest.raises(MarketDataError) as excinfo:
+        parse_hourly_csv(io.StringIO(CSV_3ROWS), schema={"dry_bulb_f": "dew_point_f"})
+    assert str(excinfo.value) == "required columns 'dry_bulb_f' and 'dew_point_f' both read column 'dew_point_f'"
+
+
+@pytest.mark.parametrize("schema", [{}, {"spot_price": "lmp"}], ids=["identity", "mapped"])
+def test_parse_required_column_repeated_in_header_rejected(schema):
+    actual = schema.get("spot_price", "spot_price")
+    lines = [line + "," + line.split(",")[2] for line in CSV_3ROWS.replace("spot_price", actual).splitlines()]
+    with pytest.raises(MarketDataError) as excinfo:
+        parse_hourly_csv(io.StringIO("\n".join(lines) + "\n"), schema=schema)
+    assert str(excinfo.value) == f"column {actual!r}, read as 'spot_price', is in the header 2 times"
+
+
+def test_parse_repeated_column_no_required_column_reads_is_ignored():
+    lines = [line + ",x,y" for line in CSV_3ROWS.splitlines()]
+    lines[0] = lines[0].replace("x,y", "note,note")
+    assert parse_hourly_csv(io.StringIO("\n".join(lines) + "\n")) == parse_hourly_csv(io.StringIO(CSV_3ROWS))
+
+
 def test_parse_schema_remap():
     renamed = CSV_3ROWS.replace("demand_mwh", "Load").replace("spot_price", "RT_LMP")
     series = parse_hourly_csv(
@@ -524,12 +545,11 @@ def test_parse_out_of_range_stamp_is_a_bad_timestamp(stamp):
 
 
 def _parse_by_reader(source, **kwargs):
-    """``parse_hourly_csv`` with no block taken as plain and no stamp read by
-    numpy, so that every data line goes through ``csv.reader`` and every
-    stamp through ``datetime.fromisoformat``."""
+    """``parse_hourly_csv`` with no block taken as plain, so that every data
+    line goes through ``csv.reader`` and every stamp through
+    ``datetime.fromisoformat``."""
     with mock.patch.object(market_data, "_plain_block", return_value=None):
-        with mock.patch.object(market_data, "_canonical_times", return_value=None):
-            return parse_hourly_csv(source, **kwargs)
+        return parse_hourly_csv(source, **kwargs)
 
 
 def test_quoted_header_leaves_the_data_lines_to_the_plain_path():
@@ -929,8 +949,8 @@ def _stamp_fields_example(*fields):
 def test_stamp_converter_matches_fromisoformat(fields):
     # Stamps in the canonical digit layout. The converter reads a column of
     # them when fromisoformat reads each as a whole hour, to the same time;
-    # it declines any other column. Both callers: the csv.reader path's
-    # stamp strings, and a plain block's bytes.
+    # it declines any other column. Its one caller is the plain block, on
+    # the block's bytes.
     stamps = ["{:04d}-{:02d}-{:02d}T{:02d}:{:02d}".format(*f) for f in fields]
     try:
         expected = [datetime.fromisoformat(stamp) for stamp in stamps]
@@ -940,8 +960,7 @@ def test_stamp_converter_matches_fromisoformat(fields):
         expected = None
     block = "".join(stamp + ",1.0,2.0,3.0,4.0\n" for stamp in stamps)
     plain = market_data._plain_block(block, 5, range(5))
-    for times in (market_data._canonical_times(stamps), None if plain is None else plain[0]):
-        if expected is None:
-            assert times is None
-        else:
-            assert times is not None and times.tolist() == expected
+    if expected is None:
+        assert plain is None
+    else:
+        assert plain is not None and plain[0].tolist() == expected
