@@ -52,4 +52,4 @@ from .regression import (
     significance_level,
 )
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"

@@ -5,7 +5,8 @@ a ``(places, n)`` uint8 grid: grid column i holds cell i, one row per
 place (for a float: the sign, the integer digits, the point and the
 fraction digits), and NUL where the cell has no character. A file's lines
 are its grids side by side between ``,`` and ``\\n``, NULs dropped, a
-block of rows at a time. No Python string is made per cell.
+block of rows at a time. No Python string is made per cell. Stamps are
+numpy's ISO 8601 cast of ``datetime64`` minutes to bytes.
 
 Floats are written as ``repr`` writes them: the shortest decimal that reads
 back as the same double, and the nearest to it among those (Steele and
@@ -189,51 +190,20 @@ def float_grid(values) -> np.ndarray:
     return grid
 
 
-# A stamp, YYYY-MM-DDTHH:MM: the places of its two-digit numbers (the
-# year's hundreds, the year's units, month, day, hour and minute) and of its
-# separators.
-_PAIR_PLACES = (0, 2, 5, 8, 11, 14)
-_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":"}
-_PAIRS = np.array([[ord(f"{k:02d}"[0]) for k in range(100)], [ord(f"{k:02d}"[1]) for k in range(100)]], dtype=np.uint8)
-# Minutes from 0000-03-01, the start of the proleptic Gregorian calendar's
-# 400-year cycle, to 1970-01-01 (the datetime64 epoch), to 0001-01-01 and to
-# 10000-01-01.
-_DAY = 1440
-_EPOCH, _FIRST, _PAST = 719_468 * _DAY, 306 * _DAY, 3_652_365 * _DAY
+# The minutes since 1970-01-01 of 0001-01-01 and of 10000-01-01.
+_FIRST, _PAST = np.array(["0001-01-01", "10000-01-01"], dtype="datetime64[m]").view(np.int64)
 
 
 def stamp_grid(times: np.ndarray) -> np.ndarray:
     """The ``(16, n)`` grid of ``YYYY-MM-DDTHH:MM`` stamps of a datetime64
     column, as ``datetime.isoformat(timespec="minutes")`` writes them:
-    seconds are cut off. Raises ValueError for a year outside 1 to 9999.
-    The date comes from integer arithmetic on the minutes since 0000-03-01,
-    which are positive from year 1 on, in uint64 (Hinnant, "chrono-Compatible
-    Low-Level Date Algorithms")."""
-    minutes = np.asarray(times, dtype="datetime64[us]").view(np.int64) // 60_000_000 + _EPOCH
-    if len(minutes) and (minutes.min() < _FIRST or minutes.max() >= _PAST):
+    seconds are cut off. Raises ValueError for a year outside 1 to 9999 or
+    NaT. The text is numpy's ISO 8601 cast of the minutes to bytes."""
+    minutes = np.asarray(times, dtype="datetime64[m]")
+    values = minutes.view(np.int64)
+    if len(values) and (values.min() < _FIRST or values.max() >= _PAST):
         raise ValueError("stamps are written for the years 1 to 9999 only")
-    minutes = minutes.view(np.uint64)
-    day = minutes // _U(_DAY)
-    minute = minutes - day * _U(_DAY)
-    era = day // _U(146_097)  # 400-year cycles
-    day -= era * _U(146_097)
-    year = (day - day // _U(1460) + day // _U(36_524) - day // _U(146_096)) // _U(365)
-    day -= year * _U(365) + year // _U(4) - year // _U(100)  # days since March 1st
-    month = (day * _U(5) + _U(2)) // _U(153)  # months since March
-    day -= (month * _U(153) + _U(2)) // _U(5)
-    day += _U(1)
-    year += era * _U(400) + (month >= _U(10))
-    month = (month + _U(2)) % _U(12) + _U(1)
-    hour = minute // _U(60)
-    minute -= hour * _U(60)
-    century = year // _U(100)
-    year -= century * _U(100)
-    grid = np.empty((16, len(minutes)), dtype=np.uint8)
-    for place, pair in zip(_PAIR_PLACES, (century, year, month, day, hour, minute)):
-        np.take(_PAIRS, pair.view(np.intp), axis=1, out=grid[place : place + 2], mode="clip")
-    for place, char in _SEPARATORS.items():
-        grid[place] = ord(char)
-    return grid
+    return minutes.astype("S16").view(np.uint8).reshape(-1, 16).T
 
 
 def cell_strings(grid: np.ndarray) -> list[str]:

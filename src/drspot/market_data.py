@@ -321,6 +321,18 @@ def _chunks(source: IO[str], offset: int, width: int, indices: Sequence[int]) ->
         offset += rows
 
 
+def _decode_error(data: bytes) -> MarketDataError | None:
+    """The error naming the first byte of a file's ``data`` that is not
+    UTF-8 by its file line and offset, or None if there is none."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start]  # a lone \r ends a line too
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        return MarketDataError(f"line {line}: invalid UTF-8 byte 0x{data[exc.start]:02x} at file offset {exc.start}")
+    return None
+
+
 def parse_hourly_csv(
     source: str | Path | IO[str],
     schema: Mapping[str, str] | None = None,
@@ -340,7 +352,8 @@ def parse_hourly_csv(
     rejected. A row the CSV reader cannot split (a cell over
     ``csv.field_size_limit()`` characters, say) is reported only when every
     row before it is valid. A path is read as UTF-8, skipping a leading
-    byte order mark.
+    byte order mark; a byte that is not UTF-8 is reported by its file line
+    and byte offset.
 
     In strict mode (default) any hole in the hourly sequence raises
     GapError.  In permissive mode interior gaps are filled (demand and
@@ -350,7 +363,10 @@ def parse_hourly_csv(
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8-sig") as handle:
-            return parse_hourly_csv(handle, schema, holidays=holidays, strict=strict)
+            try:
+                return parse_hourly_csv(handle, schema, holidays=holidays, strict=strict)
+            except UnicodeDecodeError as exc:
+                raise _decode_error(Path(source).read_bytes()) or exc from None
 
     schema = dict(schema or {})
     malformed: list[ParseError] = []

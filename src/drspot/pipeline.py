@@ -103,6 +103,9 @@ class ScenarioConfig:
         check_thresholds(self.significance_thresholds)
         object.__setattr__(self, "feature_candidates", validate_feature_spec(self.feature_candidates))
         object.__setattr__(self, "base_features", validate_feature_spec(self.base_features))
+        missing = [name for name in self.base_features if name not in self.feature_candidates]
+        if missing:
+            raise ValueError(f"base_features must be a subset of feature_candidates, which lacks {missing}")
 
 
 @dataclass

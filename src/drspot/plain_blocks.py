@@ -3,8 +3,9 @@
 A block that ``csv.reader`` would split at every comma is read from one
 ``uint8`` view of its bytes, with no Python string per cell: its commas and
 line ends bound the cells, and its stamps and value cells are gathered
-into uint8 grids, a byte place per row, and read by arithmetic. A value
-column that the arithmetic declines comes back as its cell texts, which
+into uint8 grids, a byte place per row. The stamps are read by numpy's
+ISO 8601 cast of bytes to ``datetime64``, the value cells by arithmetic. A
+value column that the arithmetic declines comes back as its cell texts, which
 :mod:`drspot.market_data` converts with ``float``, as it does the cells of
 any other block, split by the reader: both give the same values.
 """
@@ -18,17 +19,12 @@ import numpy as np
 
 from .series import TIME_DTYPE
 
-# Canonical stamps, ``YYYY-MM-DDTHH:MM``, one per column: each byte lies
-# between these bounds, a digit or the separator of its place.
+# Canonical stamps, ``YYYY-MM-DDTHH:00``, one per column: each byte lies
+# between these bounds, a digit, the separator of its place or a minute's 0.
 _STAMP_LOW = np.frombuffer(b"0000-00-00T00:00", dtype=np.uint8)[:, None]
-_STAMP_HIGH = np.frombuffer(b"9999-99-99T99:99", dtype=np.uint8)[:, None]
+_STAMP_HIGH = np.frombuffer(b"9999-99-99T99:00", dtype=np.uint8)[:, None]
 _STAMP_CHARS = len(_STAMP_LOW)
-# The places of the tens and the units of a stamp's two-digit numbers: the
-# year's hundreds, the year's units, month, day, hour and minute, and the
-# bounds of each.
-_TENS, _UNITS = [0, 2, 5, 8, 11, 14], [1, 3, 6, 9, 12, 15]
-_PAIR_LOW = np.array([[0], [0], [1], [1], [0], [0]])
-_PAIR_HIGH = np.array([[99], [99], [12], [31], [23], [0]])
+_YEAR_1 = np.datetime64("0001-01-01", "us")
 # The most digits of a decimal cell read arithmetically: an exact double.
 _DECIMAL_DIGITS = 15
 DECIMAL_WIDTH = _DECIMAL_DIGITS + 2  # with a sign and a point
@@ -37,35 +33,20 @@ _PLACES = np.arange(DECIMAL_WIDTH, dtype=np.uint8)
 _POINT = ord(".") - ord("0") + 256  # in uint8
 
 
-def _months(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
-    """The start, in microseconds since 1970-01-01, and the number of days of
-    each month from ``first`` to ``last``, counted in months since 1970-01:
-    numpy's proleptic Gregorian calendar, as Python's."""
-    days = np.arange(first, last + 2).astype("datetime64[M]").astype("datetime64[D]").view(np.int64)
-    return days[:-1] * (24 * 3_600_000_000), np.diff(days)
-
-
 def stamp_times(chars: np.ndarray) -> np.ndarray | None:
     """The times of canonical stamps, one per column of a ``(16, n)`` uint8
     array, or None unless every stamp is ``YYYY-MM-DDTHH:00`` with a year
     from 1, a month 1-12, a day within its month and an hour below 24: the
-    stamps that ``datetime.fromisoformat`` reads as a whole hour."""
+    stamps that ``datetime.fromisoformat`` reads as a whole hour. numpy's
+    ISO 8601 reader checks the month, the day and the hour; it also reads
+    the year 0000."""
     if ((chars < _STAMP_LOW) | (chars > _STAMP_HIGH)).any():
         return None
-    pairs = chars[_TENS].astype(np.int64) * 10 + chars[_UNITS] - 11 * ord("0")
-    if ((pairs < _PAIR_LOW) | (pairs > _PAIR_HIGH)).any():
+    try:
+        times = np.ascontiguousarray(chars.T).view(f"S{_STAMP_CHARS}")[:, 0].astype(TIME_DTYPE)
+    except ValueError:
         return None
-    year = pairs[0] * 100 + pairs[1]
-    if not year.all():
-        return None
-    months = year * 12 + pairs[2] - (1970 * 12 + 1)  # since 1970-01
-    first = int(months.min())
-    starts, lengths = _months(first, int(months.max()))
-    months -= first
-    if (pairs[3] > lengths[months]).any():
-        return None
-    hours = pairs[3] * 24 + pairs[4] - 24  # since the start of the month
-    return (starts[months] + hours * 3_600_000_000).view(TIME_DTYPE)
+    return None if (times < _YEAR_1).any() else times
 
 
 def _take_places(data: np.ndarray, first: np.ndarray, width: int) -> np.ndarray:

@@ -719,6 +719,16 @@ class TestMalformedCsv:
         assert "load: row 41: malformed CSV: field larger than field limit" in err
         assert "Traceback" not in err
 
+    def test_byte_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        data = BUNDLED_DATA.read_bytes()
+        offset = sum(map(len, data.splitlines(keepends=True)[:1500]))  # the first byte of line 1501
+        path = tmp_path / "latin.csv"
+        path.write_bytes(data[:offset] + b"\xff" + data[offset + 1 :])
+        assert run_simulate(path, BUNDLED_CONFIG, tmp_path / "out", "2021-08-09", 7) == 1
+        assert capsys.readouterr().err == (
+            f"error: load: line 1501: invalid UTF-8 byte 0xff at file offset {offset}\n"
+        )
+
 
 _ELASTICITY_KEYS = (
     "peak_peak", "peak_offpeak", "peak_low",
@@ -875,6 +885,17 @@ class TestConfigFile:
         assert run_simulate(BUNDLED_DATA, config, tmp_path / "out", "2021-08-09", 7) == 1
         expected = "required columns 'demand_mwh' and 'spot_price' both read column 'spot_price'"
         assert expected in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_base_features_outside_the_candidates_exit_1(self, tmp_path, capsys):
+        config = tmp_path / "scenario.json"
+        data = json.loads(BUNDLED_CONFIG.read_text())
+        features = {"feature_candidates": ["intercept", "demand"], "base_features": ["intercept", "holiday"]}
+        config.write_text(json.dumps({**data, **features}))
+        assert run_simulate(BUNDLED_DATA, config, tmp_path / "out", "2021-08-09", 7) == 1
+        assert capsys.readouterr().err == (
+            f"error: config: {config}: base_features must be a subset of feature_candidates, which lacks ['holiday']\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_byte_order_marks_exit_0(self, market_csv, compact_config, tmp_path):

@@ -186,6 +186,10 @@ _ZERO_TABLE = {k: 0.0 for k in (
         ({"columns": {"demand": "demand_mwh"}}, "unknown columns key 'demand'"),
         ({"columns": {"da_price": "DA_LMP"}}, "unknown columns key 'da_price'"),
         ({"holdout_days": 0}, "holdout_days must be >= 1, got 0"),
+        (
+            {"feature_candidates": ["intercept", "demand"], "base_features": ["intercept", "temperature", "holiday"]},
+            "base_features must be a subset of feature_candidates, which lacks ['temperature', 'holiday']",
+        ),
     ],
 )
 def test_wrong_json_types_rejected(tmp_path, data, message):

@@ -137,10 +137,20 @@ def test_stamps_match_isoformat(stamps):
     assert cell_strings(stamp_grid(times)) == [ts.isoformat(timespec="minutes") for ts in stamps]
 
 
-@pytest.mark.parametrize("stamp", ["0000-12-31T23:59", "10000-01-01T00:00", "NaT"])
-def test_stamps_outside_years_1_to_9999_are_refused(stamp):
+@pytest.mark.parametrize(
+    "stamps",
+    [
+        pytest.param(["0000-12-31T23:59"], id="0000-12-31T23:59"),
+        pytest.param(["10000-01-01T00:00"], id="10000-01-01T00:00"),
+        pytest.param(["NaT"], id="NaT"),
+        pytest.param(["2021-06-07T05:00", "NaT"], id="NaT-after-a-valid-stamp"),
+        pytest.param(["0001-01-01T00:00", "9999-12-31T23:59", "10000-01-01T00:00"], id="10000-after-valid-stamps"),
+        pytest.param(["9999-12-31T23:59", "0000-12-31T23:59"], id="0000-after-a-valid-stamp"),
+    ],
+)
+def test_stamps_outside_years_1_to_9999_are_refused(stamps):
     with pytest.raises(ValueError, match="years 1 to 9999"):
-        stamp_grid(np.array([stamp], dtype="datetime64[m]"))
+        stamp_grid(np.array(stamps, dtype="datetime64[m]"))
 
 
 def _csv_text(header, *columns) -> str:

@@ -503,6 +503,23 @@ def test_parse_path_skips_byte_order_mark(tmp_path):
     assert parse_hourly_csv(path) == parse_hourly_csv(io.StringIO(CSV_3ROWS))
 
 
+@pytest.mark.parametrize(
+    "prefix, line_end, line",
+    [(b"", "\n", 1), (b"", "\n", 3), (b"\xef\xbb\xbf", "\r\n", 4), (b"\xef\xbb\xbf", "\r", 2)],
+    ids=["header", "lf", "bom-crlf", "bom-cr"],
+)
+def test_parse_path_names_a_byte_that_is_not_utf8_by_file_line_and_offset(tmp_path, prefix, line_end, line):
+    lines = CSV_3ROWS.encode().splitlines()
+    lines[line - 1] = lines[line - 1].replace(b",", b",\xff", 1)
+    data = prefix + line_end.encode().join(lines)
+    path = tmp_path / "latin.csv"
+    path.write_bytes(data)
+    offset = data.index(b"\xff")
+    with pytest.raises(MarketDataError) as excinfo:
+        parse_hourly_csv(path)
+    assert str(excinfo.value) == f"line {line}: invalid UTF-8 byte 0xff at file offset {offset}"
+
+
 def test_parse_numbers_rows_by_file_line_after_multi_line_cell():
     lines = [
         "timestamp,demand_mwh,spot_price,dry_bulb_f,dew_point_f,note",
@@ -942,6 +959,7 @@ def _stamp_fields_example(*fields):
 @_stamp_fields_example((2021, 0, 1, 0, 0))
 @_stamp_fields_example((2021, 13, 1, 0, 0))
 @_stamp_fields_example((0, 12, 31, 23, 0))
+@_stamp_fields_example((2021, 6, 7, 5, 0), (0, 1, 1, 0, 0))
 @_stamp_fields_example((2021, 6, 7, 24, 0))
 @_stamp_fields_example((2021, 6, 7, 5, 30))
 @_stamp_fields_example((1, 1, 1, 0, 0), (9999, 12, 31, 23, 0), (1969, 12, 31, 23, 0))
