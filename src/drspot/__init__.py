@@ -25,7 +25,6 @@ from .market_data import (
     ParseError,
     RecordSeries,
     parse_hourly_csv,
-    read_holidays,
     validate_series,
     write_hourly_csv,
 )
@@ -52,4 +51,4 @@ from .regression import (
     significance_level,
 )
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"

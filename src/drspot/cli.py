@@ -223,10 +223,7 @@ def cmd_report(args) -> int:
 def _add_common(sub: argparse.ArgumentParser, window: bool) -> None:
     sub.add_argument("--data", required=True, help="hourly market data CSV")
     sub.add_argument("--config", default=None, help="config JSON (or set DR_SPOT_SIM_CONFIG)")
-    gaps = sub.add_mutually_exclusive_group()
-    gaps.add_argument("--strict", dest="permissive", action="store_false", help="reject gaps (default)")
-    gaps.add_argument("--permissive", dest="permissive", action="store_true", help="fill gaps")
-    sub.set_defaults(permissive=False)
+    sub.add_argument("--permissive", action="store_true", help="fill gaps (default: reject them)")
     if window:
         sub.add_argument("--window-start", required=True, help="study window start date (ISO)")
         sub.add_argument("--days", type=int, required=True, help="study window length in days")

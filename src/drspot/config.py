@@ -15,7 +15,6 @@ the built-in defaults. Schema:
     base_features             [feature names]
     columns                   {required column name: CSV column name}
     holidays                  ["YYYY-MM-DD", ...]
-    holidays_file             path, relative to the config file
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from datetime import date
 from pathlib import Path
 
 from .elasticity import ElasticityTable, PeriodConfig
-from .market_data import REQUIRED_COLUMNS, read_holidays
+from .market_data import REQUIRED_COLUMNS
 from .pipeline import ScenarioConfig
 
 CONFIG_ENV_VAR = "DR_SPOT_SIM_CONFIG"
@@ -43,7 +42,6 @@ _KNOWN_KEYS = {
     "base_features",
     "columns",
     "holidays",
-    "holidays_file",
 }
 
 _ELASTICITY_KEYS = {f.name for f in fields(ElasticityTable)}
@@ -156,9 +154,6 @@ def load_settings(path: str | Path | None) -> Settings:
             holidays.add(date.fromisoformat(raw))
         except ValueError:
             raise ConfigError(f"{path}: bad holiday date {raw!r}") from None
-    if "holidays_file" in data:
-        holidays_file = _expect(path, "holidays_file", data["holidays_file"], str, "a path")
-        holidays |= read_holidays(path.parent / holidays_file)
 
     columns = _expect(path, "columns", data.get("columns", {}), dict, "an object")
     for key, name in columns.items():

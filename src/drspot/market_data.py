@@ -18,6 +18,7 @@ import csv
 import io
 import math
 from datetime import date, datetime
+from functools import partial
 from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -321,13 +322,36 @@ def _chunks(source: IO[str], offset: int, width: int, indices: Sequence[int]) ->
         offset += rows
 
 
-def _decode_error(data: bytes) -> MarketDataError | None:
-    """The error naming the first byte of a file's ``data`` that is not
-    UTF-8 by its file line and offset, or None if there is none."""
+def _whole_records(text: str) -> str:
+    """The lines of ``text`` without a last CSV record that a quoted cell
+    leaves open, which ``csv.reader`` would return cut at the end."""
+    lines = io.StringIO(text, newline="").readlines()
+    # A blank line after a whole record is a row of its own; in an open cell it is not.
+    reader = csv.reader(chain(lines, ["\n"]))
+    start = end = 0
+    try:
+        for row in reader:
+            start, end = end, reader.line_num
+    except csv.Error:  # a cell over the reader's limit, which the parse reports
+        return text
+    return text if row == [] else "".join(lines[:start])
+
+
+def _decode_error(data: bytes, parse: Callable[[IO[str]], object]) -> MarketDataError | None:
+    """The first error in file order of a file's ``data`` that holds a byte
+    that is not UTF-8: the error of ``parse`` on the whole records before
+    the byte's line, if any, else the error naming the byte by its file line
+    and offset. None if every byte is UTF-8."""
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         before = data[: exc.start]  # a lone \r ends a line too
+        head = before[: max(before.rfind(b"\n"), before.rfind(b"\r")) + 1].decode("utf-8-sig")
+        if head := _whole_records(head):
+            try:
+                parse(io.StringIO(head, newline=""))
+            except MarketDataError as earlier:
+                return earlier
         line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
         return MarketDataError(f"line {line}: invalid UTF-8 byte 0x{data[exc.start]:02x} at file offset {exc.start}")
     return None
@@ -353,7 +377,7 @@ def parse_hourly_csv(
     ``csv.field_size_limit()`` characters, say) is reported only when every
     row before it is valid. A path is read as UTF-8, skipping a leading
     byte order mark; a byte that is not UTF-8 is reported by its file line
-    and byte offset.
+    and byte offset, after the errors of the whole records before its line.
 
     In strict mode (default) any hole in the hourly sequence raises
     GapError.  In permissive mode interior gaps are filled (demand and
@@ -366,7 +390,8 @@ def parse_hourly_csv(
             try:
                 return parse_hourly_csv(handle, schema, holidays=holidays, strict=strict)
             except UnicodeDecodeError as exc:
-                raise _decode_error(Path(source).read_bytes()) or exc from None
+                parse = partial(parse_hourly_csv, schema=schema, holidays=holidays, strict=strict)
+                raise _decode_error(Path(source).read_bytes(), parse) or exc from None
 
     schema = dict(schema or {})
     malformed: list[ParseError] = []
@@ -426,19 +451,3 @@ def write_hourly_csv(series: RecordSeries, dest: str | Path | IO[str]) -> None:
     reproduces the series exactly."""
     columns = [series.times, series.demand, series.spot_price, series.dry_bulb_temp, series.dew_point]
     write_csv(dest, REQUIRED_COLUMNS, columns)
-
-
-def read_holidays(path: str | Path) -> frozenset[date]:
-    """Read a holiday calendar: one ISO date per line, blank lines and
-    ``#`` comments ignored. Read as UTF-8, skipping a leading byte order
-    mark."""
-    days = set()
-    for line_num, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        try:
-            days.add(date.fromisoformat(text))
-        except ValueError:
-            raise ParseError(line_num, "holiday", text, "bad date") from None
-    return frozenset(days)

@@ -119,6 +119,15 @@ class TestFit:
             "error: fit: design matrix is rank deficient: column 'holiday' is linearly dependent\n"
         )
 
+    def test_inline_holidays_reach_the_model(self, tmp_path):
+        # The config above with a holiday inside the history: the column is fitted.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"base_features": ["intercept", "holiday"], "holidays": ["2021-07-05"]}))
+        out = tmp_path / "m.json"
+        assert main(["fit", "--data", str(BUNDLED_DATA), "--config", str(config), "--out", str(out)]) == 0
+        (holiday,) = [f for f in json.loads(out.read_text())["features"] if f["name"] == "holiday"]
+        assert math.isfinite(holiday["coefficient"]) and holiday["coefficient"] != 0.0
+
     def test_unordered_significance_thresholds_exit_1(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"significance_thresholds": [2.45, 1.69, 1.3]}))
@@ -382,13 +391,13 @@ class TestTimestampErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: load: ") and "row 6, column 'timestamp': " in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("mode", ["--strict", "--permissive"])
-    def test_duplicate_hour_exits_1(self, market_csv, compact_config, tmp_path, capsys, mode):
+    @pytest.mark.parametrize("flags", [[], ["--permissive"]], ids=["default", "--permissive"])
+    def test_duplicate_hour_exits_1(self, market_csv, compact_config, tmp_path, capsys, flags):
         lines = market_csv.read_text().splitlines()
         lines.insert(11, lines[10])  # file row 11 repeated as row 12
         market_csv.write_text("\n".join(lines) + "\n")
         stamp = lines[11].split(",")[0]
-        assert run_simulate(market_csv, compact_config, tmp_path / "out", "2021-06-28", 7, mode) == 1
+        assert run_simulate(market_csv, compact_config, tmp_path / "out", "2021-06-28", 7, *flags) == 1
         assert f"load: row 12: duplicate hour {stamp}" in capsys.readouterr().err
 
     def test_earlier_hour_exits_1(self, market_csv, compact_config, tmp_path, capsys):
@@ -673,7 +682,8 @@ class TestFlagRanges:
         [
             ([], "the following arguments are required: command"),
             (["simulate", "--window-start", "2021-06-28", "--days", "abc"], "argument --days: invalid int value: 'abc'"),
-            (["fit", "--strict", "--permissive"], "argument --permissive: not allowed with argument --strict"),
+            # Rejecting gaps is the default, which has no flag of its own.
+            (["fit", "--out", "m.json", "--strict", "--permissive"], "unrecognized arguments: --strict"),
             (["fit"], "the following arguments are required: --out"),
             # The config is the one source of model settings.
             (["fit", "--out", "m.json", "--gate", "10"], "unrecognized arguments: --gate 10"),
@@ -773,7 +783,6 @@ _config_json = st.fixed_dictionaries(
         "base_features": _or_junk(st.just(["intercept", "demand"])),
         "columns": _or_junk(st.just({})),
         "holidays": _or_junk(st.lists(st.dates(date(2021, 6, 7), date(2021, 7, 4)).map(date.isoformat), max_size=3)),
-        "holidays_file": _json_values,
         "extra_key": _json_values,
     },
 )
@@ -899,10 +908,9 @@ class TestConfigFile:
         assert not (tmp_path / "out").exists()
 
     def test_byte_order_marks_exit_0(self, market_csv, compact_config, tmp_path):
-        (tmp_path / "holidays.txt").write_text("\ufeff2021-07-05\n", encoding="utf-8")
-        data = {**json.loads(compact_config.read_text()), "holidays_file": "holidays.txt"}
         config = tmp_path / "bom.json"
-        config.write_text("\ufeff" + json.dumps(data), encoding="utf-8")
+        config.write_text("\ufeff" + compact_config.read_text(), encoding="utf-8")
+        market_csv.write_bytes(b"\xef\xbb\xbf" + market_csv.read_bytes())
         assert run_simulate(market_csv, config, tmp_path / "out") == 0
 
 

@@ -6,7 +6,8 @@ from datetime import date
 
 import pytest
 
-from drspot.config import CONFIG_ENV_VAR, ConfigError, load_settings, resolve_config_path
+from conftest import DATA_DIR
+from drspot.config import _KNOWN_KEYS, CONFIG_ENV_VAR, ConfigError, load_settings, resolve_config_path
 from drspot.elasticity import PeriodClass
 
 
@@ -25,6 +26,12 @@ def test_no_path_gives_defaults():
     assert settings.scenario.elasticity_table.peak_peak == -0.10
     assert settings.columns == {}
     assert settings.holidays == frozenset()
+
+
+def test_bundled_config_spells_out_every_default():
+    path = DATA_DIR / "scenario.json"
+    assert set(json.loads(path.read_text())) == _KNOWN_KEYS
+    assert load_settings(path) == load_settings(None)
 
 
 def test_empty_object_gives_defaults(tmp_path):
@@ -118,25 +125,11 @@ def test_json_the_decoder_cannot_take_is_not_valid_json(tmp_path, text, reason):
         load_settings(path)
 
 
-def test_holidays_file_merged(tmp_path):
-    holidays_file = tmp_path / "holidays.txt"
-    holidays_file.write_text("2014-09-01\n")
-    path = write_config(tmp_path, {"holidays": ["2014-07-04"], "holidays_file": "holidays.txt"})
-    settings = load_settings(path)
-    assert settings.holidays == {date(2014, 7, 4), date(2014, 9, 1)}
-
-
 # Windows editors write a UTF-8 byte order mark at the start of a file.
 def test_config_byte_order_mark_skipped(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text("\ufeff" + json.dumps({"flat_rate": 25.0}), encoding="utf-8")
     assert load_settings(path).scenario.flat_rate == 25.0
-
-
-def test_holidays_file_byte_order_mark_skipped(tmp_path):
-    (tmp_path / "holidays.txt").write_text("\ufeff2021-07-05\n2021-09-06\n", encoding="utf-8")
-    settings = load_settings(write_config(tmp_path, {"holidays_file": "holidays.txt"}))
-    assert settings.holidays == {date(2021, 7, 5), date(2021, 9, 6)}
 
 
 def test_env_var_fallback(monkeypatch):
@@ -167,7 +160,7 @@ _ZERO_TABLE = {k: 0.0 for k in (
         ({"holdout_days": True}, "holdout_days must be an integer, got True"),
         ({"holidays": 5}, "holidays must be a list, got 5"),
         ({"holidays": [20140704]}, "holidays must be ISO dates"),
-        ({"holidays_file": 5}, "holidays_file must be a path"),
+        ({"holidays_file": "holidays.txt"}, "unknown config keys: ['holidays_file']"),
         ({"significance_thresholds": 2.0}, "significance_thresholds must be a list"),
         ({"significance_thresholds": [1, "2", 3]}, "significance_thresholds must be a number"),
         ({"elasticity": [1, 2]}, "elasticity must be an object"),

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import series_to_csv, synthetic_market
+from conftest import DATA_DIR, series_to_csv, synthetic_market
 from drspot import market_data, plain_blocks
 from drspot.csv_text import cell_strings, float_grid, stamp_grid
 from drspot.market_data import (
@@ -25,7 +25,6 @@ from drspot.market_data import (
     ParseError,
     RecordSeries,
     parse_hourly_csv,
-    read_holidays,
     validate_series,
     write_hourly_csv,
 )
@@ -451,16 +450,6 @@ def test_column_formatters_match_per_value_reference():
     assert cell_strings(stamp_grid(np.array(stamps, dtype="datetime64[us]"))) == expected
 
 
-def test_read_holidays(tmp_path):
-    path = tmp_path / "holidays.txt"
-    path.write_text("2014-07-04\n\n# labor day\n2014-09-01\n")
-    assert read_holidays(path) == {date(2014, 7, 4), date(2014, 9, 1)}
-    bad = tmp_path / "bad.txt"
-    bad.write_text("07/04/2014\n")
-    with pytest.raises(ParseError):
-        read_holidays(bad)
-
-
 def test_series_takes_slices_only():
     series = _series([_record(datetime(2014, 8, 18, h)) for h in range(3)])
     with pytest.raises(TypeError, match="slices"):
@@ -518,6 +507,61 @@ def test_parse_path_names_a_byte_that_is_not_utf8_by_file_line_and_offset(tmp_pa
     with pytest.raises(MarketDataError) as excinfo:
         parse_hourly_csv(path)
     assert str(excinfo.value) == f"line {line}: invalid UTF-8 byte 0xff at file offset {offset}"
+
+
+def _with_byte_ff(lines: list[bytes], line: int, prefix: bytes = b"", line_end: bytes = b"\n") -> bytes:
+    """The file of ``lines`` with byte 0xff put first on file line ``line``."""
+    lines = list(lines)
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    return prefix + line_end.join(lines) + line_end
+
+
+# The bundled CSV is read as one block of 128 Ki characters, which decoding
+# rejects before any of its rows is checked: the rows before the bad byte
+# are checked afterwards, and their first error is the file's.
+@pytest.mark.parametrize(
+    "prefix, line_end", [(b"", b"\n"), (b"", b"\r"), (b"\xef\xbb\xbf", b"\r\n")], ids=["lf", "cr", "bom-crlf"]
+)
+def test_parse_path_reports_a_bad_cell_before_a_later_byte_that_is_not_utf8(tmp_path, prefix, line_end):
+    lines = (DATA_DIR / "synthetic_market.csv").read_bytes().splitlines()
+    fields = lines[4].split(b",")
+    fields[1] = b"abc"
+    lines[4] = b",".join(fields)
+    path = tmp_path / "latin.csv"
+    path.write_bytes(_with_byte_ff(lines, 1501, prefix, line_end))
+    with pytest.raises(ParseError, match=re.escape("row 5, column 'demand_mwh': non-numeric value: 'abc'")):
+        parse_hourly_csv(path)
+
+
+def test_parse_path_reports_a_hole_before_a_later_byte_that_is_not_utf8_by_its_own_options(tmp_path):
+    lines = (DATA_DIR / "synthetic_market.csv").read_bytes().splitlines()
+    lines[0] = lines[0].replace(b"demand_mwh", b"load")
+    missing = lines.pop(9).split(b",")[0].decode()
+    data = _with_byte_ff(lines, 1500)
+    path = tmp_path / "latin.csv"
+    path.write_bytes(data)
+    with pytest.raises(GapError, match=f"^missing hour {missing}$"):
+        parse_hourly_csv(path, {"demand_mwh": "load"})
+    # Filled under strict=False, so the byte is the first error.
+    offset = data.index(b"\xff")
+    with pytest.raises(MarketDataError, match=f"^line 1500: invalid UTF-8 byte 0xff at file offset {offset}$"):
+        parse_hourly_csv(path, {"demand_mwh": "load"}, strict=False)
+
+
+def test_parse_path_reports_a_byte_that_is_not_utf8_in_a_record_open_since_an_earlier_line(tmp_path):
+    # The lines before the byte's end inside the quoted cell of a valid record,
+    # which csv.reader would return cut, as a short row, if it were checked.
+    text = (
+        "timestamp,note,demand_mwh,spot_price,dry_bulb_f,dew_point_f\n"
+        "2014-08-18T00:00,,1000.0,25.5,70.0,58.0\n"
+        '2014-08-18T01:00,"two\nlines",950.0,24.0,69.0,57.5\n'
+    )
+    data = _with_byte_ff(text.encode().splitlines(), 4)
+    path = tmp_path / "latin.csv"
+    path.write_bytes(data)
+    offset = data.index(b"\xff")
+    with pytest.raises(MarketDataError, match=f"^line 4: invalid UTF-8 byte 0xff at file offset {offset}$"):
+        parse_hourly_csv(path)
 
 
 def test_parse_numbers_rows_by_file_line_after_multi_line_cell():
